@@ -2,6 +2,10 @@
 
 Floats are written with ``repr`` precision (up to 17 significant digits),
 so every file round-trips back to bit-identical doubles.
+
+A path JSON file holds ``{"segments": [``, one segment record per line,
+``]`` and one line per metadata key. Metadata goes through ``json`` (an
+infinite clearance reads ``Infinity``). Any layout of the document loads.
 """
 
 from __future__ import annotations
@@ -78,38 +82,36 @@ def load_scenario(source: Union[str, TextIO]) -> Scenario:
     )
 
 
+# Path JSON segment records, one per line of the file.
+_LINE = '{"type": "line", "a": [%s, %s], "b": [%s, %s]}'
+_ARC = '{"type": "arc", "center": [%s, %s], "radius": %s, "start_angle": %s, "sweep": %s}'
+
+
 def save_path(
     path: SmoothPath,
     dest: Union[str, TextIO],
     total_length: Optional[float] = None,
     min_clearance: Optional[float] = None,
 ) -> None:
-    """Write a smooth path as JSON segment records plus trailing metadata."""
+    """Write a smooth path as JSON, one segment record per line, plus
+    trailing metadata."""
     if isinstance(dest, str):
         with open(dest, "w", encoding="utf-8") as fh:
             save_path(path, fh, total_length, min_clearance)
         return
-    segments = []
-    for seg in path.segments:
-        if isinstance(seg, LineSegment):
-            segments.append({"type": "line", "a": [seg.a.x, seg.a.y], "b": [seg.b.x, seg.b.y]})
-        else:
-            segments.append(
-                {
-                    "type": "arc",
-                    "center": [seg.center.x, seg.center.y],
-                    "radius": seg.radius,
-                    "start_angle": seg.start_angle.theta,
-                    "sweep": seg.sweep,
-                }
-            )
-    doc = {"segments": segments}
-    if total_length is not None:
-        doc["total_length"] = total_length
-    if min_clearance is not None:
-        doc["min_clearance"] = min_clearance
-    json.dump(doc, dest, indent=2)
-    dest.write("\n")
+    # Segment coordinates are finite by construction, so str() (the shortest
+    # round-trip repr, also for numpy scalars) is valid JSON for every one.
+    records = [
+        _LINE % (seg.a.x, seg.a.y, seg.b.x, seg.b.y)
+        if isinstance(seg, LineSegment)
+        else _ARC % (seg.center.x, seg.center.y, seg.radius, seg.start_angle.theta, seg.sweep)
+        for seg in path.segments
+    ]
+    dest.writelines(('{"segments": [\n', ",\n".join(records), "\n]"))
+    for key, value in (("total_length", total_length), ("min_clearance", min_clearance)):
+        if value is not None:
+            dest.write(f',\n"{key}": {json.dumps(value)}')
+    dest.write("}\n")
 
 
 def load_path(source: Union[str, TextIO]) -> tuple[SmoothPath, dict]:

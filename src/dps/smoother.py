@@ -6,6 +6,14 @@ consecutive tangent points. The construction keeps G1 continuity, respects
 the curvature bound 1/r, is never longer than the polyline, and runs in
 time linear in the number of vertices because every vertex is solved
 independently of the others.
+
+The tangent length at a vertex is computed one way only,
+``l = r|v1 x v2| / (v1.v2 + |v1||v2|)`` (r/tan(alpha/2) in exact
+arithmetic), by one pass over the raw coordinates. Smoothing, the
+per-vertex, per-edge and 4r far predicates, ``vertex_solutions``,
+``extract_pieces`` and the report a ``FeasibilityError`` carries all read
+their numbers from that pass, so they accept and refuse the same inputs,
+also on the boundary |p_j p_k| = l_j + l_k.
 """
 
 from __future__ import annotations
@@ -27,8 +35,6 @@ from .geom import (
     Pose,
     arc_endpoint,
     dist,
-    interior_angle,
-    is_collinear,
     normalize_angle,
     point_arc_distance,
     point_segment_distance,
@@ -113,8 +119,8 @@ class SmoothPath:
 class FeasibilityReport:
     """Per-vertex and per-edge feasibility flags for a polyline.
 
-    ``local_ok[j]``: the tangent length r/tan(alpha_j/2) fits on both edges
-    at vertex j. ``global_ok[e]``: edge e is long enough to hold the tangent
+    ``local_ok[j]``: the tangent length l_j fits on both edges at vertex j.
+    ``global_ok[e]``: edge e is long enough to hold the tangent
     points of both its vertices without overlap. ``far_ok[e]``: the exit
     tangent point after the edge's second vertex is at least 4r from its
     first vertex (None until computable). All flags true means the smoothed
@@ -181,8 +187,8 @@ def _solve_raw(xi, yi, xm, ym, xf, yf, r):
     """Tangent solve on raw coordinates.
 
     Returns None for a collinear pass-through vertex, otherwise the tuple
-    (q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep); an exact reversal is
-    reported with l = inf so the edge check rejects it.
+    (q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep, r); an exact reversal
+    is reported with l = inf so the edge check rejects it.
     """
     v1x = xm - xi
     v1y = ym - yi
@@ -196,7 +202,7 @@ def _solve_raw(xi, yi, xm, ym, xf, yf, r):
         return None
     denom = dt + n1 * n2
     if denom == 0.0:
-        return xm, ym, xm, ym, xm, ym, math.inf, math.inf, 0.0, math.pi
+        return xm, ym, xm, ym, xm, ym, math.inf, math.inf, 0.0, math.pi, r
     sweep = math.atan2(crs, dt)
     alpha = math.pi - abs(sweep)
     l = r * abs(crs) / denom
@@ -215,7 +221,21 @@ def _solve_raw(xi, yi, xm, ym, xf, yf, r):
         cx = q1x + r * u1y
         cy = q1y - r * u1x
     d = math.hypot(xm - cx, ym - cy)
-    return q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep
+    return q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep, r
+
+
+def _triplet(raw) -> TripletSolution:
+    q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep, radius = raw
+    return TripletSolution(
+        q1=Point2(q1x, q1y),
+        q2=Point2(q2x, q2y),
+        center=Point2(cx, cy),
+        l=l,
+        d=d,
+        alpha=alpha,
+        sweep=sweep,
+        deviation=d - radius,
+    )
 
 
 def solve_three_points(p_i: Point2, p_m: Point2, p_f: Point2, r: float) -> Optional[TripletSolution]:
@@ -231,144 +251,26 @@ def solve_three_points(p_i: Point2, p_m: Point2, p_f: Point2, r: float) -> Optio
     raw = _solve_raw(p_i.x, p_i.y, p_m.x, p_m.y, p_f.x, p_f.y, r)
     if raw is None:
         return None
-    q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep = raw
-    if l > min(dist(p_i, p_m), dist(p_m, p_f)):
+    if raw[6] > min(dist(p_i, p_m), dist(p_m, p_f)):
         raise FeasibilityError(
-            f"tangent length {l:.6g} exceeds an incident edge at ({p_m.x:g}, {p_m.y:g})"
+            f"tangent length {raw[6]:.6g} exceeds an incident edge at ({p_m.x:g}, {p_m.y:g})"
         )
-    return TripletSolution(
-        q1=Point2(q1x, q1y),
-        q2=Point2(q2x, q2y),
-        center=Point2(cx, cy),
-        l=l,
-        d=d,
-        alpha=alpha,
-        sweep=sweep,
-        deviation=d - r,
-    )
+    return _triplet(raw)
 
 
 def check_local_existence(p_i: Point2, p_m: Point2, p_f: Point2, r: float) -> bool:
-    """Per-vertex tangent-fit condition min(|p_m-p_i|, |p_f-p_m|) >= r/tan(alpha/2).
+    """Per-vertex tangent-fit condition min(|p_m-p_i|, |p_f-p_m|) >= l.
 
-    Collinear triples pass trivially (no arc, tangent length zero).
+    Collinear triples pass trivially (no arc, tangent length zero); an exact
+    reversal fails (no finite tangent length).
     """
     check_turn_radius(r)
     d1 = dist(p_i, p_m)
     d2 = dist(p_m, p_f)
     if d1 <= LENGTH_EPSILON or d2 <= LENGTH_EPSILON:
         raise DegeneratePointsError("triplet points must be pairwise distinct")
-    if is_collinear(p_i, p_m, p_f):
-        return True
-    alpha = interior_angle(p_i, p_m, p_f)
-    if alpha <= 0.0:
-        return False  # exact reversal: no finite tangent length
-    return min(d1, d2) >= r / math.tan(0.5 * alpha)
-
-
-def _tangent_lengths(pts: tuple[Point2, ...], r: float) -> list[float]:
-    """Tangent length per vertex: 0 at endpoints and pass-through vertices,
-    inf at exact reversals."""
-    out = [0.0] * len(pts)
-    for j in range(1, len(pts) - 1):
-        if is_collinear(pts[j - 1], pts[j], pts[j + 1]):
-            continue
-        alpha = interior_angle(pts[j - 1], pts[j], pts[j + 1])
-        out[j] = r / math.tan(0.5 * alpha) if alpha > 0.0 else math.inf
-    return out
-
-
-def check_global_existence(p: Polyline, r: float) -> FeasibilityReport:
-    """Per-edge check |p_j - p_k| >= l_j + l_k that consecutive tangent
-    points exist in order; endpoint vertices contribute zero."""
-    check_turn_radius(r)
-    pts = p.points
-    ls = _tangent_lengths(pts, r)
-    local_ok = tuple(
-        ls[j] <= min(dist(pts[j - 1], pts[j]), dist(pts[j], pts[j + 1]))
-        if 0 < j < len(pts) - 1
-        else True
-        for j in range(len(pts))
-    )
-    global_ok = tuple(
-        dist(pts[e], pts[e + 1]) >= ls[e] + ls[e + 1] for e in range(len(pts) - 1)
-    )
-    return FeasibilityReport(local_ok=local_ok, global_ok=global_ok)
-
-
-def check_far_condition(p: Polyline, r: float) -> tuple[bool, ...]:
-    """Per consecutive pair (p_j, p_k): the exit tangent point after p_k is
-    at least 4r from p_j. Pass-through and endpoint vertices carry no arc
-    and pass trivially. Raises FeasibilityError when tangent points are not
-    computable."""
-    check_turn_radius(r)
-    report = check_global_existence(p, r)
-    if not report.feasible:
-        raise FeasibilityError("tangent points not computable on infeasible polyline", report)
-    pts = p.points
-    sols = vertex_solutions(p, r)
-    flags = []
-    for e in range(len(pts) - 1):
-        k = e + 1
-        sol = sols[k - 1] if 1 <= k <= len(pts) - 2 else None
-        flags.append(True if sol is None else dist(pts[e], sol.q2) >= 4.0 * r)
-    return tuple(flags)
-
-
-def feasibility_report(p: Polyline, r: float) -> FeasibilityReport:
-    """Full report: local and global existence plus the 4r far condition
-    (far flags omitted when existence already fails)."""
-    report = check_global_existence(p, r)
-    if not report.feasible:
-        return report
-    return FeasibilityReport(report.local_ok, report.global_ok, check_far_condition(p, r))
-
-
-def vertex_solutions(p: Polyline, r: float, mode: str = "strict") -> list[Optional[TripletSolution]]:
-    """Triplet solution per interior vertex (None = pass-through).
-
-    In "best-effort" mode over-long tangents are clamped to what the edges
-    can hold (contested edges are split proportionally) and the arc radius
-    shrinks to keep tangency, so the result stays G1 but may violate the
-    curvature bound.
-    """
-    check_turn_radius(r)
-    if mode not in ("strict", "best-effort"):
-        raise ValueError(f"unknown smoothing mode {mode!r}")
-    pts = p.points
-    n = len(pts)
-    if mode == "strict":
-        report = check_global_existence(p, r)
-        if not report.feasible:
-            raise FeasibilityError(
-                "infeasible polyline: vertex violations "
-                f"{report.local_violations}, edge violations {report.global_violations}",
-                report,
-            )
-        return [solve_three_points(pts[j - 1], pts[j], pts[j + 1], r) for j in range(1, n - 1)]
-
-    ls = _tangent_lengths(pts, r)
-    allowed = list(ls)
-    for e in range(n - 1):
-        edge_len = dist(pts[e], pts[e + 1])
-        want = ls[e] + ls[e + 1]
-        if want > edge_len and 0.0 < want < math.inf:
-            scale = edge_len / want
-            allowed[e] = min(allowed[e], ls[e] * scale)
-            allowed[e + 1] = min(allowed[e + 1], ls[e + 1] * scale)
-    sols: list[Optional[TripletSolution]] = []
-    for j in range(1, n - 1):
-        if is_collinear(pts[j - 1], pts[j], pts[j + 1]):
-            sols.append(None)
-            continue
-        alpha = interior_angle(pts[j - 1], pts[j], pts[j + 1])
-        l = min(allowed[j], dist(pts[j - 1], pts[j]), dist(pts[j], pts[j + 1]))
-        r_eff = l * math.tan(0.5 * alpha)
-        if r_eff <= LENGTH_EPSILON:
-            sols.append(None)
-            continue
-        sols.append(solve_three_points(pts[j - 1], pts[j], pts[j + 1], r_eff))
-    return sols
+    raw = _solve_raw(p_i.x, p_i.y, p_m.x, p_m.y, p_f.x, p_f.y, r)
+    return raw is None or raw[6] <= min(d1, d2)
 
 
 def _solve_pass(pts: tuple[Point2, ...], r: float, lo: int, hi: int) -> list:
@@ -383,31 +285,154 @@ def _solve_pass(pts: tuple[Point2, ...], r: float, lo: int, hi: int) -> list:
     return out
 
 
-def _check_edges(pts: tuple[Point2, ...], raws: list, p: Polyline, r: float) -> None:
-    """Reject the solve if any edge cannot hold its two tangent lengths."""
-    n = len(pts)
-    ls = [0.0] * n
-    for j in range(1, n - 1):
-        raw = raws[j - 1]
-        if raw is not None:
-            ls[j] = raw[6]
-    for e in range(n - 1):
-        if dist(pts[e], pts[e + 1]) < ls[e] + ls[e + 1]:
-            report = check_global_existence(p, r)
-            raise FeasibilityError(
-                "infeasible polyline: vertex violations "
-                f"{report.local_violations}, edge violations {report.global_violations}",
-                report,
-            )
+def _tangent_pass(pts: tuple[Point2, ...], r: float, raws: Optional[list] = None):
+    """The numbers every predicate and every assembly reads, from one solve
+    per interior vertex (or the solves already made in ``raws``): edge
+    lengths |p_e p_e+1|, the tangent length per vertex (0 at the endpoints
+    and at pass-through vertices, inf at an exact reversal) and the raw
+    solves (None = pass-through)."""
+    if raws is None:
+        raws = _solve_pass(pts, r, 1, len(pts) - 1)
+    edges = list(map(dist, pts, pts[1:]))
+    ls = [0.0, *[0.0 if raw is None else raw[6] for raw in raws], 0.0]
+    return edges, ls, raws
 
 
-def _assemble_raw(pts: tuple[Point2, ...], raws: list, radius: float) -> SmoothPath:
+def _edges_ok(edges: list, ls: list) -> list[bool]:
+    """The paper's edge condition |p_j p_k| >= l_j + l_k, per edge. It implies
+    the per-vertex fit l_j <= min(|p_i p_j|, |p_j p_k|), also in floating
+    point, so all edges passing means the polyline is feasible."""
+    return [edge >= l0 + l1 for edge, l0, l1 in zip(edges, ls, ls[1:])]
+
+
+def _existence(tp) -> FeasibilityReport:
+    edges, ls, _ = tp
+    local_ok = (True, *(l <= min(e0, e1) for l, e0, e1 in zip(ls[1:-1], edges, edges[1:])), True)
+    return FeasibilityReport(local_ok, tuple(_edges_ok(edges, ls)))
+
+
+def _report(p: Polyline, r: float):
+    """Tangent pass and report of a polyline; the far flags (edge (p_j, p_k)
+    passes when the exit tangent point after p_k lies at least 4r from p_j)
+    only when the existence flags all hold."""
+    check_turn_radius(r)
+    pts = p.points
+    tp = _tangent_pass(pts, r)
+    report = _existence(tp)
+    if report.feasible:
+        four_r = 4.0 * r
+        far = (raw is None or math.hypot(raw[2] - a.x, raw[3] - a.y) >= four_r
+               for a, raw in zip(pts, tp[2]))
+        report = FeasibilityReport(report.local_ok, report.global_ok, (*far, True))
+    return tp, report
+
+
+def _infeasible(tp, report: FeasibilityReport) -> FeasibilityError:
+    """Refusal naming the first vertex whose tangent length overruns an
+    incident edge, else the first edge too short for its two tangent
+    lengths, with the numbers of the tangent pass."""
+    edges, ls, _ = tp
+    if report.local_violations:
+        j = report.local_violations[0]
+        edge, need = min(edges[j - 1], edges[j]), ls[j]
+        reason = f"vertex {j}: l = {need:.6g} > min edge {edge:.6g}"
+    else:
+        e = report.global_violations[0]
+        edge, need = edges[e], ls[e] + ls[e + 1]
+        reason = f"edge {e}: |p{e} p{e + 1}| = {edge:.6g} < l{e} + l{e + 1} = {need:.6g}"
+    return FeasibilityError(f"{reason} (short by {need - edge:.3g})", report)
+
+
+def _strict(tp) -> list:
+    """Raw solves of a pass whose every edge holds its two tangent lengths;
+    FeasibilityError otherwise."""
+    edges, ls, raws = tp
+    if not all(_edges_ok(edges, ls)):
+        raise _infeasible(tp, _existence(tp))
+    return raws
+
+
+def check_global_existence(p: Polyline, r: float) -> FeasibilityReport:
+    """Per-vertex fit l_j <= min(|p_i p_j|, |p_j p_k|) and per-edge check
+    |p_j - p_k| >= l_j + l_k that consecutive tangent points exist in order;
+    endpoint vertices contribute zero."""
+    check_turn_radius(r)
+    return _existence(_tangent_pass(p.points, r))
+
+
+def check_far_condition(p: Polyline, r: float) -> tuple[bool, ...]:
+    """Per consecutive pair (p_j, p_k): the exit tangent point after p_k is
+    at least 4r from p_j. Pass-through and endpoint vertices carry no arc
+    and pass trivially. Raises FeasibilityError when tangent points are not
+    computable."""
+    return _feasible_pass(p, r)[1]
+
+
+def feasibility_report(p: Polyline, r: float) -> FeasibilityReport:
+    """Full report: local and global existence plus the 4r far condition
+    (far flags omitted when existence already fails)."""
+    return _report(p, r)[1]
+
+
+def _feasible_pass(p: Polyline, r: float) -> tuple[list, tuple[bool, ...]]:
+    """Raw solves and far flags of a feasible polyline."""
+    tp, report = _report(p, r)
+    if not report.feasible:
+        raise _infeasible(tp, report)
+    return tp[2], report.far_ok
+
+
+def _clamp(pts: tuple[Point2, ...], tp) -> list:
+    """Best-effort solves: a tangent length that its edges cannot hold is cut
+    to what they can (a contested edge is split in proportion to its two
+    tangent lengths) and the arc radius shrinks with it to keep tangency."""
+    edges, ls, raws = tp
+    allowed = list(ls)
+    for e, edge in enumerate(edges):
+        want = ls[e] + ls[e + 1]
+        if edge < want < math.inf:
+            scale = edge / want
+            allowed[e] = min(allowed[e], ls[e] * scale)
+            allowed[e + 1] = min(allowed[e + 1], ls[e + 1] * scale)
+    out = []
+    for j, raw in enumerate(raws, start=1):
+        l = min(allowed[j], edges[j - 1], edges[j])
+        if raw is not None and l < ls[j]:
+            r_eff = raw[10] * l / ls[j]
+            a, m, b = pts[j - 1], pts[j], pts[j + 1]
+            raw = None if r_eff <= LENGTH_EPSILON else _solve_raw(a.x, a.y, m.x, m.y, b.x, b.y, r_eff)
+        out.append(raw)
+    return out
+
+
+def _solves(p: Polyline, r: float, mode: str) -> list:
+    """Raw solve per interior vertex in the given smoothing mode."""
+    check_turn_radius(r)
+    if mode not in ("strict", "best-effort"):
+        raise ValueError(f"unknown smoothing mode {mode!r}")
+    pts = p.points
+    tp = _tangent_pass(pts, r)
+    return _clamp(pts, tp) if mode == "best-effort" else _strict(tp)
+
+
+def vertex_solutions(p: Polyline, r: float, mode: str = "strict") -> list[Optional[TripletSolution]]:
+    """Triplet solution per interior vertex (None = pass-through).
+
+    In "best-effort" mode over-long tangents are clamped to what the edges
+    can hold (contested edges are split proportionally) and the arc radius
+    shrinks to keep tangency, so the result stays G1 but may violate the
+    curvature bound.
+    """
+    return [None if raw is None else _triplet(raw) for raw in _solves(p, r, mode)]
+
+
+def _assemble_raw(pts: tuple[Point2, ...], raws: list) -> SmoothPath:
     segments: list[Segment] = []
     current = pts[0]
     for raw in raws:
         if raw is None:
             continue
-        q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep = raw
+        q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep, radius = raw
         q1 = Point2(q1x, q1y)
         if dist(current, q1) > LENGTH_EPSILON:
             segments.append(LineSegment(current, q1))
@@ -429,35 +454,7 @@ def smooth_polyline(p: Polyline, r: float, mode: str = "strict") -> SmoothPath:
     clamps tangent lengths instead and shrinks arc radii below r where
     needed, trading the curvature guarantee for totality.
     """
-    check_turn_radius(r)
-    if mode == "best-effort":
-        return _assemble_best_effort(p, r)
-    if mode != "strict":
-        raise ValueError(f"unknown smoothing mode {mode!r}")
-    pts = p.points
-    raws = _solve_pass(pts, r, 1, len(pts) - 1)
-    _check_edges(pts, raws, p, r)
-    return _assemble_raw(pts, raws, r)
-
-
-def _assemble_best_effort(p: Polyline, r: float) -> SmoothPath:
-    segments: list[Segment] = []
-    pts = p.points
-    current = pts[0]
-    for sol in vertex_solutions(p, r, mode="best-effort"):
-        if sol is None:
-            continue
-        if dist(current, sol.q1) > LENGTH_EPSILON:
-            segments.append(LineSegment(current, sol.q1))
-        radius = dist(sol.q1, sol.center)
-        start = math.atan2(sol.q1.y - sol.center.y, sol.q1.x - sol.center.x)
-        segments.append(ArcSegment(sol.center, radius, Heading(start), sol.sweep))
-        current = sol.q2
-    if dist(current, pts[-1]) > LENGTH_EPSILON:
-        segments.append(LineSegment(current, pts[-1]))
-    if not segments:
-        segments.append(LineSegment(pts[0], pts[-1]))
-    return SmoothPath(tuple(segments), pts[0], pts[-1])
+    return _assemble_raw(p.points, _solves(p, r, mode))
 
 
 def _worker_count(parallelism_hint: Optional[int]) -> int:
@@ -494,8 +491,7 @@ def smooth_polyline_batch(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(lambda span: _solve_pass(pts, r, span[0], span[1]), spans))
     raws = [raw for part in parts for raw in part]
-    _check_edges(pts, raws, p, r)
-    return _assemble_raw(pts, raws, r)
+    return _assemble_raw(pts, _strict(_tangent_pass(pts, r, raws)))
 
 
 def path_length(path: SmoothPath) -> float:
@@ -567,29 +563,29 @@ def extract_pieces(p: Polyline, r: float) -> list[PathPiece]:
     tangent configuration; the tail piece covers the final straight.
     ``guaranteed`` carries the piece's 4r far-condition flag.
     """
+    raws, far = _feasible_pass(p, r)
     pts = p.points
-    sols = vertex_solutions(p, r)
-    far = check_far_condition(p, r)
     pieces: list[PathPiece] = []
     cur_point = pts[0]
     cur_heading: Optional[float] = None
-    for j in range(1, len(pts) - 1):
-        sol = sols[j - 1]
-        if sol is None:
+    for j, (raw, guaranteed) in enumerate(zip(raws, far), start=1):
+        if raw is None:
             continue
+        q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep, radius = raw
+        q2 = Point2(q2x, q2y)
         if cur_heading is None:
             cur_heading = math.atan2(pts[j].y - cur_point.y, pts[j].x - cur_point.x)
         exit_heading = math.atan2(pts[j + 1].y - pts[j].y, pts[j + 1].x - pts[j].x)
         pieces.append(
             PathPiece(
                 start=Pose(cur_point, Heading(cur_heading)),
-                end=Pose(sol.q2, Heading(exit_heading)),
-                length=dist(cur_point, sol.q1) + r * abs(sol.sweep),
-                guaranteed=far[j - 1],
+                end=Pose(q2, Heading(exit_heading)),
+                length=dist(cur_point, Point2(q1x, q1y)) + r * abs(sweep),
+                guaranteed=guaranteed,
                 vertex=j,
             )
         )
-        cur_point = sol.q2
+        cur_point = q2
         cur_heading = exit_heading
     if cur_heading is None:
         cur_heading = math.atan2(pts[-1].y - cur_point.y, pts[-1].x - cur_point.x)

@@ -69,6 +69,8 @@ def test_smooth_infeasible_exit_2(tmp_path, capsys):
     assert main(["smooth", "-r", "1", str(f), "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert "infeasible" in err
+    assert "vertex 1: l = 1 > min edge 0.5 (short by 0.5)" in err  # first violation, with numbers
+    assert "vertex violations: [1]; edge violations: [0, 1]" in err
     assert not out.exists()
 
 

@@ -58,6 +58,95 @@ def test_path_round_trip_awkward_floats():
     assert meta == {"min_clearance": 0.5}
 
 
+def _float_bits(path):
+    """Every float of every segment, as hex, so -0.0 and 0.0 differ."""
+    out = []
+    for seg in path.segments:
+        if isinstance(seg, LineSegment):
+            values = (seg.a.x, seg.a.y, seg.b.x, seg.b.y)
+        else:
+            values = (seg.center.x, seg.center.y, seg.radius, seg.start_angle.theta, seg.sweep)
+        out.append(tuple(float(v).hex() for v in values))
+    return out
+
+
+def _indented_document(path, **meta):
+    """The document that the indented json.dump writer of earlier versions
+    produced for a path."""
+    segments = [
+        {"type": "line", "a": [s.a.x, s.a.y], "b": [s.b.x, s.b.y]}
+        if isinstance(s, LineSegment)
+        else {"type": "arc", "center": [s.center.x, s.center.y], "radius": s.radius,
+              "start_angle": s.start_angle.theta, "sweep": s.sweep}
+        for s in path.segments
+    ]
+    return {"segments": segments, **{k: v for k, v in meta.items() if v is not None}}
+
+
+def _edge_float_path():
+    from dps.smoother import SmoothPath
+    from dps.geom import arc_endpoint
+
+    line = LineSegment(P(-0.0, 5e-324), P(0.1 + 0.2, 2.2250738585072014e-308))
+    arc = ArcSegment(P(1 / 3, -0.0), 0.30000000000000004, Heading(-0.0), 2.9999999999999996)
+    sliver = ArcSegment(P(-1e-320, 7.0), 1.7976931348623157e3, Heading(-2.220446049250313e-16), -5e-324)
+    return SmoothPath((line, arc, sliver), line.a, arc_endpoint(sliver, True)[0])
+
+
+def test_path_round_trip_keeps_every_bit():
+    # -0.0, subnormals and 17-digit floats come back with the same bits
+    path_in = _edge_float_path()
+    buf = io.StringIO()
+    save_path(path_in, buf, total_length=0.1 + 0.2)
+    loaded, meta = load_path(io.StringIO(buf.getvalue()))
+    assert _float_bits(loaded) == _float_bits(path_in)
+    assert meta["total_length"].hex() == (0.1 + 0.2).hex()
+
+
+def test_path_file_has_one_segment_record_per_line(tmp_path):
+    path = smooth_polyline(random_polyline(12, 1.0, seed=3), 1.0)
+    out = tmp_path / "path.json"
+    with open(out, "w", encoding="utf-8") as fh:  # caller-owned text stream
+        save_path(path, fh, total_length=2.5, min_clearance=math.inf)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == '{"segments": ['
+    records = [json.loads(line.rstrip(",")) for line in lines[1:1 + len(path.segments)]]
+    assert records == _indented_document(path)["segments"]
+    assert lines[1 + len(path.segments):] == ["],", '"total_length": 2.5,', '"min_clearance": Infinity}']
+    loaded, meta = load_path(str(out))
+    assert loaded == path
+    assert meta == {"total_length": 2.5, "min_clearance": math.inf}
+
+
+def test_path_document_matches_indented_writer():
+    for path, meta in (
+        (smooth_polyline(random_polyline(40, 1.0, seed=8), 1.0), {"total_length": 1.5}),
+        (_edge_float_path(), {"total_length": None, "min_clearance": math.inf}),
+        (_edge_float_path(), {}),
+    ):
+        buf = io.StringIO()
+        save_path(path, buf, **meta)
+        doc = json.loads(buf.getvalue())
+        expected = _indented_document(path, **meta)
+        assert doc == expected and list(doc) == list(expected)
+        # files in the indented layout still load, to the same path
+        old_file = io.StringIO(json.dumps(expected, indent=2) + "\n")
+        loaded, old_meta = load_path(old_file)
+        assert _float_bits(loaded) == _float_bits(path)
+        assert old_meta == {k: v for k, v in meta.items() if v is not None}
+
+
+def test_path_with_numpy_coordinates_is_valid_json():
+    np = pytest.importorskip("numpy")
+    from dps.smoother import Polyline
+
+    polyline = Polyline([P(np.float64(x), np.float64(y)) for x, y in ((0, 0), (4, 0), (4, 4))])
+    path = smooth_polyline(polyline, 1.0)
+    buf = io.StringIO()
+    save_path(path, buf, total_length=np.float64(7.5))
+    assert json.loads(buf.getvalue()) == _indented_document(path, total_length=7.5)
+
+
 def test_load_path_rejects_empty():
     with pytest.raises(ValueError):
         load_path(io.StringIO(json.dumps({"segments": []})))

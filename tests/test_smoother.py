@@ -191,6 +191,73 @@ def test_feasibility_report_combines_all():
     assert not rep_bad.feasible and rep_bad.far_ok is None
 
 
+def test_feasibility_error_names_first_violation():
+    short = Polyline([P(0, 0), P(0.5, 0), P(0.5, 0.5)])
+    with pytest.raises(FeasibilityError, match=r"^vertex 1: l = 1 > min edge 0\.5 \(short by 0\.5\)$"):
+        smooth_polyline(short, 1.0)
+    square_wave = Polyline([P(0, 0), P(4, 0), P(4, 4), P(8, 4)])
+    with pytest.raises(FeasibilityError) as exc:
+        vertex_solutions(square_wave, 3.0)
+    assert str(exc.value) == "edge 1: |p1 p2| = 4 < l1 + l2 = 6 (short by 2)"
+    assert exc.value.report == check_global_existence(square_wave, 3.0)
+    reversal = Polyline([P(0, 0), P(5, 0), P(1, 0), P(1, 5)])
+    with pytest.raises(FeasibilityError, match=r"^vertex 1: l = inf > min edge 4 "):
+        extract_pieces(reversal, 1.0)
+
+
+def _boundary_polyline(rng, r, first_turn):
+    """Four points whose middle edge is l1 + l2 long up to the rounding of
+    the coordinates, so the edge condition |p1 p2| >= l1 + l2 is decided by
+    the last bits of the tangent lengths."""
+
+    def step(p, length, heading):
+        return P(p.x + length * math.cos(heading), p.y + length * math.sin(heading))
+
+    second_turn = rng.choice((-1, 1)) * rng.uniform(0.05, math.pi - 0.05)
+    l1 = r * math.tan(0.5 * abs(first_turn))
+    l2 = r * math.tan(0.5 * abs(second_turn))
+    heading = rng.uniform(-math.pi, math.pi)
+    p1 = P(rng.uniform(-50, 50), rng.uniform(-50, 50))
+    p0 = step(p1, l1 + rng.uniform(1, 10) * r, heading + math.pi)
+    p2 = step(p1, l1 + l2, heading + first_turn)
+    p3 = step(p2, l2 + rng.uniform(1, 10) * r, heading + first_turn + second_turn)
+    return Polyline([p0, p1, p2, p3])
+
+
+def _verdicts(polyline, r):
+    """Accept (True) or refuse (False) per entry point; a refusal must carry
+    an infeasible report that names the failing vertex or edge."""
+    verdicts = {
+        "feasibility_report": feasibility_report(polyline, r).feasible,
+        "check_global_existence": check_global_existence(polyline, r).feasible,
+    }
+    for fn in (smooth_polyline, vertex_solutions, extract_pieces, check_far_condition):
+        try:
+            fn(polyline, r)
+            verdicts[fn.__name__] = True
+        except FeasibilityError as err:
+            assert err.report is not None and not err.report.feasible
+            assert str(err).startswith(("vertex ", "edge "))
+            verdicts[fn.__name__] = False
+    return verdicts
+
+
+def test_entry_points_agree_on_edge_condition_boundary():
+    rng = random.Random(4411)
+    outcomes = []
+    for case in range(3000):
+        r = rng.uniform(0.2, 3.0)
+        turn = rng.choice((-1, 1)) * rng.uniform(0.05, math.pi - 0.05)
+        if case % 10 == 0:  # near-collinear first vertex: pass-through or not
+            turn = math.copysign(1e-9 * rng.uniform(0.999, 1.001), turn)
+        verdicts = _verdicts(_boundary_polyline(rng, r, turn), r)
+        assert len(set(verdicts.values())) == 1, (case, verdicts)
+        outcomes.append(verdicts["smooth_polyline"])
+    assert 300 < sum(outcomes) < 2700  # both sides of the boundary are exercised
+    reversal = Polyline([P(0, 0), P(5, 0), P(1, 0), P(1, 5)])
+    assert set(_verdicts(reversal, 1.0).values()) == {False}
+
+
 def test_smooth_right_angle():
     path = smooth_polyline(Polyline(RIGHT_ANGLE), 1.0)
     kinds = [type(s).__name__ for s in path.segments]
