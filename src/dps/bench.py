@@ -1,4 +1,4 @@
-"""Benchmark harness: timing of sequential vs batch smoothing and length
+"""Benchmark harness: smoothing times (batch is the same call) and length
 comparison against the sampled-heading multipoint reference.
 
 Lengths are deterministic for a fixed seed (generation draws MT19937

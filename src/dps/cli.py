@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--radius", type=float, required=True, help="turning radius")
     p.add_argument("-o", "--output", required=True, help="output path JSON")
     p.add_argument("--best-effort", action="store_true", help="clamp instead of refusing")
-    p.add_argument("--parallel", action="store_true", help="solve vertices in parallel")
+    p.add_argument("--parallel", action="store_true", help="same as without; kept for old scripts")
     p.set_defaults(func=_cmd_smooth)
 
     p = sub.add_parser("plan", help="plan through a scenario JSON")

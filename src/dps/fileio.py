@@ -6,16 +6,22 @@ so every file round-trips back to bit-identical doubles.
 A path JSON file holds ``{"segments": [``, one segment record per line,
 ``]`` and one line per metadata key. Metadata goes through ``json`` (an
 infinite clearance reads ``Infinity``). Any layout of the document loads.
+Paths are written from and read into ``SmoothPath`` columns; the reader runs
+the segment constructors' checks over the arrays and names a failing index.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from typing import Optional, TextIO, Union
 
-from .geom import ArcSegment, Heading, LineSegment, Point2
+import numpy as np
+
+from .geom import LENGTH_EPSILON, TWO_PI, Point2, arc_endpoint, normalize_angle
 from .planner import Bounds, ConvexPolygon, Scenario
-from .smoother import Polyline, SmoothPath
+from .smoother import ARC, LINE, Polyline, SmoothPath, _segment
 
 
 def load_polyline(source: Union[str, TextIO]) -> Polyline:
@@ -82,8 +88,9 @@ def load_scenario(source: Union[str, TextIO]) -> Scenario:
     )
 
 
-# Path JSON segment records, one per line of the file.
-_LINE = '{"type": "line", "a": [%s, %s], "b": [%s, %s]}'
+# Path JSON segment records, one per line of the file. Each takes a whole
+# row; "%.0s" prints nothing for the fifth value of a line row.
+_LINE = '{"type": "line", "a": [%s, %s], "b": [%s, %s]}%.0s'
 _ARC = '{"type": "arc", "center": [%s, %s], "radius": %s, "start_angle": %s, "sweep": %s}'
 
 
@@ -99,15 +106,10 @@ def save_path(
         with open(dest, "w", encoding="utf-8") as fh:
             save_path(path, fh, total_length, min_clearance)
         return
-    # Segment coordinates are finite by construction, so str() (the shortest
-    # round-trip repr, also for numpy scalars) is valid JSON for every one.
-    records = [
-        _LINE % (seg.a.x, seg.a.y, seg.b.x, seg.b.y)
-        if isinstance(seg, LineSegment)
-        else _ARC % (seg.center.x, seg.center.y, seg.radius, seg.start_angle.theta, seg.sweep)
-        for seg in path.segments
-    ]
-    dest.writelines(('{"segments": [\n', ",\n".join(records), "\n]"))
+    # Column values are finite floats, so str() (the shortest round-trip
+    # repr) is valid JSON for every one. One template formats all rows.
+    template = ",\n".join([_ARC if kind == ARC else _LINE for kind in path.kind.tolist()])
+    dest.writelines(('{"segments": [\n', template % tuple(path.data.ravel().tolist()), "\n]"))
     for key, value in (("total_length", total_length), ("min_clearance", min_clearance)):
         if value is not None:
             dest.write(f',\n"{key}": {json.dumps(value)}')
@@ -123,31 +125,51 @@ def load_path(source: Union[str, TextIO]) -> tuple[SmoothPath, dict]:
     records = doc.get("segments")
     if not records:
         raise ValueError("path file has no segments")
-    segments = []
+    # Each record gives two pairs and a sweep: a line a, b and 0, an arc its
+    # center, (radius, start_angle) and its sweep.
+    kinds, pairs, sweeps = [], [], []
     for i, rec in enumerate(records):
         kind = rec.get("type")
-        if kind == "line":
-            segments.append(LineSegment(_point(rec["a"]), _point(rec["b"])))
-        elif kind == "arc":
-            segments.append(
-                ArcSegment(
-                    center=_point(rec["center"]),
-                    radius=float(rec["radius"]),
-                    start_angle=Heading(float(rec["start_angle"])),
-                    sweep=float(rec["sweep"]),
-                )
-            )
-        else:
+        if kind not in ("line", "arc"):
             raise ValueError(f"segment {i}: unknown type {kind!r}")
-    first = segments[0]
-    last = segments[-1]
-    start = first.a if isinstance(first, LineSegment) else _arc_point(first, False)
-    end = last.b if isinstance(last, LineSegment) else _arc_point(last, True)
+        try:
+            line = kind == "line"
+            pairs += (rec["a"], rec["b"]) if line else (rec["center"], (rec["radius"], rec["start_angle"]))
+            sweeps.append(0.0 if line else rec["sweep"])
+        except KeyError as err:
+            raise ValueError(f"segment {i}: missing key {err}") from None
+        kinds.append(LINE if line else ARC)
+    try:
+        if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) == {2}):
+            raise ValueError
+        xy = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs)).reshape(-1, 4)
+        data = np.column_stack((xy, np.fromiter(sweeps, np.float64, len(sweeps))))
+    except (TypeError, ValueError):
+        for i, rec in enumerate(records):
+            p, q = pairs[2 * i: 2 * i + 2]
+            try:
+                if {type(p), type(q)} <= {list, tuple} and len(p) == len(q) == 2:
+                    np.fromiter((*p, *q, sweeps[i]), np.float64, 5)
+                    continue
+            except (TypeError, ValueError):
+                pass
+            raise ValueError(f"segment {i}: expected [x, y] pairs of numbers, got {rec!r}") from None
+    arc = np.array(kinds) == ARC
+    x0, y0, x1, y1, sweep = data.T
+    with np.errstate(invalid="ignore"):
+        checks = ((~np.isfinite(data).all(axis=1), "non-finite value"),
+                  (arc & ~(x1 > 0.0), "arc radius must be positive"),
+                  (arc & (np.abs(sweep) > TWO_PI), "arc sweep must lie in [-2pi, 2pi]"),
+                  (~arc & ~(np.hypot(x1 - x0, y1 - y0) > LENGTH_EPSILON), "line endpoints coincide"))
+    failed = [(int(bad.argmax()), text) for bad, text in checks if bad.any()]
+    if failed:
+        i, text = min(failed, key=lambda f: f[0])
+        raise ValueError(f"segment {i}: {text}: {records[i]!r}")
+    # Start angles as Heading keeps them, normalized to (-pi, pi].
+    for i in np.flatnonzero(arc & ((y1 <= -math.pi) | (y1 > math.pi))).tolist():
+        data[i, 3] = normalize_angle(data[i, 3])
+    first, last = _segment(kinds[0], data[0].tolist()), _segment(kinds[-1], data[-1].tolist())
+    start = first.a if kinds[0] == LINE else arc_endpoint(first, False)[0]
+    end = last.b if kinds[-1] == LINE else arc_endpoint(last, True)[0]
     meta = {k: v for k, v in doc.items() if k != "segments"}
-    return SmoothPath(tuple(segments), start, end), meta
-
-
-def _arc_point(arc: ArcSegment, at_end: bool) -> Point2:
-    from .geom import arc_endpoint
-
-    return arc_endpoint(arc, at_end)[0]
+    return SmoothPath._from_columns(kinds, data, start, end), meta

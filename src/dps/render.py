@@ -2,7 +2,7 @@
 
 Arcs are emitted as native SVG ``A`` commands (no polyline approximation);
 a group transform flips the y-axis so geometry coordinates map directly to
-the usual math orientation.
+the usual math orientation. Paths are drawn from their columns.
 """
 
 from __future__ import annotations
@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .geom import ArcSegment, LineSegment, arc_endpoint
+import numpy as np
+
 from .planner import Scenario
-from .smoother import Polyline, SmoothPath
+from .smoother import ARC, Polyline, SmoothPath
 
 _FULL = 2.0 * math.pi - 1e-9
 
@@ -21,41 +22,34 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _arc_command(arc: ArcSegment) -> str:
+def _arc_command(cx: float, cy: float, radius: float, start: float, sweep: float) -> str:
     """One or two elliptical-arc commands covering the arc's sweep."""
     parts = []
-    sweep = arc.sweep
-    start = arc.start_angle.theta
     # A full circle degenerates in the A command; emit it as two halves.
     halves = [(start, sweep)] if abs(sweep) < _FULL else [
         (start, 0.5 * sweep),
         (start + 0.5 * sweep, 0.5 * sweep),
     ]
     for a0, ds in halves:
-        end_x = arc.center.x + arc.radius * math.cos(a0 + ds)
-        end_y = arc.center.y + arc.radius * math.sin(a0 + ds)
+        end_x = cx + radius * math.cos(a0 + ds)
+        end_y = cy + radius * math.sin(a0 + ds)
         large = 1 if abs(ds) > math.pi else 0
         sweep_flag = 1 if ds > 0 else 0
         parts.append(
-            f"A {_fmt(arc.radius)} {_fmt(arc.radius)} 0 {large} {sweep_flag} "
+            f"A {_fmt(radius)} {_fmt(radius)} 0 {large} {sweep_flag} "
             f"{_fmt(end_x)} {_fmt(end_y)}"
         )
     return " ".join(parts)
 
 
 def _path_d(path: SmoothPath) -> str:
-    segs = path.segments
-    first = segs[0]
-    if isinstance(first, LineSegment):
-        cursor = first.a
-    else:
-        cursor, _ = arc_endpoint(first, at_end=False)
-    parts = [f"M {_fmt(cursor.x)} {_fmt(cursor.y)}"]
-    for seg in segs:
-        if isinstance(seg, LineSegment):
-            parts.append(f"L {_fmt(seg.b.x)} {_fmt(seg.b.y)}")
-        else:
-            parts.append(_arc_command(seg))
+    kinds, rows = path.kind.tolist(), path.data.tolist()
+    x, y, radius, start, _ = rows[0]
+    if kinds[0] == ARC:  # start point as arc_endpoint computes it, -0.0 + 0.0 included
+        x, y = x + radius * math.cos(start + 0.0), y + radius * math.sin(start + 0.0)
+    parts = [f"M {_fmt(x)} {_fmt(y)}"]
+    for kind, row in zip(kinds, rows):
+        parts.append(_arc_command(*row) if kind == ARC else f"L {_fmt(row[2])} {_fmt(row[3])}")
     return " ".join(parts)
 
 
@@ -77,12 +71,13 @@ def render_svg(
         raise ValueError("nothing to render")
     bbox = [math.inf, math.inf, -math.inf, -math.inf]
     if path is not None:
-        for seg in path.segments:
-            if isinstance(seg, LineSegment):
-                _expand(bbox, seg.a.x, seg.a.y)
-                _expand(bbox, seg.b.x, seg.b.y)
-            else:
-                _expand(bbox, seg.center.x, seg.center.y, seg.radius)
+        # a line spans its two end points, an arc its circle's square
+        arc = path.kind == ARC
+        x0, y0, x1, y1, _ = path.data.T
+        _expand(bbox, np.where(arc, x0 - x1, np.minimum(x0, x1)).min().item(),
+                np.where(arc, y0 - x1, np.minimum(y0, y1)).min().item())
+        _expand(bbox, np.where(arc, x0 + x1, np.maximum(x0, x1)).max().item(),
+                np.where(arc, y0 + x1, np.maximum(y0, y1)).max().item())
     if polyline is not None:
         for p in polyline.points:
             _expand(bbox, p.x, p.y)

@@ -13,29 +13,30 @@ arithmetic), by one pass over the raw coordinates. Smoothing, the
 per-vertex, per-edge and 4r far predicates, ``vertex_solutions``,
 ``extract_pieces`` and the report a ``FeasibilityError`` carries all read
 their numbers from that pass, so they accept and refuse the same inputs,
-also on the boundary |p_j p_k| = l_j + l_k.
+also on the boundary |p_j p_k| = l_j + l_k. Neither mode smooths an exact
+reversal: no G1 arc of any radius turns back on itself. A ``SmoothPath``
+holds plain rows in arrays; segment objects are built only on request.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .geom import (
     COLLINEAR_EPSILON,
     LENGTH_EPSILON,
+    TWO_PI,
     ArcSegment,
     DegeneratePointsError,
     Heading,
     LineSegment,
     Point2,
     Pose,
-    arc_endpoint,
     dist,
-    normalize_angle,
     point_arc_distance,
     point_segment_distance,
 )
@@ -105,14 +106,66 @@ class TripletSolution:
     deviation: float
 
 
+# Row kinds of a SmoothPath.
+LINE, ARC = 0, 1
+
+
+def _segment(kind: int, row) -> Segment:
+    x0, y0, x1, y1, sweep = row
+    if kind == LINE:
+        return LineSegment(Point2(x0, y0), Point2(x1, y1))
+    return ArcSegment(Point2(x0, y0), x1, Heading(y1), sweep)
+
+
 @dataclass(frozen=True, slots=True)
 class SmoothPath:
     """Alternating line/arc sequence; consecutive lines may only occur across
-    a collinear pass-through vertex."""
+    a collinear pass-through vertex.
 
-    segments: tuple[Segment, ...]
+    Stored as read-only columns, one row per segment: ``kind[i]`` is LINE or
+    ARC, and ``data[i]`` (an m x 5 float64 array) is (ax, ay, bx, by, 0) for
+    a line from a to b or (cx, cy, radius, start_angle, sweep) for an arc,
+    its start angle in (-pi, pi]. ``segments`` builds the validated segment
+    objects anew on every access.
+    """
+
+    kind: np.ndarray
+    data: np.ndarray
     start_point: Point2
     end_point: Point2
+
+    def __init__(self, segments: Sequence[Segment], start_point: Point2, end_point: Point2):
+        segments = tuple(segments)
+        arcs = [isinstance(s, ArcSegment) for s in segments]
+        rows = [(s.center.x, s.center.y, s.radius, s.start_angle.theta, s.sweep) if arc
+                else (s.a.x, s.a.y, s.b.x, s.b.y, 0.0) for s, arc in zip(segments, arcs)]
+        self._fill([ARC if arc else LINE for arc in arcs], rows, start_point, end_point)
+
+    @classmethod
+    def _from_columns(cls, kind, data, start_point: Point2, end_point: Point2) -> "SmoothPath":
+        """A path over rows the caller has already checked."""
+        return object.__new__(cls)._fill(kind, data, start_point, end_point)
+
+    def _fill(self, kind, data, start_point: Point2, end_point: Point2) -> "SmoothPath":
+        kind = np.array(kind, dtype=np.int8)
+        data = np.array(data, dtype=np.float64).reshape(len(kind), 5)
+        kind.flags.writeable = data.flags.writeable = False
+        for name, value in zip(self.__slots__, (kind, data, start_point, end_point)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        return tuple(map(_segment, self.kind.tolist(), self.data.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, SmoothPath):
+            return NotImplemented
+        return (self.start_point == other.start_point and self.end_point == other.end_point
+                and np.array_equal(self.kind, other.kind) and np.array_equal(self.data, other.data))
+
+    def __hash__(self):
+        return hash((len(self.kind), self.start_point, self.end_point))
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,8 +295,9 @@ def solve_three_points(p_i: Point2, p_m: Point2, p_f: Point2, r: float) -> Optio
     """Solve the three-point sub-problem at vertex p_m.
 
     Returns None when the points are collinear within tolerance (the caller
-    emits a straight pass-through) and raises FeasibilityError when the
-    tangent length does not fit on the incident edges.
+    emits a straight pass-through) and raises FeasibilityError, with the
+    three-point report, when the tangent length does not fit on the
+    incident edges.
     """
     check_turn_radius(r)
     if dist(p_i, p_m) <= LENGTH_EPSILON or dist(p_m, p_f) <= LENGTH_EPSILON:
@@ -251,10 +305,7 @@ def solve_three_points(p_i: Point2, p_m: Point2, p_f: Point2, r: float) -> Optio
     raw = _solve_raw(p_i.x, p_i.y, p_m.x, p_m.y, p_f.x, p_f.y, r)
     if raw is None:
         return None
-    if raw[6] > min(dist(p_i, p_m), dist(p_m, p_f)):
-        raise FeasibilityError(
-            f"tangent length {raw[6]:.6g} exceeds an incident edge at ({p_m.x:g}, {p_m.y:g})"
-        )
+    _strict(_tangent_pass((p_i, p_m, p_f), r, [raw]))
     return _triplet(raw)
 
 
@@ -273,18 +324,6 @@ def check_local_existence(p_i: Point2, p_m: Point2, p_f: Point2, r: float) -> bo
     return raw is None or raw[6] <= min(d1, d2)
 
 
-def _solve_pass(pts: tuple[Point2, ...], r: float, lo: int, hi: int) -> list:
-    """Raw triplet solves for interior vertices lo..hi-1 (inclusive bounds in
-    vertex indices)."""
-    out = []
-    for j in range(lo, hi):
-        a = pts[j - 1]
-        m = pts[j]
-        b = pts[j + 1]
-        out.append(_solve_raw(a.x, a.y, m.x, m.y, b.x, b.y, r))
-    return out
-
-
 def _tangent_pass(pts: tuple[Point2, ...], r: float, raws: Optional[list] = None):
     """The numbers every predicate and every assembly reads, from one solve
     per interior vertex (or the solves already made in ``raws``): edge
@@ -292,7 +331,7 @@ def _tangent_pass(pts: tuple[Point2, ...], r: float, raws: Optional[list] = None
     and at pass-through vertices, inf at an exact reversal) and the raw
     solves (None = pass-through)."""
     if raws is None:
-        raws = _solve_pass(pts, r, 1, len(pts) - 1)
+        raws = [_solve_raw(a.x, a.y, m.x, m.y, b.x, b.y, r) for a, m, b in zip(pts, pts[1:], pts[2:])]
     edges = list(map(dist, pts, pts[1:]))
     ls = [0.0, *[0.0 if raw is None else raw[6] for raw in raws], 0.0]
     return edges, ls, raws
@@ -327,20 +366,22 @@ def _report(p: Polyline, r: float):
     return tp, report
 
 
-def _infeasible(tp, report: FeasibilityReport) -> FeasibilityError:
-    """Refusal naming the first vertex whose tangent length overruns an
-    incident edge, else the first edge too short for its two tangent
-    lengths, with the numbers of the tangent pass."""
+def _infeasible(tp, report: FeasibilityReport, vertex: Optional[int] = None) -> FeasibilityError:
+    """Refusal naming ``vertex``, else the first vertex whose tangent length
+    overruns an incident edge, else the first edge too short for its two
+    tangent lengths, with the numbers of the tangent pass."""
     edges, ls, _ = tp
-    if report.local_violations:
-        j = report.local_violations[0]
-        edge, need = min(edges[j - 1], edges[j]), ls[j]
-        reason = f"vertex {j}: l = {need:.6g} > min edge {edge:.6g}"
+    if vertex is None and report.local_violations:
+        vertex = report.local_violations[0]
+    if vertex is not None:
+        edge, need = min(edges[vertex - 1], edges[vertex]), ls[vertex]
+        reason = f"vertex {vertex}: l = {need:.6g} > min edge {edge:.6g}"
     else:
         e = report.global_violations[0]
         edge, need = edges[e], ls[e] + ls[e + 1]
         reason = f"edge {e}: |p{e} p{e + 1}| = {edge:.6g} < l{e} + l{e + 1} = {need:.6g}"
-    return FeasibilityError(f"{reason} (short by {need - edge:.3g})", report)
+    short = "exact reversal" if need == math.inf else f"short by {need - edge:.3g}"
+    return FeasibilityError(f"{reason} ({short})", report)
 
 
 def _strict(tp) -> list:
@@ -412,7 +453,11 @@ def _solves(p: Polyline, r: float, mode: str) -> list:
         raise ValueError(f"unknown smoothing mode {mode!r}")
     pts = p.points
     tp = _tangent_pass(pts, r)
-    return _clamp(pts, tp) if mode == "best-effort" else _strict(tp)
+    if mode == "strict":
+        return _strict(tp)
+    if math.inf in tp[1]:  # no arc of any radius turns back on itself
+        raise _infeasible(tp, _existence(tp), tp[1].index(math.inf))
+    return _clamp(pts, tp)
 
 
 def vertex_solutions(p: Polyline, r: float, mode: str = "strict") -> list[Optional[TripletSolution]]:
@@ -421,29 +466,31 @@ def vertex_solutions(p: Polyline, r: float, mode: str = "strict") -> list[Option
     In "best-effort" mode over-long tangents are clamped to what the edges
     can hold (contested edges are split proportionally) and the arc radius
     shrinks to keep tangency, so the result stays G1 but may violate the
-    curvature bound.
+    curvature bound; an exact reversal is still refused.
     """
     return [None if raw is None else _triplet(raw) for raw in _solves(p, r, mode)]
 
 
 def _assemble_raw(pts: tuple[Point2, ...], raws: list) -> SmoothPath:
-    segments: list[Segment] = []
-    current = pts[0]
+    kinds: list[int] = []
+    rows: list[tuple] = []
+    x, y = pts[0].x, pts[0].y
     for raw in raws:
         if raw is None:
             continue
         q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep, radius = raw
-        q1 = Point2(q1x, q1y)
-        if dist(current, q1) > LENGTH_EPSILON:
-            segments.append(LineSegment(current, q1))
+        if math.hypot(q1x - x, q1y - y) > LENGTH_EPSILON:
+            kinds.append(LINE)
+            rows.append((x, y, q1x, q1y, 0.0))
         start = math.atan2(q1y - cy, q1x - cx)
-        segments.append(ArcSegment(Point2(cx, cy), radius, Heading(start), sweep))
-        current = Point2(q2x, q2y)
-    if dist(current, pts[-1]) > LENGTH_EPSILON:
-        segments.append(LineSegment(current, pts[-1]))
-    if not segments:
-        segments.append(LineSegment(pts[0], pts[-1]))
-    return SmoothPath(tuple(segments), pts[0], pts[-1])
+        kinds.append(ARC)  # atan2 gives [-pi, pi]; a heading lies in (-pi, pi]
+        rows.append((cx, cy, radius, math.pi if start == -math.pi else start, sweep))
+        x, y = q2x, q2y
+    end = pts[-1]
+    if math.hypot(end.x - x, end.y - y) > LENGTH_EPSILON or not rows:
+        kinds.append(LINE)
+        rows.append((x, y, end.x, end.y, 0.0))
+    return SmoothPath._from_columns(kinds, rows, pts[0], end)
 
 
 def smooth_polyline(p: Polyline, r: float, mode: str = "strict") -> SmoothPath:
@@ -457,60 +504,29 @@ def smooth_polyline(p: Polyline, r: float, mode: str = "strict") -> SmoothPath:
     return _assemble_raw(p.points, _solves(p, r, mode))
 
 
-def _worker_count(parallelism_hint: Optional[int]) -> int:
-    if parallelism_hint is not None:
-        return max(1, int(parallelism_hint))
-    env = os.environ.get("DPS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def smooth_polyline_batch(
     p: Polyline,
     r: float,
     parallelism_hint: Optional[int] = None,
     mode: str = "strict",
 ) -> SmoothPath:
-    """Smooth with the per-vertex solves evaluated in parallel chunks.
+    """The same call as ``smooth_polyline``; ``parallelism_hint`` is ignored.
 
-    Every triplet solution depends only on its own three input points and
-    chunks are reassembled in vertex order, so the output is bit-identical
-    to smooth_polyline regardless of scheduling. DPS_THREADS caps the
-    worker count when no hint is given.
+    Kept for callers of the former thread-pool mode, which held the GIL for
+    all but the per-vertex solves and so was no faster than one thread.
     """
-    check_turn_radius(r)
-    workers = _worker_count(parallelism_hint)
-    n = len(p.points)
-    if workers == 1 or mode != "strict" or n - 2 < 2 * workers:
-        return smooth_polyline(p, r, mode)
-    pts = p.points
-    first, last = 1, n - 1
-    chunk = (last - first + workers - 1) // workers
-    spans = [(lo, min(lo + chunk, last)) for lo in range(first, last, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda span: _solve_pass(pts, r, span[0], span[1]), spans))
-    raws = [raw for part in parts for raw in part]
-    return _assemble_raw(pts, _strict(_tangent_pass(pts, r, raws)))
+    return smooth_polyline(p, r, mode)
 
 
 def path_length(path: SmoothPath) -> float:
-    """Total length of a smooth path."""
-    return sum(seg.length() for seg in path.segments)
-
-
-def _segment_start(seg: Segment) -> tuple[Point2, float]:
-    if isinstance(seg, LineSegment):
-        return seg.a, math.atan2(seg.b.y - seg.a.y, seg.b.x - seg.a.x)
-    point, heading = arc_endpoint(seg, at_end=False)
-    return point, heading.theta
-
-
-def _segment_end(seg: Segment) -> tuple[Point2, float]:
-    if isinstance(seg, LineSegment):
-        return seg.b, math.atan2(seg.b.y - seg.a.y, seg.b.x - seg.a.x)
-    point, heading = arc_endpoint(seg, at_end=True)
-    return point, heading.theta
+    """Total length of a smooth path, summed in segment order."""
+    x0, y0, x1, y1, sweep = path.data.T
+    lengths = (x1 * np.abs(sweep)).tolist()
+    line = path.kind == LINE
+    for i, dx, dy in zip(np.flatnonzero(line).tolist(), (x1 - x0)[line].tolist(),
+                         (y1 - y0)[line].tolist()):
+        lengths[i] = math.hypot(dx, dy)
+    return sum(lengths)
 
 
 def validate(path: SmoothPath, r: float, tol: float = 1e-9) -> ValidationReport:
@@ -520,26 +536,29 @@ def validate(path: SmoothPath, r: float, tol: float = 1e-9) -> ValidationReport:
     or junction; arcs must have radius at least r*(1 - tol).
     """
     check_turn_radius(r)
-    issues: list[ValidationIssue] = []
-    segs = path.segments
-    for i, seg in enumerate(segs):
-        if isinstance(seg, ArcSegment) and seg.radius < r * (1.0 - tol):
-            issues.append(ValidationIssue(i, "curvature", seg.radius))
-    for i in range(len(segs) - 1):
-        end_pt, end_h = _segment_end(segs[i])
-        start_pt, start_h = _segment_start(segs[i + 1])
-        gap = dist(end_pt, start_pt)
-        if gap > tol:
-            issues.append(ValidationIssue(i, "chaining", gap))
-        kink = abs(normalize_angle(start_h - end_h))
-        if kink > tol:
-            issues.append(ValidationIssue(i, "g1", kink))
-    start_pt, _ = _segment_start(segs[0])
-    end_pt, _ = _segment_end(segs[-1])
-    if dist(start_pt, path.start_point) > tol:
-        issues.append(ValidationIssue(0, "start_point", dist(start_pt, path.start_point)))
-    if dist(end_pt, path.end_point) > tol:
-        issues.append(ValidationIssue(len(segs) - 1, "end_point", dist(end_pt, path.end_point)))
+    arc = path.kind == ARC
+    x0, y0, x1, y1, sweep = path.data.T
+    # Points and travel headings at the start (row 0) and end (row 1) of each segment.
+    angle = np.stack((y1, y1 + sweep))
+    x = np.where(arc, x0 + x1 * np.cos(angle), np.stack((x0, x1)))
+    y = np.where(arc, y0 + x1 * np.sin(angle), np.stack((y0, y1)))
+    heading = np.where(arc, angle + np.where(sweep >= 0.0, 0.5 * math.pi, -0.5 * math.pi),
+                       np.arctan2(y1 - y0, x1 - x0))
+    issues = [ValidationIssue(i, "curvature", x1[i].item())
+              for i in np.flatnonzero(arc & (x1 < r * (1.0 - tol))).tolist()]
+    gap = np.hypot(x[0, 1:] - x[1, :-1], y[0, 1:] - y[1, :-1])
+    turn = heading[0, 1:] - heading[1, :-1]
+    kink = np.abs(turn - TWO_PI * np.round(turn / TWO_PI))
+    for i in np.flatnonzero((gap > tol) | (kink > tol)).tolist():
+        if gap[i] > tol:
+            issues.append(ValidationIssue(i, "chaining", gap[i].item()))
+        if kink[i] > tol:
+            issues.append(ValidationIssue(i, "g1", kink[i].item()))
+    for i, end, p, kind in ((0, 0, path.start_point, "start_point"),
+                            (len(arc) - 1, 1, path.end_point, "end_point")):
+        miss = math.hypot(x[end, i] - p.x, y[end, i] - p.y)
+        if miss > tol:
+            issues.append(ValidationIssue(i, kind, miss))
     return ValidationReport(ok=not issues, issues=tuple(issues))
 
 

@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from dps.geom import ArcSegment, Heading, LineSegment, Point2
+from dps.geom import ArcSegment, Heading, LineSegment, Point2, arc_endpoint
 from dps.fileio import load_path, load_polyline, load_scenario, save_path
 from dps.randgen import random_polyline
-from dps.smoother import smooth_polyline
+from dps.render import render_svg
+from dps.smoother import SmoothPath, smooth_polyline
 
 P = Point2
 
@@ -152,6 +153,119 @@ def test_load_path_rejects_empty():
         load_path(io.StringIO(json.dumps({"segments": []})))
     with pytest.raises(ValueError):
         load_path(io.StringIO(json.dumps({"segments": [{"type": "blob"}]})))
+
+
+_GOOD_LINE = {"type": "line", "a": [0.0, 0.0], "b": [1.0, 0.0]}
+_GOOD_ARC = {"type": "arc", "center": [1.0, 1.0], "radius": 1.0, "start_angle": -1.5, "sweep": 1.0}
+
+
+@pytest.mark.parametrize("record, reason", [
+    ({**_GOOD_ARC, "radius": 1e999}, "non-finite"),
+    ({**_GOOD_LINE, "b": [float("nan"), 0.0]}, "non-finite"),
+    ({**_GOOD_ARC, "radius": 0.0}, "radius must be positive"),
+    ({**_GOOD_ARC, "radius": -2.0}, "radius must be positive"),
+    ({**_GOOD_ARC, "sweep": -7.0}, "sweep must lie in"),
+    ({**_GOOD_LINE, "b": [0.0, 1e-10]}, "endpoints coincide"),
+    ({**_GOOD_LINE, "a": [0.0, 0.0, 0.0]}, "expected \\[x, y\\]"),
+    ({**_GOOD_LINE, "a": "01"}, "expected \\[x, y\\]"),
+    ({**_GOOD_ARC, "center": {"x": 1.0, "y": 1.0}}, "expected \\[x, y\\]"),
+    ({**_GOOD_ARC, "radius": [1.0]}, "expected \\[x, y\\]"),
+    ({**_GOOD_LINE, "b": ["x", 0.0]}, "expected \\[x, y\\]"),
+    ({**_GOOD_ARC, "sweep": None}, "non-finite"),
+    ({"type": "spline"}, "unknown type 'spline'"),
+    ({"type": "arc", "center": [1.0, 1.0]}, "missing key 'radius'"),
+])
+def test_load_path_names_the_bad_segment(record, reason):
+    good = [_GOOD_LINE, _GOOD_ARC, {**_GOOD_LINE, "a": [2.0, 2.0]}]
+    # the bad record is segment 2 and a later one is bad too
+    doc = {"segments": [*good[:2], record, good[2], record]}
+    with pytest.raises(ValueError, match=rf"^segment 2: .*{reason}"):
+        load_path(io.StringIO(json.dumps(doc)))
+    loaded, _ = load_path(io.StringIO(json.dumps({"segments": good})))
+    assert len(loaded.segments) == 3
+
+
+def test_load_path_normalizes_start_angles_like_heading():
+    angles = [1.5 * math.pi, -math.pi, math.pi, -1.5 * math.pi, 7.0, -0.0, 2.0]
+    records = [{**_GOOD_ARC, "start_angle": a} for a in angles]
+    loaded, _ = load_path(io.StringIO(json.dumps({"segments": records})))
+    assert [arc.start_angle for arc in loaded.segments] == [Heading(a) for a in angles]
+    assert loaded.data[:, 3].tolist() == [Heading(a).theta for a in angles]
+    assert loaded.start_point == arc_endpoint(loaded.segments[0], False)[0]
+    assert loaded.end_point == arc_endpoint(loaded.segments[-1], True)[0]
+
+
+def _reference_file(path, **meta):
+    """save_path's output written from segment objects."""
+    records = [
+        '{"type": "line", "a": [%r, %r], "b": [%r, %r]}' % (s.a.x, s.a.y, s.b.x, s.b.y)
+        if isinstance(s, LineSegment)
+        else '{"type": "arc", "center": [%r, %r], "radius": %r, "start_angle": %r, "sweep": %r}'
+        % (s.center.x, s.center.y, s.radius, s.start_angle.theta, s.sweep)
+        for s in path.segments
+    ]
+    tail = "".join(f',\n"{k}": {json.dumps(v)}' for k, v in meta.items())
+    return '{"segments": [\n' + ",\n".join(records) + "\n]" + tail + "}\n"
+
+
+def _reference_svg(path, width=800):
+    """render_svg's output for a lone path, drawn from segment objects."""
+    fmt = "{:.10g}".format
+    lo, hi = [math.inf, math.inf], [-math.inf, -math.inf]
+    for s in path.segments:
+        if isinstance(s, LineSegment):
+            boxes = [(s.a.x, s.a.y, 0.0), (s.b.x, s.b.y, 0.0)]
+        else:
+            boxes = [(s.center.x, s.center.y, s.radius)]
+        for x, y, m in boxes:
+            lo = [min(lo[0], x - m), min(lo[1], y - m)]
+            hi = [max(hi[0], x + m), max(hi[1], y + m)]
+    pad = 0.05 * max(hi[0] - lo[0], hi[1] - lo[1], 1e-9)
+    xmin, ymin, xmax, ymax = lo[0] - pad, lo[1] - pad, hi[0] + pad, hi[1] + pad
+    w, h = xmax - xmin, ymax - ymin
+    first = path.segments[0]
+    cursor = first.a if isinstance(first, LineSegment) else arc_endpoint(first, False)[0]
+    d = [f"M {fmt(cursor.x)} {fmt(cursor.y)}"]
+    for s in path.segments:
+        if isinstance(s, LineSegment):
+            d.append(f"L {fmt(s.b.x)} {fmt(s.b.y)}")
+            continue
+        start, sweep = s.start_angle.theta, s.sweep
+        halves = [(start, sweep)] if abs(sweep) < 2 * math.pi - 1e-9 else [
+            (start, 0.5 * sweep), (start + 0.5 * sweep, 0.5 * sweep)]
+        d.append(" ".join(
+            f"A {fmt(s.radius)} {fmt(s.radius)} 0 {int(abs(ds) > math.pi)} {int(ds > 0)} "
+            f"{fmt(s.center.x + s.radius * math.cos(a0 + ds))} "
+            f"{fmt(s.center.y + s.radius * math.sin(a0 + ds))}"
+            for a0, ds in halves))
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{int(round(width * h / w))}" '
+        f'viewBox="{fmt(xmin)} {fmt(ymin)} {fmt(w)} {fmt(h)}">',
+        f'<g transform="matrix(1 0 0 -1 0 {fmt(ymin + ymax)})">',
+        f'<path d="{" ".join(d)}" fill="none" stroke="#d03030" '
+        f'stroke-width="{fmt(0.004 * max(w, h))}"/>',
+        "</g>",
+        "</svg>",
+    ]) + "\n"
+
+
+def _full_circle_path():
+    circle = ArcSegment(P(1.0, 2.0), 0.75, Heading(0.3), 2 * math.pi)
+    back = ArcSegment(P(-4.0, 2.5), 2.0, Heading(-math.pi), -2 * math.pi)
+    line = LineSegment(arc_endpoint(circle, True)[0], P(5.0, 5.0))
+    return SmoothPath((circle, line, back), arc_endpoint(circle, False)[0], arc_endpoint(back, True)[0])
+
+
+def test_file_and_svg_match_segment_reference():
+    paths = [smooth_polyline(random_polyline(n, 1.0, seed=n), 1.0) for n in (2, 3, 50, 400)]
+    for path in (*paths, _full_circle_path(), _edge_float_path()):
+        buf = io.StringIO()
+        save_path(path, buf, total_length=2.5)
+        assert buf.getvalue() == _reference_file(path, total_length=2.5)
+        assert render_svg(path) == _reference_svg(path)
+        loaded, _ = load_path(io.StringIO(buf.getvalue()))
+        assert loaded.segments == path.segments
+    assert render_svg(_full_circle_path()).count(" A ") == 4  # full circles in halves
 
 
 def test_load_scenario():

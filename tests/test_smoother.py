@@ -10,12 +10,18 @@ from dps.geom import (
     LineSegment,
     Point2,
     RigidTransform,
+    arc_endpoint,
     dist,
     interior_angle,
+    normalize_angle,
 )
 from dps.smoother import (
+    ARC,
+    LINE,
     FeasibilityError,
+    FeasibilityReport,
     Polyline,
+    SmoothPath,
     check_far_condition,
     check_global_existence,
     check_local_existence,
@@ -114,8 +120,10 @@ def test_solve_three_points_collinear_signal():
 
 
 def test_solve_three_points_existence_violation():
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(FeasibilityError) as exc:
         solve_three_points(P(0, 0), P(0.5, 0), P(0.5, 0.5), 1.0)
+    assert str(exc.value) == "vertex 1: l = 1 > min edge 0.5 (short by 0.5)"
+    assert exc.value.report == FeasibilityReport((True, False, True), (False, False))
     with pytest.raises(DegeneratePointsError):
         solve_three_points(P(0, 0), P(0, 0), P(1, 1), 1.0)
 
@@ -314,6 +322,104 @@ def test_best_effort_mode_clamps():
     assert smooth_polyline(feasible, 1.0, mode="best-effort") == smooth_polyline(feasible, 1.0)
 
 
+def test_both_modes_refuse_exact_reversal():
+    # no G1 arc of any radius turns back on itself, so clamping cannot help
+    reversal = Polyline([P(0, 0), P(5, 0), P(1, 0), P(1, 5)])
+    for mode in ("strict", "best-effort"):
+        for fn in (smooth_polyline, vertex_solutions):
+            with pytest.raises(FeasibilityError) as exc:
+                fn(reversal, 1.0, mode=mode)
+            assert str(exc.value) == "vertex 1: l = inf > min edge 4 (exact reversal)"
+            assert exc.value.report == check_global_existence(reversal, 1.0)
+            assert exc.value.report.local_violations == [1]
+    # the reversal is named even behind an earlier vertex that clamping can fix
+    tight = Polyline([P(0, 0), P(0.5, 0), P(0.5, 0.5), P(5, 0.5), P(1, 0.5), P(1, 5)])
+    with pytest.raises(FeasibilityError, match=r"^vertex 3: l = inf .* \(exact reversal\)$"):
+        smooth_polyline(tight, 1.0, mode="best-effort")
+    with pytest.raises(FeasibilityError, match=r"^vertex 1: l = 1 > min edge 0\.5 "):
+        smooth_polyline(tight, 1.0)
+
+
+def test_columns_match_segments(rng):
+    for n in (2, 3, 40):
+        polyline = random_polyline(n, 1.0, rng=rng)
+        path = smooth_polyline(polyline, 1.0)
+        segments = path.segments
+        assert segments == path.segments  # rebuilt on each access, equal
+        rebuilt = SmoothPath(segments, path.start_point, path.end_point)
+        assert rebuilt == path and hash(rebuilt) == hash(path)
+        assert rebuilt.segments == segments
+        assert path.data.shape == (len(segments), 5) and path.kind.dtype.itemsize == 1
+        for kind, row, seg in zip(path.kind.tolist(), path.data.tolist(), segments):
+            if kind == LINE:
+                assert row == [seg.a.x, seg.a.y, seg.b.x, seg.b.y, 0.0]
+            else:
+                assert kind == ARC
+                assert row == [seg.center.x, seg.center.y, seg.radius, seg.start_angle.theta, seg.sweep]
+    with pytest.raises(ValueError):
+        path.data[0, 0] = 1.0  # read-only columns
+    other = SmoothPath(segments[:-1], path.start_point, path.end_point)
+    assert other != path and path != segments
+    moved = SmoothPath(segments, path.start_point, P(path.end_point.x + 1, path.end_point.y))
+    assert moved != path
+
+
+def _reference_issues(path, r, tol):
+    """validate's issues, computed segment by segment from the objects."""
+
+    def ends(seg):
+        if isinstance(seg, LineSegment):
+            h = math.atan2(seg.b.y - seg.a.y, seg.b.x - seg.a.x)
+            return (seg.a, h), (seg.b, h)
+        return (arc_endpoint(seg, False), arc_endpoint(seg, True))
+
+    segs = path.segments
+    out = [(i, "curvature", s.radius) for i, s in enumerate(segs)
+           if isinstance(s, ArcSegment) and s.radius < r * (1.0 - tol)]
+    for i in range(len(segs) - 1):
+        (end, end_h), (start, start_h) = ends(segs[i])[1], ends(segs[i + 1])[0]
+        gap, kink = dist(end, start), abs(normalize_angle(float(start_h) - float(end_h)))
+        out += [(i, "chaining", gap)] * (gap > tol) + [(i, "g1", kink)] * (kink > tol)
+    first, last = ends(segs[0])[0][0], ends(segs[-1])[1][0]
+    out += [(0, "start_point", dist(first, path.start_point))] * (dist(first, path.start_point) > tol)
+    out += [(len(segs) - 1, "end_point", dist(last, path.end_point))] * (dist(last, path.end_point) > tol)
+    return out
+
+
+def test_validate_and_length_match_segment_reference(rng):
+    for case in range(300):
+        polyline = random_polyline(rng.randint(2, 12), 1.0, rng=rng)
+        segs = list(smooth_polyline(polyline, 1.0).segments)
+        start, end = polyline.points[0], polyline.points[-1]
+        tol = rng.choice((1e-9, 1e-4))
+        if case % 3:  # inject faults: shrunken radii, moved points, turned lines
+            for i, seg in enumerate(segs):
+                if isinstance(seg, ArcSegment) and rng.random() < 0.4:
+                    turned = Heading(seg.start_angle.theta + rng.choice((1.5 * tol, 1e-3, -3.0)))
+                    segs[i] = rng.choice((
+                        ArcSegment(seg.center, rng.choice((rng.uniform(0.5, 1.0), 0.9 * (1 - 0.5 * tol))),
+                                   seg.start_angle, seg.sweep),
+                        ArcSegment(seg.center, seg.radius, turned, seg.sweep),
+                        ArcSegment(seg.center, seg.radius, seg.start_angle, rng.choice((-seg.sweep, 2 * math.pi))),
+                    ))
+                elif isinstance(seg, LineSegment) and rng.random() < 0.4:
+                    segs[i] = LineSegment(seg.a, P(seg.b.x + rng.uniform(-1, 1), seg.b.y))
+            start = P(start.x + rng.choice((0.0, 1e-6)), start.y)
+        path = SmoothPath(segs, start, end)
+        issues = [(i.index, i.kind, i.value) for i in validate(path, 0.9, tol).issues]
+        expected = _reference_issues(path, 0.9, tol)
+        assert [i[:2] for i in issues] == [e[:2] for e in expected]
+        assert all(abs(i[2] - e[2]) <= 1e-12 * max(1.0, e[2]) for i, e in zip(issues, expected))
+        assert path_length(path) == sum(seg.length() for seg in path.segments)
+
+
+def test_columns_keep_heading_convention():
+    # an arc starting at angle -pi is stored, like Heading, at +pi
+    arc = ArcSegment(P(0, 0), 1.0, Heading(-math.pi), 1.0)
+    path = SmoothPath([arc], P(-1, 0), P(-1, 0))
+    assert path.data[0, 3] == math.pi == path.segments[0].start_angle.theta
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         smooth_polyline(Polyline(RIGHT_ANGLE), 1.0, mode="fast")
@@ -342,6 +448,7 @@ def test_batch_bit_identical(rng):
 
 
 def test_batch_env_threads(monkeypatch):
+    # batch is the sequential call; the old thread-count variable does nothing
     polyline = random_polyline(200, 1.0, seed=5)
     monkeypatch.setenv("DPS_THREADS", "3")
     assert smooth_polyline_batch(polyline, 1.0) == smooth_polyline(polyline, 1.0)
