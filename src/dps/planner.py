@@ -1,6 +1,9 @@
 """Obstacle-aware planning: inflate convex obstacles by a mitered offset,
 build a visibility graph over the inflated vertices, run A*, smooth the
 resulting polyline, and certify clearance against the original obstacles.
+Graph edges lie on supporting lines of the polygon at each polygon-vertex
+end (the tangent graph); the exact clearance search stops once a
+bounding-box lower bound reaches the best distance found.
 
 The offset keeps a disk robot of radius h safe even where the smoothing
 arc cuts inside an inflated corner, provided the arc's turning radius is r
@@ -18,8 +21,6 @@ from typing import Iterable, Sequence
 from .geom import (
     LENGTH_EPSILON,
     ArcSegment,
-    Heading,
-    LineSegment,
     Point2,
     angle_in_sweep,
     arc_endpoint,
@@ -29,9 +30,11 @@ from .geom import (
     point_segment_distance,
 )
 from .smoother import (
+    LINE,
     FeasibilityError,
     Polyline,
     SmoothPath,
+    _segment,
     check_turn_radius,
     path_length,
     smooth_polyline,
@@ -154,12 +157,15 @@ class Scenario:
             raise ValueError("start must lie inside the bounds")
         if not self.bounds.contains(self.goal):
             raise ValueError("goal must lie inside the bounds")
+        if dist(self.start, self.goal) <= LENGTH_EPSILON:
+            raise ValueError(f"start {self.start} and goal {self.goal} coincide")
 
 
 @dataclass(frozen=True, slots=True)
 class VisibilityGraph:
     """Nodes are inflated-obstacle vertices plus start and goal; an edge
-    joins every pair whose open segment misses all inflated interiors."""
+    joins a pair whose open segment misses all inflated interiors and whose
+    line supports the polygon at each polygon-vertex end."""
 
     nodes: tuple[Point2, ...]
     edges: tuple[tuple[int, int, float], ...]
@@ -267,43 +273,69 @@ def _segment_blocked(a: Point2, b: Point2, poly: ConvexPolygon) -> bool:
     return True
 
 
+def _box(poly: ConvexPolygon) -> tuple[float, float, float, float]:
+    xs, ys = [v.x for v in poly.vertices], [v.y for v in poly.vertices]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 def build_visibility_graph(
     scenario: Scenario, inflated: Sequence[ConvexPolygon]
 ) -> VisibilityGraph:
-    """Visibility graph over the inflated vertices plus start and goal.
+    """Tangent visibility graph over the inflated vertices plus start and goal.
 
     Travel is confined to the scenario bounds: inflated vertices pushed
     outside the box are unusable as waypoints, which is what lets a wall
-    spanning the bounds actually block the route.
+    spanning the bounds actually block the route. Edges lie on supporting
+    lines of the polygon at each vertex end, which leave it on one side, so
+    only other polygons whose bounding box overlaps the segment's are tested.
     """
     for poly in inflated:
         for label, p in (("start", scenario.start), ("goal", scenario.goal)):
             if poly.contains(p, tol=LENGTH_EPSILON):
-                raise UnreachableConfigurationError(
-                    f"{label} lies inside an inflated obstacle"
-                )
+                raise UnreachableConfigurationError(f"{label} lies inside an inflated obstacle")
     nodes: list[Point2] = []
-    for poly in inflated:
-        nodes.extend(v for v in poly.vertices if scenario.bounds.contains(v))
-    start_index = len(nodes)
-    nodes.append(scenario.start)
-    goal_index = len(nodes)
-    nodes.append(scenario.goal)
+    hinges = []  # per node: offsets to its two polygon neighbours, its polygon's index
+    for k, poly in enumerate(inflated):
+        verts = poly.vertices
+        for v, p, q in zip(verts, verts[-1:] + verts[:-1], verts[1:] + verts[:1]):
+            if scenario.bounds.contains(v):
+                nodes.append(v)
+                hinges.append((p.x - v.x, p.y - v.y, q.x - v.x, q.y - v.y, k))
+    start_index, goal_index = len(nodes), len(nodes) + 1
+    nodes += (scenario.start, scenario.goal)
+    hinges += [(0.0, 0.0, 0.0, 0.0, -1)] * 2
+    boxes = [(_box(poly), k, poly) for k, poly in enumerate(inflated)]
     edges: list[tuple[int, int, float]] = []
-    for i in range(len(nodes)):
+    for i, a in enumerate(nodes):
+        px, py, qx, qy, own_a = hinges[i]
         for j in range(i + 1, len(nodes)):
-            a, b = nodes[i], nodes[j]
-            if dist(a, b) <= LENGTH_EPSILON:
+            b = nodes[j]
+            dx = b.x - a.x
+            dy = b.y - a.y
+            # Not supporting: the two neighbours lie strictly on opposite sides.
+            if (dx * py - dy * px) * (dx * qy - dy * qx) < 0.0:
                 continue
-            if any(_segment_blocked(a, b, poly) for poly in inflated):
+            px2, py2, qx2, qy2, own_b = hinges[j]
+            if (dx * py2 - dy * px2) * (dx * qy2 - dy * qx2) < 0.0:
                 continue
-            edges.append((i, j, dist(a, b)))
+            d = dist(a, b)
+            if d <= LENGTH_EPSILON:
+                continue
+            x0, x1 = (a.x, b.x) if dx >= 0.0 else (b.x, a.x)
+            y0, y1 = (a.y, b.y) if dy >= 0.0 else (b.y, a.y)
+            for (bx0, by0, bx1, by1), k, poly in boxes:
+                if (x0 < bx1 and bx0 < x1 and y0 < by1 and by0 < y1
+                        and k != own_a and k != own_b and _segment_blocked(a, b, poly)):
+                    break
+            else:
+                edges.append((i, j, d))
     return VisibilityGraph(tuple(nodes), tuple(edges), start_index, goal_index)
 
 
 def _locate(graph: VisibilityGraph, p: Point2) -> int:
-    for i, node in enumerate(graph.nodes):
-        if dist(node, p) <= LENGTH_EPSILON:
+    # Start and goal come last: prefer them to a coincident vertex with pruned edges.
+    for i in reversed(range(len(graph.nodes))):
+        if dist(graph.nodes[i], p) <= LENGTH_EPSILON:
             return i
     raise ValueError(f"point ({p.x:g}, {p.y:g}) is not a graph node")
 
@@ -435,18 +467,26 @@ def _arc_into(arc: ArcSegment, poly: ConvexPolygon) -> float:
 
 def clearance(path: SmoothPath, obstacles: Sequence[ConvexPolygon]) -> float:
     """Exact minimum distance between the path and any obstacle (edges and
-    interior); 0 when they touch or intersect, inf with no obstacles."""
+    interior); 0 when they touch or intersect, inf with no obstacles. Visits
+    (segment, obstacle) pairs by ascending bounding-box gap (an arc's box is
+    its full circle's) until that lower bound reaches the best distance."""
+    kinds, rows = path.kind.tolist(), path.data.tolist()
+    boxes = [_box(poly) for poly in obstacles]
+    pairs = []
+    for si, (kind, (u0, v0, u1, v1, _)) in enumerate(zip(kinds, rows)):
+        # A line row is (ax, ay, bx, by, 0), an arc row (cx, cy, radius, ...).
+        x0, y0, x1, y1 = ((min(u0, u1), min(v0, v1), max(u0, u1), max(v0, v1)) if kind == LINE
+                          else (u0 - u1, v0 - u1, u0 + u1, v0 + u1))
+        for oi, (bx0, by0, bx1, by1) in enumerate(boxes):
+            gap = math.hypot(max(bx0 - x1, x0 - bx1, 0.0), max(by0 - y1, y0 - by1, 0.0))
+            pairs.append((gap, si, oi))
+    pairs.sort()
     best = math.inf
-    for seg in path.segments:
-        for poly in obstacles:
-            if isinstance(seg, LineSegment):
-                d = _segment_into(seg.a, seg.b, poly)
-            else:
-                d = _arc_into(seg, poly)
-            if d < best:
-                best = d
-                if best == 0.0:
-                    return 0.0
+    for gap, si, oi in pairs:
+        if gap >= best:
+            break
+        seg, poly = _segment(kinds[si], rows[si]), obstacles[oi]
+        best = min(best, _segment_into(seg.a, seg.b, poly) if kinds[si] == LINE else _arc_into(seg, poly))
     return best
 
 

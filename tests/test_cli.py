@@ -104,6 +104,15 @@ def test_plan_blocked_exit_3(tmp_path, capsys):
     assert main(["plan", str(sf), "-o", str(tmp_path / "out.json")]) == 3
 
 
+def test_plan_coincident_start_goal_exit_1(tmp_path, capsys):
+    sf = tmp_path / "scenario.json"
+    sf.write_text(json.dumps({**SCENARIO, "start": [1, 1], "goal": [1, 1]}))
+    assert main(["plan", str(sf), "-o", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: start ") and "coincide" in err
+    assert "Traceback" not in err
+
+
 def test_plan_bad_file_exit_1(tmp_path):
     sf = tmp_path / "scenario.json"
     sf.write_text("{not json")

@@ -22,7 +22,8 @@ from dps.planner import (
     required_offset,
     shortest_polyline,
 )
-from dps.smoother import SmoothPath
+from dps.smoother import FeasibilityError, SmoothPath, path_length, smooth_polyline
+from planner_reference import all_pairs_clearance, all_pairs_visibility_graph, inflate_obstacles
 
 P = Point2
 SQUARE = ConvexPolygon([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
@@ -41,6 +42,88 @@ def random_obstacle(rng, cx, cy, size):
         return ConvexPolygon.from_points(pts)
     except ValueError:
         return None
+
+
+def random_endpoints(rng, min_gap, grid=None):
+    """Start and goal in the 20 x 20 box at least ``min_gap`` apart; on a
+    ``grid`` of that spacing when given."""
+    while True:
+        if grid:
+            pts = [P(rng.randint(0, int(20 / grid)) * grid, rng.randint(0, int(20 / grid)) * grid)
+                   for _ in range(2)]
+        else:
+            pts = [P(rng.uniform(0.5, 19.5), rng.uniform(0.5, 19.5)) for _ in range(2)]
+        if dist(*pts) >= min_gap:
+            return pts
+
+
+def criterion6_scenario(rng):
+    """1-4 hulled obstacles inside the box, h in [0.1, 0.5], r in [h, 3h]."""
+    obstacles = [random_obstacle(rng, rng.uniform(4, 16), rng.uniform(4, 16), 2.0)
+                 for _ in range(rng.randint(1, 4))]
+    h = rng.uniform(0.1, 0.5)
+    return make_scenario([o for o in obstacles if o], h, rng.uniform(h, 3 * h),
+                         *random_endpoints(rng, 5.0))
+
+
+def integer_squares_scenario(rng):
+    """Integer-aligned squares; with r <= h every offset is exactly h, so
+    inflated vertices share coordinates, lines and path lengths (ties)."""
+    obstacles = []
+    for _ in range(rng.randint(2, 6)):
+        x, y, side = rng.randint(1, 17), rng.randint(1, 17), rng.randint(1, 3)
+        obstacles.append(ConvexPolygon([P(x, y), P(x + side, y), P(x + side, y + side),
+                                        P(x, y + side)]))
+    h = rng.choice([0.25, 0.5, 1.0])
+    return make_scenario(obstacles, h, h * rng.choice([0.5, 1.0]),
+                         *random_endpoints(rng, 2.0, grid=0.5))
+
+
+def overlapping_scenario(rng):
+    """2-4 obstacles around one centre, so their inflated hulls overlap."""
+    cx, cy = rng.uniform(6, 14), rng.uniform(6, 14)
+    obstacles = [random_obstacle(rng, cx + rng.uniform(-1.5, 1.5), cy + rng.uniform(-1.5, 1.5), 2.0)
+                 for _ in range(rng.randint(2, 4))]
+    h = rng.uniform(0.1, 0.6)
+    return make_scenario([o for o in obstacles if o], h, rng.uniform(h, 3 * h),
+                         *random_endpoints(rng, 3.0))
+
+
+def small_radius_scenario(rng):
+    """r < h: every offset collapses to h."""
+    obstacles = [random_obstacle(rng, rng.uniform(4, 16), rng.uniform(4, 16), 2.0)
+                 for _ in range(rng.randint(1, 4))]
+    h = rng.uniform(0.2, 0.8)
+    return make_scenario([o for o in obstacles if o], h, rng.uniform(0.2 * h, h),
+                         *random_endpoints(rng, 3.0))
+
+
+def boundary_scenario(rng):
+    """Obstacles against one box edge and a route along it, so inflated
+    vertices fall outside the bounds and drop out of the graph."""
+    vertical = rng.random() < 0.5
+
+    def place(near, along):
+        return (near, along) if vertical else (along, near)
+
+    obstacles = [random_obstacle(rng, *place(rng.uniform(-1, 2.5), rng.uniform(4, 16)), 3.0)
+                 for _ in range(rng.randint(1, 4))]
+    start = P(*place(rng.uniform(0.2, 3), rng.uniform(0.5, 3)))
+    goal = P(*place(rng.uniform(0.2, 3), rng.uniform(17, 19.5)))
+    h = rng.uniform(0.1, 0.5)
+    return make_scenario([o for o in obstacles if o], h, rng.uniform(h, 3 * h), start, goal)
+
+
+SCENARIO_FAMILIES = [criterion6_scenario, integer_squares_scenario, overlapping_scenario,
+                     small_radius_scenario, boundary_scenario]
+
+
+def route_or_error(build, scenario, inflated):
+    try:
+        graph = build(scenario, inflated)
+        return shortest_polyline(graph, scenario.start, scenario.goal).points
+    except NoPathError as err:  # UnreachableConfigurationError included
+        return type(err)
 
 
 def dijkstra_reference(graph: VisibilityGraph, s: int, g: int):
@@ -183,6 +266,13 @@ class TestSegmentBlocked:
         assert not _segment_blocked(P(-1, -1), P(-1, 2), SQUARE)
 
 
+def test_scenario_rejects_coincident_start_and_goal():
+    with pytest.raises(ValueError, match=r"start Point2\(x=1, y=1\) and goal .* coincide"):
+        make_scenario([], start=P(1, 1), goal=P(1, 1))
+    with pytest.raises(ValueError, match="coincide"):
+        make_scenario([], start=P(1, 1), goal=P(1, 1 + 1e-13))
+
+
 class TestVisibilityGraph:
     def test_empty_scenario_single_edge(self):
         sc = make_scenario([])
@@ -254,7 +344,8 @@ class TestShortestPolyline:
                 polyline = shortest_polyline(graph, sc.start, sc.goal)
             except (UnreachableConfigurationError, NoPathError):
                 continue
-            expected = dijkstra_reference(graph, graph.start_index, graph.goal_index)
+            reference = all_pairs_visibility_graph(sc, inflated)
+            expected = dijkstra_reference(reference, reference.start_index, reference.goal_index)
             assert polyline.length() == expected
 
     def test_no_path(self):
@@ -263,6 +354,37 @@ class TestShortestPolyline:
         graph = build_visibility_graph(sc, [mitered_inflate(wall, 0.3)])
         with pytest.raises(NoPathError):
             shortest_polyline(graph, sc.start, sc.goal)
+
+    def test_start_at_inflated_vertex(self):
+        # The goal lies behind the corner the start sits on: the straight
+        # route is no tangent there, so A* must start from the start node.
+        obs = ConvexPolygon([P(8, 8), P(12, 8), P(12, 12), P(8, 12)])
+        sc = make_scenario([obs], h=0.5, r=0.25, start=P(7.5, 7.5), goal=P(1, 1))
+        graph = build_visibility_graph(sc, [mitered_inflate(obs, 0.5)])
+        assert graph.nodes[0] == sc.start
+        assert shortest_polyline(graph, sc.start, sc.goal).points == (sc.start, sc.goal)
+
+    def test_tangent_graph_routes_match_all_pairs_graph(self):
+        """The tangent graph keeps a subset of the all-pairs edges (same
+        weights, same order) and A* returns the same route, or the same
+        error type, on 2,000 seeded scenarios of five families."""
+        rng = random.Random(4)
+        outcomes = {}
+        for k in range(2000):
+            family = SCENARIO_FAMILIES[k % len(SCENARIO_FAMILIES)]
+            sc = family(rng)
+            inflated = inflate_obstacles(sc)
+            got = route_or_error(build_visibility_graph, sc, inflated)
+            assert got == route_or_error(all_pairs_visibility_graph, sc, inflated), (family, k)
+            if isinstance(got, tuple):
+                edges = build_visibility_graph(sc, inflated).edges
+                kept = set(edges)
+                reference = all_pairs_visibility_graph(sc, inflated).edges
+                assert [e for e in reference if e in kept] == list(edges)
+            key = (family.__name__, got if isinstance(got, type) else len(got) > 2)
+            outcomes[key] = outcomes.get(key, 0) + 1
+        for family in SCENARIO_FAMILIES:  # every family plans routes that bend
+            assert outcomes.get((family.__name__, True), 0) >= 100, outcomes
 
 
 class TestClearance:
@@ -295,6 +417,48 @@ class TestClearance:
         big = SQUARE
         path = SmoothPath((arc,), P(0.6, 0.5), P(0.4, 0.5))
         assert clearance(path, [big]) == 0.0
+
+    @pytest.mark.parametrize(
+        "segments, obstacles, expected",
+        [
+            ([LineSegment(P(-1, 1), P(2, 1))], [SQUARE], 0.0),  # runs along the top edge
+            ([LineSegment(P(-1, 0.5), P(2, 0.5))], [SQUARE], 0.0),  # crosses
+            ([LineSegment(P(0.2, 0.5), P(0.8, 0.5))], [SQUARE], 0.0),  # inside
+            # The circle's box holds the left square, yet the arc stays over 7
+            # from it; the right square is 0.5 from the arc and the line is
+            # sqrt(2) from the left square, so the bound must use the full circle.
+            (
+                [ArcSegment(P(0, 0), 5.0, Heading(-math.pi / 4), math.pi / 2),
+                 LineSegment(P(-10, 1.5), P(-5.5, 1.5))],
+                [ConvexPolygon([P(-4.5, -0.5), P(-3.5, -0.5), P(-3.5, 0.5), P(-4.5, 0.5)]),
+                 ConvexPolygon([P(5.5, -0.5), P(6.5, -0.5), P(6.5, 0.5), P(5.5, 0.5)])],
+                0.5,
+            ),
+            ([LineSegment(P(0, 0), P(1, 0))], [], math.inf),
+        ],
+    )
+    def test_handmade_cases_match_all_pairs_loop(self, segments, obstacles, expected):
+        path = SmoothPath(segments, P(0, 0), P(1, 0))
+        assert clearance(path, obstacles) == all_pairs_clearance(path, obstacles)
+        assert clearance(path, obstacles) == pytest.approx(expected, abs=1e-12)
+
+    def test_planned_paths_match_all_pairs_loop(self):
+        """Bit-identical to the exhaustive loop, against the original
+        obstacles and against the inflated ones (whose corners the arcs cut)."""
+        rng = random.Random(5)
+        planned = 0
+        for k in range(600):
+            sc = SCENARIO_FAMILIES[k % len(SCENARIO_FAMILIES)](rng)
+            try:
+                result = plan(sc)
+            except (NoPathError, FeasibilityError):
+                continue
+            planned += 1
+            for obstacles in (sc.obstacles, result.inflated):
+                expected = all_pairs_clearance(result.path, obstacles)
+                assert clearance(result.path, obstacles) == expected
+            assert result.clearance == all_pairs_clearance(result.path, sc.obstacles)
+        assert planned >= 300
 
     def test_arc_segment_distance_matches_sampling(self, rng):
         for _ in range(400):
@@ -382,6 +546,25 @@ class TestPlan:
         assert result.clearance <= sampled + 1e-12
         assert sampled - result.clearance <= 2e-2  # sampling resolution
         assert result.clearance >= 0.2 - 1e-9
+
+    def test_square_grid_matches_all_pairs_pipeline(self):
+        # 8 x 8 unit squares: the all-pairs graph has 258 nodes and 64
+        # blockers per pair; the route threads the grid with 15 bends.
+        pitch = 20.0 / 9
+        squares = [
+            ConvexPolygon([P(x - 0.5, y - 0.5), P(x + 0.5, y - 0.5), P(x + 0.5, y + 0.5),
+                           P(x - 0.5, y + 0.5)])
+            for x in (pitch * i for i in range(1, 9)) for y in (pitch * j for j in range(1, 9))
+        ]
+        sc = make_scenario(squares, h=0.2, r=0.4, start=P(0.5, 1.0), goal=P(19.5, 18.7))
+        result = plan(sc)
+        reference = all_pairs_visibility_graph(sc, inflate_obstacles(sc))
+        polyline = shortest_polyline(reference, sc.start, sc.goal)
+        assert result.polyline == polyline and len(polyline) == 17
+        assert result.path == smooth_polyline(polyline, 0.4)
+        assert result.length == path_length(result.path)
+        assert result.clearance == all_pairs_clearance(result.path, squares)
+        assert result.clearance_ok
 
     def test_clearance_certified_random(self, rng):
         successes = 0
