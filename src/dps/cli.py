@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .bench import CSV_HEADER, run_bench
-from .dubins import classify_j_type, dubins_shortest
+from .dubins import classify_j_type
 from .fileio import load_path, load_polyline, load_scenario, save_path
 from .planner import NoPathError, plan
 from .render import render_svg
@@ -106,8 +106,7 @@ def _cmd_oracle_check(args) -> int:
         return EXIT_INFEASIBLE
     mismatches = 0
     for i, piece in enumerate(pieces):
-        word = dubins_shortest(piece.start, piece.end, args.radius)
-        j_type, _ = classify_j_type(piece.start, piece.end, args.radius)
+        j_type, word = classify_j_type(piece.start, piece.end, args.radius)
         gap = abs(word.total - piece.length)
         match = gap <= ORACLE_REL_TOL * max(abs(word.total), abs(piece.length), 1e-300)
         status = "ok" if match else "MISMATCH"

@@ -2,20 +2,27 @@
 sampled-heading multipoint solver used as an independent length reference.
 
 The word formulas follow the classical Dubins-set formulation in scaled
-coordinates (unit turning radius); they accept scalars or numpy arrays, so
-the same expressions back both the single-pair solver and the dynamic
-program over heading grids.
+coordinates (unit turning radius; Shkel & Lumelsky, "Classification of the
+Dubins set", RAS 2001). There is one copy of them, written against a small
+backend of math functions: ``_SCALAR`` evaluates them on Python floats with
+the ``math`` module for one pose pair (``solve_word``, ``dubins_shortest``,
+``classify_j_type``), and ``_ARRAY`` evaluates them on numpy arrays for the
+multipoint DP. The DP computes the pair-cost matrices of many consecutive
+pairs in one evaluation, a (pairs, S, S) block of at most
+``_BLOCK_ELEMENTS`` elements; heading sets of unequal size are padded to S
+by repeating their last heading, which changes no minimum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import Heading, Point2, Pose, dist
+from .geom import Heading, Point2, Pose
 from .smoother import check_turn_radius
 
 WORD_ORDER = ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL")
@@ -26,6 +33,8 @@ _TWO_PI = 2.0 * math.pi
 # folding them keeps degenerate first/last arcs at exactly 0.
 _FULL_CIRCLE_SNAP = 1e-12
 _TIE_EPSILON = 1e-12
+# Element cap of one (pairs, S, S) block of pair costs in the multipoint DP.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,12 +46,36 @@ class DubinsWord:
     total: float
 
 
-def _mod2pi(x):
+def _mod2pi_scalar(x: float) -> float:
+    y = x % _TWO_PI
+    return 0.0 if y >= _TWO_PI - _FULL_CIRCLE_SNAP else y
+
+
+def _mod2pi_array(x):
     y = np.mod(x, _TWO_PI)
     return np.where(y >= _TWO_PI - _FULL_CIRCLE_SNAP, 0.0, y)
 
 
-def _lsl(alpha, beta, d, sa, ca, sb, cb, cab):
+# The two backends the word formulas run on: Python floats for one pose
+# pair, numpy arrays for blocks of heading pairs.
+_SCALAR = SimpleNamespace(
+    sin=math.sin, cos=math.cos, atan2=math.atan2, sqrt=math.sqrt, acos=math.acos, abs=abs,
+    where=lambda cond, a, b: a if cond else b, clip=lambda x, lo, hi: min(max(x, lo), hi),
+    mod2pi=_mod2pi_scalar,
+)
+_ARRAY = SimpleNamespace(
+    sin=np.sin, cos=np.cos, atan2=np.arctan2, sqrt=np.sqrt, acos=np.arccos, abs=np.abs,
+    where=np.where, clip=np.clip, mod2pi=_mod2pi_array,
+)
+
+
+def _word_args(m, alpha, beta, d):
+    """Arguments of the word formulas for the scaled parameters (alpha, beta, d)."""
+    sa, ca, sb, cb = m.sin(alpha), m.cos(alpha), m.sin(beta), m.cos(beta)
+    return alpha, beta, d, sa, ca, sb, cb, ca * cb + sa * sb
+
+
+def _lsl(m, alpha, beta, d, sa, ca, sb, cb, cab):
     tmp0 = d + sa - sb
     psq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sa - sb)
     # psq == 0 means coincident turn circles: the maneuver is a single left
@@ -51,61 +84,61 @@ def _lsl(alpha, beta, d, sa, ca, sb, cb, cab):
     boundary = 1e-12 * (4.0 + d * d)
     degenerate = psq <= boundary
     ok = psq >= -boundary
-    tmp1 = np.arctan2(cb - ca, tmp0)
-    t = np.where(degenerate, 0.0, _mod2pi(tmp1 - alpha))
-    p = np.where(degenerate, 0.0, np.sqrt(np.where(psq > 0.0, psq, 0.0)))
-    q = np.where(degenerate, _mod2pi(beta - alpha), _mod2pi(beta - tmp1))
+    tmp1 = m.atan2(cb - ca, tmp0)
+    t = m.where(degenerate, 0.0, m.mod2pi(tmp1 - alpha))
+    p = m.where(degenerate, 0.0, m.sqrt(m.where(psq > 0.0, psq, 0.0)))
+    q = m.where(degenerate, m.mod2pi(beta - alpha), m.mod2pi(beta - tmp1))
     return t, p, q, ok
 
 
-def _rsr(alpha, beta, d, sa, ca, sb, cb, cab):
+def _rsr(m, alpha, beta, d, sa, ca, sb, cb, cab):
     tmp0 = d - sa + sb
     psq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sb - sa)
     boundary = 1e-12 * (4.0 + d * d)
     degenerate = psq <= boundary
     ok = psq >= -boundary
-    tmp1 = np.arctan2(ca - cb, tmp0)
-    t = np.where(degenerate, 0.0, _mod2pi(alpha - tmp1))
-    p = np.where(degenerate, 0.0, np.sqrt(np.where(psq > 0.0, psq, 0.0)))
-    q = np.where(degenerate, _mod2pi(alpha - beta), _mod2pi(tmp1 - beta))
+    tmp1 = m.atan2(ca - cb, tmp0)
+    t = m.where(degenerate, 0.0, m.mod2pi(alpha - tmp1))
+    p = m.where(degenerate, 0.0, m.sqrt(m.where(psq > 0.0, psq, 0.0)))
+    q = m.where(degenerate, m.mod2pi(alpha - beta), m.mod2pi(tmp1 - beta))
     return t, p, q, ok
 
 
-def _lsr(alpha, beta, d, sa, ca, sb, cb, cab):
+def _lsr(m, alpha, beta, d, sa, ca, sb, cb, cab):
     psq = -2.0 + d * d + 2.0 * cab + 2.0 * d * (sa + sb)
     ok = psq >= 0.0
-    p = np.sqrt(np.where(ok, psq, 0.0))
-    tmp = np.arctan2(-ca - cb, d + sa + sb) - np.arctan2(-2.0, p)
-    t = _mod2pi(tmp - alpha)
-    q = _mod2pi(tmp - beta)
+    p = m.sqrt(m.where(ok, psq, 0.0))
+    tmp = m.atan2(-ca - cb, d + sa + sb) - m.atan2(-2.0, p)
+    t = m.mod2pi(tmp - alpha)
+    q = m.mod2pi(tmp - beta)
     return t, p, q, ok
 
 
-def _rsl(alpha, beta, d, sa, ca, sb, cb, cab):
+def _rsl(m, alpha, beta, d, sa, ca, sb, cb, cab):
     psq = -2.0 + d * d + 2.0 * cab - 2.0 * d * (sa + sb)
     ok = psq >= 0.0
-    p = np.sqrt(np.where(ok, psq, 0.0))
-    tmp = np.arctan2(ca + cb, d - sa - sb) - np.arctan2(2.0, p)
-    t = _mod2pi(alpha - tmp)
-    q = _mod2pi(beta - tmp)
+    p = m.sqrt(m.where(ok, psq, 0.0))
+    tmp = m.atan2(ca + cb, d - sa - sb) - m.atan2(2.0, p)
+    t = m.mod2pi(alpha - tmp)
+    q = m.mod2pi(beta - tmp)
     return t, p, q, ok
 
 
-def _rlr(alpha, beta, d, sa, ca, sb, cb, cab):
+def _rlr(m, alpha, beta, d, sa, ca, sb, cb, cab):
     tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
-    ok = np.abs(tmp) <= 1.0
-    p = _mod2pi(_TWO_PI - np.arccos(np.clip(tmp, -1.0, 1.0)))
-    t = _mod2pi(alpha - np.arctan2(ca - cb, d - sa + sb) + 0.5 * p)
-    q = _mod2pi(alpha - beta - t + p)
+    ok = m.abs(tmp) <= 1.0
+    p = m.mod2pi(_TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
+    t = m.mod2pi(alpha - m.atan2(ca - cb, d - sa + sb) + 0.5 * p)
+    q = m.mod2pi(alpha - beta - t + p)
     return t, p, q, ok
 
 
-def _lrl(alpha, beta, d, sa, ca, sb, cb, cab):
+def _lrl(m, alpha, beta, d, sa, ca, sb, cb, cab):
     tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sb - sa)) / 8.0
-    ok = np.abs(tmp) <= 1.0
-    p = _mod2pi(_TWO_PI - np.arccos(np.clip(tmp, -1.0, 1.0)))
-    t = _mod2pi(-alpha - np.arctan2(ca - cb, d + sa - sb) + 0.5 * p)
-    q = _mod2pi(beta - alpha - t + p)
+    ok = m.abs(tmp) <= 1.0
+    p = m.mod2pi(_TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
+    t = m.mod2pi(-alpha - m.atan2(ca - cb, d + sa - sb) + 0.5 * p)
+    q = m.mod2pi(beta - alpha - t + p)
     return t, p, q, ok
 
 
@@ -119,28 +152,24 @@ _WORD_FUNCS = {
 }
 
 
-def _scaled_problem(start: Pose, goal: Pose, r: float) -> tuple[float, float, float]:
-    """Reduce a pose pair to the scaled standard parameters (alpha, beta, d)."""
+def _scaled_problem(start: Pose, goal: Pose, r: float) -> tuple:
+    """Reduce a pose pair to the arguments of the word formulas."""
     dx = goal.position.x - start.position.x
     dy = goal.position.y - start.position.y
     theta = math.atan2(dy, dx)
     d = math.hypot(dx, dy) / r
     alpha = (start.heading.theta - theta) % _TWO_PI
     beta = (goal.heading.theta - theta) % _TWO_PI
-    return alpha, beta, d
+    return _word_args(_SCALAR, alpha, beta, d)
 
 
 def solve_word(word: str, start: Pose, goal: Pose, r: float) -> Optional[DubinsWord]:
     """Evaluate one maneuver class; None when it has no real solution."""
     check_turn_radius(r)
-    alpha, beta, d = _scaled_problem(start, goal, r)
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    sb, cb = math.sin(beta), math.cos(beta)
-    cab = math.cos(alpha - beta)
-    t, p, q, ok = _WORD_FUNCS[word](alpha, beta, d, sa, ca, sb, cb, cab)
+    t, p, q, ok = _WORD_FUNCS[word](_SCALAR, *_scaled_problem(start, goal, r))
     if not ok:
         return None
-    lengths = (float(t) * r, float(p) * r, float(q) * r)
+    lengths = (t * r, p * r, q * r)
     return DubinsWord(word, lengths, sum(lengths))
 
 
@@ -151,18 +180,15 @@ def dubins_shortest(start: Pose, goal: Pose, r: float) -> DubinsWord:
     tests stay deterministic.
     """
     check_turn_radius(r)
-    alpha, beta, d = _scaled_problem(start, goal, r)
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    sb, cb = math.sin(beta), math.cos(beta)
-    cab = math.cos(alpha - beta)
+    problem = _scaled_problem(start, goal, r)
     best: Optional[DubinsWord] = None
     for word in WORD_ORDER:
-        t, p, q, ok = _WORD_FUNCS[word](alpha, beta, d, sa, ca, sb, cb, cab)
+        t, p, q, ok = _WORD_FUNCS[word](_SCALAR, *problem)
         if not ok:
             continue
-        total = (float(t) + float(p) + float(q)) * r
+        total = (t + p + q) * r
         if best is None or total < best.total - _TIE_EPSILON:
-            best = DubinsWord(word, (float(t) * r, float(p) * r, float(q) * r), total)
+            best = DubinsWord(word, (t * r, p * r, q * r), total)
     assert best is not None  # LSL/RSR always admit a solution
     return best
 
@@ -177,20 +203,22 @@ def classify_j_type(start: Pose, goal: Pose, r: float) -> tuple[bool, DubinsWord
     return word.word in CSC_WORDS and word.lengths[0] <= 1e-9, word
 
 
-def _pair_cost(p: Point2, q: Point2, h1: np.ndarray, h2: np.ndarray, r: float) -> np.ndarray:
-    """Matrix of shortest Dubins lengths from (p, h1[i]) to (q, h2[j])."""
-    dx = q.x - p.x
-    dy = q.y - p.y
-    theta = math.atan2(dy, dx)
-    d = math.hypot(dx, dy) / r
-    alpha = np.mod(h1 - theta, _TWO_PI)[:, None]
-    beta = np.mod(h2 - theta, _TWO_PI)[None, :]
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    cab = ca * cb + sa * sb
+def _pair_costs(points: Sequence[Point2], sets: np.ndarray, r: float) -> np.ndarray:
+    """(pairs, S, S) shortest Dubins lengths from (points[k], sets[k, i]) to
+    (points[k + 1], sets[k + 1, j]) for every consecutive pair."""
+    theta, d = [], []
+    for p, q in zip(points, points[1:]):
+        dx = q.x - p.x
+        dy = q.y - p.y
+        theta.append(math.atan2(dy, dx))
+        d.append(math.hypot(dx, dy) / r)
+    theta = np.array(theta)[:, None]
+    alpha = np.mod(sets[:-1] - theta, _TWO_PI)[:, :, None]
+    beta = np.mod(sets[1:] - theta, _TWO_PI)[:, None, :]
+    args = _word_args(_ARRAY, alpha, beta, np.array(d)[:, None, None])
     best = None
     for word in WORD_ORDER:
-        t, pl, ql, ok = _WORD_FUNCS[word](alpha, beta, d, sa, ca, sb, cb, cab)
+        t, pl, ql, ok = _WORD_FUNCS[word](_ARRAY, *args)
         total = np.where(ok, t + pl + ql, np.inf)
         best = total if best is None else np.minimum(best, total)
     return best * r
@@ -217,17 +245,24 @@ def multipoint_bruteforce(
         if samples_per_angle < 4:
             raise ValueError("need at least 4 heading samples per point")
         grid = np.arange(samples_per_angle) * (_TWO_PI / samples_per_angle)
-        sets = [grid] * len(pts)
+        sets = np.tile(grid, (len(pts), 1))
     else:
         if len(headings) != len(pts):
             raise ValueError("need one heading set per point")
-        sets = [np.asarray(h, dtype=float) for h in headings]
-        if any(s.size == 0 for s in sets):
+        ragged = [np.asarray(h, dtype=float) for h in headings]
+        if any(s.size == 0 for s in ragged):
             raise ValueError("heading sets must be non-empty")
-    cost_to = np.zeros(sets[0].size)
-    for i in range(len(pts) - 1):
-        cost = _pair_cost(pts[i], pts[i + 1], sets[i], sets[i + 1], r)
-        cost_to = np.min(cost_to[:, None] + cost, axis=0)
+        # Repeating a set's last heading adds duplicate rows and columns,
+        # which cannot change any minimum of the DP.
+        width = max(s.size for s in ragged)
+        sets = np.array([s.tolist() + [s[-1]] * (width - s.size) for s in ragged])
+    size = sets.shape[1]
+    per_block = max(1, _BLOCK_ELEMENTS // (size * size))
+    cost_to = np.zeros(size)
+    for lo in range(0, len(pts) - 1, per_block):
+        hi = min(lo + per_block, len(pts) - 1)
+        for cost in _pair_costs(pts[lo:hi + 1], sets[lo:hi + 1], r):
+            cost_to = (cost_to[:, None] + cost).min(axis=0)
     return float(np.min(cost_to))
 
 

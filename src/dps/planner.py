@@ -411,8 +411,11 @@ def _orient(a: Point2, b: Point2, c: Point2) -> float:
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 
 
-def _arc_segment_distance(arc: ArcSegment, a: Point2, b: Point2) -> float:
-    """Closed-form distance between a circular arc and a segment."""
+def _arc_segment_distance(
+    arc: ArcSegment, a: Point2, b: Point2, start_pt: Point2, end_pt: Point2
+) -> float:
+    """Closed-form distance between a circular arc, whose end points are
+    ``start_pt`` and ``end_pt``, and a segment."""
     cx, cy = arc.center.x, arc.center.y
     r = arc.radius
     dx = b.x - a.x
@@ -438,8 +441,6 @@ def _arc_segment_distance(arc: ArcSegment, a: Point2, b: Point2) -> float:
         point_arc_distance(a, arc),
         point_arc_distance(b, arc),
     ]
-    start_pt, _ = arc_endpoint(arc, at_end=False)
-    end_pt, _ = arc_endpoint(arc, at_end=True)
     candidates.append(point_segment_distance(start_pt, a, b))
     candidates.append(point_segment_distance(end_pt, a, b))
     if seg_len_sq > 0.0:
@@ -452,16 +453,17 @@ def _arc_segment_distance(arc: ArcSegment, a: Point2, b: Point2) -> float:
 
 def _arc_into(arc: ArcSegment, poly: ConvexPolygon) -> float:
     best = math.inf
+    start_pt, _ = arc_endpoint(arc, at_end=False)
+    end_pt, _ = arc_endpoint(arc, at_end=True)
     verts = poly.vertices
     n = len(verts)
     for i in range(n):
-        best = min(best, _arc_segment_distance(arc, verts[i], verts[(i + 1) % n]))
+        gap = _arc_segment_distance(arc, verts[i], verts[(i + 1) % n], start_pt, end_pt)
+        best = min(best, gap)
         if best == 0.0:
             return 0.0
-    if best > 0.0:
-        probe, _ = arc_endpoint(arc, at_end=False)
-        if poly.contains(probe):
-            return 0.0
+    if best > 0.0 and poly.contains(start_pt):
+        return 0.0
     return best
 
 

@@ -5,6 +5,8 @@ obstacle, and ``all_pairs_clearance`` takes the exact distance of every
 (segment, obstacle) pair. They are the builder and the clearance loop the
 planner used before the tangent graph and the bounded clearance search, so
 tests can require the same routes and bit-identical clearances.
+``per_edge_arc_into`` rebuilds the arc's end points for every polygon edge,
+as the arc-to-polygon distance did before it built them once per polygon.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from dps.geom import LENGTH_EPSILON, LineSegment, Point2, dist
+from dps.geom import LENGTH_EPSILON, ArcSegment, LineSegment, Point2, arc_endpoint, dist
 from dps.planner import (
     ConvexPolygon,
     Scenario,
     UnreachableConfigurationError,
     VisibilityGraph,
-    _arc_into,
+    _arc_segment_distance,
     _segment_blocked,
     _segment_into,
     mitered_inflate,
@@ -65,6 +67,25 @@ def all_pairs_visibility_graph(
     return VisibilityGraph(tuple(nodes), tuple(edges), start_index, goal_index)
 
 
+def per_edge_arc_into(arc: ArcSegment, poly: ConvexPolygon) -> float:
+    """Exact distance between an arc and a polygon (0 inside or touching)."""
+    best = math.inf
+    verts = poly.vertices
+    n = len(verts)
+    for i in range(n):
+        start_pt, _ = arc_endpoint(arc, at_end=False)
+        end_pt, _ = arc_endpoint(arc, at_end=True)
+        gap = _arc_segment_distance(arc, verts[i], verts[(i + 1) % n], start_pt, end_pt)
+        best = min(best, gap)
+        if best == 0.0:
+            return 0.0
+    if best > 0.0:
+        probe, _ = arc_endpoint(arc, at_end=False)
+        if poly.contains(probe):
+            return 0.0
+    return best
+
+
 def all_pairs_clearance(path: SmoothPath, obstacles: Sequence[ConvexPolygon]) -> float:
     """Minimum exact distance over every (segment, obstacle) pair."""
     best = math.inf
@@ -73,7 +94,7 @@ def all_pairs_clearance(path: SmoothPath, obstacles: Sequence[ConvexPolygon]) ->
             if isinstance(seg, LineSegment):
                 d = _segment_into(seg.a, seg.b, poly)
             else:
-                d = _arc_into(seg, poly)
+                d = per_edge_arc_into(seg, poly)
             if d < best:
                 best = d
                 if best == 0.0:

@@ -4,7 +4,11 @@ import re
 
 import pytest
 
-from dps.cli import main
+from dps import dubins
+from dps.cli import ORACLE_REL_TOL, main
+from dps.fileio import load_polyline
+from dps.randgen import random_polyline
+from dps.smoother import extract_pieces
 
 RIGHT_ANGLE_CSV = "x,y\n0,0\n4,0\n4,4\n"
 INFEASIBLE_CSV = "0,0\n0.5,0\n0.5,0.5\n"
@@ -138,6 +142,32 @@ def test_oracle_check_far_violation_flagged_not_failed(tmp_path, capsys):
     assert main(["oracle-check", "-r", "1", str(f)]) == 0
     out = capsys.readouterr().out
     assert "no guarantee" in out
+
+
+def test_oracle_check_solves_each_piece_once(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "route.csv"
+    points = random_polyline(15, 1.0, seed=5).points
+    f.write_text("x,y\n" + "".join(f"{p.x!r},{p.y!r}\n" for p in points))
+    # The report as printed by the solver-twice loop: a direct dubins_shortest
+    # for the word, then classify_j_type for the J flag.
+    expected = []
+    pieces = extract_pieces(load_polyline(str(f)), 1.0)
+    for i, piece in enumerate(pieces):
+        word = dubins.dubins_shortest(piece.start, piece.end, 1.0)
+        j_type, _ = dubins.classify_j_type(piece.start, piece.end, 1.0)
+        gap = abs(word.total - piece.length)
+        match = gap <= ORACLE_REL_TOL * max(abs(word.total), abs(piece.length), 1e-300)
+        note = "" if piece.guaranteed else " (no guarantee: far condition violated)"
+        expected.append(
+            f"piece {i}: dps={piece.length:.12f} oracle={word.total:.12f} "
+            f"word={word.word} j_type={j_type} {'ok' if match else 'MISMATCH'}{note}\n"
+        )
+    solves = []  # every pose-pair solve reduces the pair through _scaled_problem
+    real = dubins._scaled_problem
+    monkeypatch.setattr(dubins, "_scaled_problem", lambda *a: solves.append(a) or real(*a))
+    assert main(["oracle-check", "-r", "1", str(f)]) == 0
+    assert capsys.readouterr().out == "".join(expected)
+    assert len(pieces) >= 10 and len(solves) == len(pieces)
 
 
 def test_bench_deterministic_lengths(capsys):

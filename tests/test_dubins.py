@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dps import dubins
 from dps.geom import Heading, Point2, Pose, dist
 from dps.dubins import (
     CSC_WORDS,
@@ -19,6 +20,7 @@ from dps.smoother import (extract_pieces, path_length, smooth_polyline,
                           solve_three_points, vertex_solutions)
 
 from conftest import make_triplet
+from dubins_reference import multipoint_per_pair, reference_shortest, word_totals
 from dubins_search import dubins_search
 
 P = Point2
@@ -213,14 +215,104 @@ def dps_tangent_configurations(polyline, r):
 
 
 def test_multipoint_validation_errors():
-    with pytest.raises(ValueError):
-        multipoint_bruteforce([P(0, 0)], 1.0, 8)
-    with pytest.raises(ValueError):
-        multipoint_bruteforce([P(0, 0), P(1, 0)], 1.0, 3)
-    with pytest.raises(ValueError):
-        multipoint_bruteforce([P(0, 0), P(1, 0)], 1.0, 8, headings=[[0.0]])
-    with pytest.raises(ValueError):
-        multipoint_bruteforce([P(0, 0), P(1, 0)], 1.0, 8, headings=[[0.0], []])
+    for args in (
+        ([P(0, 0)], 1.0, 8),
+        ([P(0, 0), P(1, 0)], 1.0, 3),
+        ([P(0, 0), P(1, 0)], 1.0, 8, [[0.0]]),
+        ([P(0, 0), P(1, 0)], 1.0, 8, [[0.0], []]),
+        ([P(0, 0), P(1, 0)], 0.0, 8),
+        ([P(0, 0), P(1, 0)], math.inf, 8),
+    ):
+        with pytest.raises(ValueError) as blocked:
+            multipoint_bruteforce(*args)
+        with pytest.raises(ValueError) as per_pair:
+            multipoint_per_pair(*args)
+        assert str(blocked.value) == str(per_pair.value)
+
+
+@pytest.mark.parametrize("samples, r", [(4, 1.0), (8, 0.5), (36, 2.0)])
+def test_multipoint_grid_matches_per_pair_reference(samples, r):
+    # Long enough for the pair costs to span three blocks.
+    n = 2 * (dubins._BLOCK_ELEMENTS // (samples * samples)) + 3
+    points = random_polyline(n, r, seed=samples).points
+    assert multipoint_bruteforce(points, r, samples) == multipoint_per_pair(points, r, samples)
+
+
+def test_multipoint_pinned_matches_per_pair_reference(rng):
+    for _ in range(5):
+        polyline = random_polyline(rng.randint(3, 60), 1.0, rng=rng)
+        points, headings = dps_tangent_configurations(polyline, 1.0)
+        expected = multipoint_per_pair(points, 1.0, 4, headings=headings)
+        assert multipoint_bruteforce(points, 1.0, 4, headings=headings) == expected
+
+
+def test_multipoint_mixed_heading_sets_match_per_pair_reference(rng):
+    # Sets of 1..12 headings; the padded width is 12, so 1200 points span
+    # three blocks. Sets may repeat a heading, as padding does.
+    for n, r in ((2, 1.0), (7, 0.6), (1200, 1.0)):
+        points = random_polyline(n, r, rng=rng).points
+        headings = [[rng.uniform(-math.pi, math.pi) for _ in range(rng.randint(1, 12))]
+                    for _ in range(n)]
+        headings[rng.randrange(n)] = [0.5] * 3 + [rng.uniform(-3, 3) for _ in range(9)]
+        expected = multipoint_per_pair(points, r, 4, headings=headings)
+        assert multipoint_bruteforce(points, r, 4, headings=headings) == expected
+
+
+def _degenerate_pairs(rng):
+    """Pose pairs on the boundaries of the word formulas, by family."""
+    for _ in range(60):
+        r = math.exp(rng.uniform(-1.0, 1.5))
+        x, y = rng.uniform(-10, 10), rng.uniform(-10, 10)
+        h = rng.uniform(-math.pi, math.pi)
+        start = pose(x, y, h)
+        yield "coincident", start, pose(x, y, rng.uniform(-math.pi, math.pi)), r
+        length = rng.uniform(0.01, 20.0)
+        yield "straight", start, pose(x + length * math.cos(h), y + length * math.sin(h), h), r
+        yield "u-turn", start, pose(x, y, h + math.pi), r
+        for first in "LR":
+            # A single arc has coincident turn circles (psq = 0); moving the
+            # goal off the circle by delta*r gives psq ~ delta^2 around the
+            # 1e-12*(4 + d^2) boundary.
+            sweep = rng.uniform(0.01, 2 * math.pi - 0.01)
+            arc = rollout(start, DubinsWord(first + "SL", (sweep * r, 0.0, 0.0), 0.0), r)
+            boundary = 1e-12 * (4.0 + (dist(start.position, arc.position) / r) ** 2)
+            for k in (0.0, 0.25, 0.81, 0.99, 1.01, 1.21, 4.0):
+                offset = math.sqrt(k * boundary) * r
+                normal = arc.heading.theta + math.pi / 2
+                yield "circles", start, pose(arc.position.x + offset * math.cos(normal),
+                                             arc.position.y + offset * math.sin(normal),
+                                             arc.heading.theta), r
+        for word in ("RLR", "LRL"):
+            # Middle arcs of pi and 2*pi put the word's tmp at -1 and 1.
+            for middle in (math.pi, math.pi + 1e-7, math.pi + 1e-4,
+                           2 * math.pi - 1e-4, 2 * math.pi - 1e-7):
+                lengths = (rng.uniform(0, 2 * math.pi) * r, middle * r,
+                           rng.uniform(0, 2 * math.pi) * r)
+                yield "tmp near 1", start, rollout(start, DubinsWord(word, lengths, 0.0), r), r
+
+
+def test_math_backend_matches_per_pair_reference(rng):
+    cases = []
+    for _ in range(5000):
+        r = math.exp(rng.uniform(-1.0, 1.5))
+        start = pose(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-math.pi, math.pi))
+        goal = pose(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-math.pi, math.pi))
+        cases.append(("random", start, goal, r))
+    cases.extend(_degenerate_pairs(rng))
+    assert {case[0] for case in cases} == {
+        "random", "coincident", "straight", "u-turn", "circles", "tmp near 1"}
+    for family, start, goal, r in cases:
+        word = dubins_shortest(start, goal, r)
+        name, total = reference_shortest(start, goal, r)
+        assert word.word == name, family
+        assert word.total == pytest.approx(total, rel=1e-12, abs=0.0), family
+        for name, expected in word_totals(start, goal, r).items():
+            solved = solve_word(name, start, goal, r)
+            # Only on a boundary may a word exist in one backend alone.
+            if family == "random":
+                assert (solved is None) == (expected is None)
+            if solved is not None and expected is not None:
+                assert solved.total == pytest.approx(expected, rel=1e-12, abs=0.0), family
 
 
 def test_word_value_contract():

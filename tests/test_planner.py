@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dps.geom import ArcSegment, Heading, LineSegment, Point2, dist, interior_angle
+from dps.geom import ArcSegment, Heading, LineSegment, Point2, arc_endpoint, dist, interior_angle
 from dps.planner import (
     Bounds,
     ConvexPolygon,
@@ -12,6 +12,7 @@ from dps.planner import (
     Scenario,
     UnreachableConfigurationError,
     VisibilityGraph,
+    _arc_into,
     _arc_segment_distance,
     _segment_blocked,
     build_visibility_graph,
@@ -23,7 +24,8 @@ from dps.planner import (
     shortest_polyline,
 )
 from dps.smoother import FeasibilityError, SmoothPath, path_length, smooth_polyline
-from planner_reference import all_pairs_clearance, all_pairs_visibility_graph, inflate_obstacles
+from planner_reference import (all_pairs_clearance, all_pairs_visibility_graph,
+                               inflate_obstacles, per_edge_arc_into)
 
 P = Point2
 SQUARE = ConvexPolygon([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
@@ -460,6 +462,23 @@ class TestClearance:
             assert result.clearance == all_pairs_clearance(result.path, sc.obstacles)
         assert planned >= 300
 
+    def test_arc_into_matches_per_edge_reference(self, rng):
+        # Arcs around the origin against polygons placed across their circle,
+        # so that every candidate (an arc end included) sets some distances.
+        checked = 0
+        while checked < 2000:
+            radius = rng.uniform(0.3, 2.5)
+            arc = ArcSegment(P(0, 0), radius, Heading(rng.uniform(-math.pi, math.pi)),
+                             rng.uniform(-2 * math.pi, 2 * math.pi))
+            angle = rng.uniform(-math.pi, math.pi)
+            reach = radius + rng.uniform(-1.0, 1.5)
+            poly = random_obstacle(rng, reach * math.cos(angle), reach * math.sin(angle),
+                                   rng.uniform(0.1, 1.0))
+            if poly is None:
+                continue
+            assert _arc_into(arc, poly) == per_edge_arc_into(arc, poly)
+            checked += 1
+
     def test_arc_segment_distance_matches_sampling(self, rng):
         for _ in range(400):
             arc = ArcSegment(
@@ -472,7 +491,8 @@ class TestClearance:
             b = P(rng.uniform(-5, 5), rng.uniform(-5, 5))
             if dist(a, b) < 1e-6:
                 continue
-            exact = _arc_segment_distance(arc, a, b)
+            ends = (arc_endpoint(arc, False)[0], arc_endpoint(arc, True)[0])
+            exact = _arc_segment_distance(arc, a, b, *ends)
             best = math.inf
             for i in range(1001):
                 ang = arc.start_angle.theta + arc.sweep * i / 1000
