@@ -2,6 +2,8 @@
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
+The point-to-segment and point-to-arc distances take plain coordinates (an
+arc as its ``SmoothPath`` row); planner and smoother share this one copy.
 """
 
 from __future__ import annotations
@@ -142,12 +144,18 @@ def arc_endpoint(arc: ArcSegment, at_end: bool) -> tuple[Point2, Heading]:
     direction of travel given by the sweep sign.
     """
     angle = arc.start_angle.theta + (arc.sweep if at_end else 0.0)
-    point = Point2(
-        arc.center.x + arc.radius * math.cos(angle),
-        arc.center.y + arc.radius * math.sin(angle),
-    )
+    point = Point2(arc.center.x + arc.radius * math.cos(angle),
+                   arc.center.y + arc.radius * math.sin(angle))
     tangent = angle + (0.5 * math.pi if arc.sweep >= 0.0 else -0.5 * math.pi)
     return point, Heading(tangent)
+
+
+def arc_ends(cx: float, cy: float, radius: float, start: float, sweep: float) -> tuple:
+    """Start and end point (sx, sy, ex, ey) of an arc row (cx, cy, radius,
+    start_angle, sweep), bit-equal to the points of ``arc_endpoint``."""
+    a, b = start + 0.0, start + sweep  # + 0.0 as there: -0.0 becomes 0.0
+    return (cx + radius * math.cos(a), cy + radius * math.sin(a),
+            cx + radius * math.cos(b), cy + radius * math.sin(b))
 
 
 def heading_between(p: Point2, q: Point2) -> Heading:
@@ -229,16 +237,17 @@ def to_standard_setting(
     return t, (t.apply(p_i), t.apply(p_m), t.apply(p_f))
 
 
-def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    """Euclidean distance from a point to a closed segment."""
-    dx = b.x - a.x
-    dy = b.y - a.y
+def point_segment_distance(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:
+    """Euclidean distance from the point (px, py) to the closed segment from
+    (ax, ay) to (bx, by)."""
+    dx = bx - ax
+    dy = by - ay
     den = dx * dx + dy * dy
     if den <= 0.0:
-        return dist(p, a)
-    t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / den
-    t = max(0.0, min(1.0, t))
-    return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))
+        return math.hypot(ax - px, ay - py)
+    t = ((px - ax) * dx + (py - ay) * dy) / den
+    t = 1.0 if not t < 1.0 else t if t > 0.0 else 0.0  # max(0.0, min(1.0, t)), without calls
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def angle_in_sweep(phi: float, start: float, sweep: float) -> bool:
@@ -248,16 +257,18 @@ def angle_in_sweep(phi: float, start: float, sweep: float) -> bool:
     return (start - phi) % TWO_PI <= -sweep
 
 
-def point_arc_distance(p: Point2, arc: ArcSegment) -> float:
-    """Euclidean distance from a point to a circular arc."""
-    dx = p.x - arc.center.x
-    dy = p.y - arc.center.y
+def point_arc_distance(
+    px: float, py: float, cx: float, cy: float, radius: float, start: float, sweep: float
+) -> float:
+    """Euclidean distance from the point (px, py) to the arc around (cx, cy)
+    that starts at angle ``start`` (in (-pi, pi]) and turns through ``sweep``:
+    the arguments after the point are an arc row of a ``SmoothPath``."""
+    dx = px - cx
+    dy = py - cy
     d0 = math.hypot(dx, dy)
     if d0 <= LENGTH_EPSILON:
-        return arc.radius
-    phi = math.atan2(dy, dx)
-    if angle_in_sweep(phi, arc.start_angle.theta, arc.sweep):
-        return abs(d0 - arc.radius)
-    start_pt, _ = arc_endpoint(arc, at_end=False)
-    end_pt, _ = arc_endpoint(arc, at_end=True)
-    return min(dist(p, start_pt), dist(p, end_pt))
+        return radius
+    if angle_in_sweep(math.atan2(dy, dx), start, sweep):
+        return abs(d0 - radius)
+    sx, sy, ex, ey = arc_ends(cx, cy, radius, start, sweep)
+    return min(math.hypot(sx - px, sy - py), math.hypot(ex - px, ey - py))

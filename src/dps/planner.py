@@ -3,7 +3,10 @@ build a visibility graph over the inflated vertices, run A*, smooth the
 resulting polyline, and certify clearance against the original obstacles.
 Graph edges lie on supporting lines of the polygon at each polygon-vertex
 end (the tangent graph); the exact clearance search stops once a
-bounding-box lower bound reaches the best distance found.
+bounding-box lower bound reaches the best distance found. All stages run on
+plain floats: a polygon carries its coordinates and bounding box, one pass
+over its edge vectors gives its angles, offset and miter vertices, and the
+blocking and distance kernels take coordinates and ``SmoothPath`` rows.
 
 The offset keeps a disk robot of radius h safe even where the smoothing
 arc cuts inside an inflated corner, provided the arc's turning radius is r
@@ -15,17 +18,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .geom import (
     LENGTH_EPSILON,
-    ArcSegment,
+    DegeneratePointsError,
     Point2,
     angle_in_sweep,
-    arc_endpoint,
+    arc_ends,
     dist,
-    interior_angle,
     point_arc_distance,
     point_segment_distance,
 )
@@ -34,7 +36,6 @@ from .smoother import (
     FeasibilityError,
     Polyline,
     SmoothPath,
-    _segment,
     check_turn_radius,
     path_length,
     smooth_polyline,
@@ -51,26 +52,40 @@ class UnreachableConfigurationError(NoPathError):
 
 @dataclass(frozen=True, slots=True)
 class ConvexPolygon:
-    """Strictly convex polygon with counter-clockwise vertices."""
+    """Strictly convex polygon with counter-clockwise vertices.
+
+    The convexity check also fills ``xs`` and ``ys``, the vertex coordinates,
+    and ``box`` = (xmin, ymin, xmax, ymax). They are derived from ``vertices``
+    and take no part in ``==``, ``hash`` or ``repr``.
+    """
 
     vertices: tuple[Point2, ...]
+    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    box: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertices: Sequence[Point2]):
         verts = tuple(vertices)
-        if len(verts) < 3:
-            raise ValueError(f"polygon needs at least 3 vertices, got {len(verts)}")
+        self._fill(verts, tuple([v.x for v in verts]), tuple([v.y for v in verts]))
+
+    @classmethod
+    def _from_coordinates(cls, xs: Sequence[float], ys: Sequence[float]) -> "ConvexPolygon":
+        return object.__new__(cls)._fill(tuple(map(Point2, xs, ys)), tuple(xs), tuple(ys))
+
+    def _fill(self, verts, xs, ys) -> "ConvexPolygon":
         n = len(verts)
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            c = verts[(i + 2) % n]
-            crs = (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
-            if crs <= 0.0:
-                raise ValueError(
-                    "vertices must be counter-clockwise and strictly convex "
-                    f"(violated at index {(i + 1) % n})"
-                )
+        if n < 3:
+            raise ValueError(f"polygon needs at least 3 vertices, got {n}")
+        for m in range(1 - n, 1):  # the turn at vertex m % n, from 1 round to 0
+            ex, ey = xs[m] - xs[m - 1], ys[m] - ys[m - 1]
+            if ex * (ys[m + 1] - ys[m]) - ey * (xs[m + 1] - xs[m]) <= 0.0:
+                raise ValueError("vertices must be counter-clockwise and strictly convex "
+                                 f"(violated at index {m % n})")
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "box", (min(xs), min(ys), max(xs), max(ys)))
+        return self
 
     @classmethod
     def from_points(cls, points: Iterable[Point2]) -> "ConvexPolygon":
@@ -78,21 +93,21 @@ class ConvexPolygon:
         return cls(convex_hull(points))
 
     def interior_angles(self) -> list[float]:
-        verts = self.vertices
-        n = len(verts)
-        return [interior_angle(verts[i - 1], verts[i], verts[(i + 1) % n]) for i in range(n)]
+        return [alpha for alpha, _, _, _ in _corners(self)]
 
     def contains(self, p: Point2, tol: float = 0.0) -> bool:
         """Point-in-polygon test; positive tol shrinks toward the interior."""
-        verts = self.vertices
-        n = len(verts)
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            s = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-            if s < tol * math.hypot(b.x - a.x, b.y - a.y):
-                return False
-        return True
+        return _inside(self.xs, self.ys, p.x, p.y, tol)
+
+
+def _inside(xs, ys, px: float, py: float, tol: float = 0.0) -> bool:
+    ax, ay = xs[-1], ys[-1]
+    for bx, by in zip(xs, ys):
+        ex, ey = bx - ax, by - ay
+        if ex * (py - ay) - ey * (px - ax) < tol * math.hypot(ex, ey):
+            return False
+        ax, ay = bx, by
+    return True
 
 
 def convex_hull(points: Iterable[Point2]) -> list[Point2]:
@@ -188,94 +203,97 @@ def required_offset(h: float, r: float, alpha: float) -> float:
     check_turn_radius(r)
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"vertex angle must lie in (0, pi), got {alpha}")
-    s = math.sin(0.5 * alpha)
-    return max(h * s + r * (1.0 - s), h)
+    return _worst_offset(h, r, (alpha,))
 
 
-def mitered_inflate(poly: ConvexPolygon, offset: float) -> ConvexPolygon:
+def _worst_offset(h: float, r: float, angles: Iterable[float]) -> float:
+    """The largest ``required_offset`` over the angles for checked h and r; an
+    angle that rounds to pi takes the limit value h, as sin(pi/2) is 1.0."""
+    offset = h
+    for alpha in angles:
+        if not alpha > 0.0:
+            raise ValueError(f"vertex angle must lie in (0, pi), got {alpha}")
+        s = math.sin(0.5 * alpha)
+        offset = max(offset, h * s + r * (1.0 - s))
+    return offset
+
+
+def _corners(poly: ConvexPolygon) -> list[tuple[float, float, float, float]]:
+    """One pass over the polygon's edge vectors giving, per vertex, the
+    interior angle as ``interior_angle`` computes it and the miter terms of
+    ``mitered_inflate``: the sum (mx, my) of the two edges' outward unit
+    normals and one plus their dot product."""
+    xs, ys = poly.xs, poly.ys
+    x1, y1 = xs[0], ys[0]
+    e1x, e1y = x1 - xs[-1], y1 - ys[-1]  # the edge into vertex 0; its length is checked last
+    d1 = math.hypot(e1x, e1y)
+    n1x, n1y = e1y / d1, -e1x / d1  # outward normals of a CCW polygon point right of each edge
+    out = []
+    for x2, y2 in zip(xs[1:] + xs[:1], ys[1:] + ys[:1]):
+        e2x, e2y = x2 - x1, y2 - y1  # the edge out of it
+        d2 = math.hypot(e2x, e2y)
+        if d2 <= LENGTH_EPSILON:
+            raise DegeneratePointsError("interior angle needs three pairwise distinct points")
+        n2x, n2y = e2y / d2, -e2x / d2
+        alpha = math.pi - math.atan2(abs(e1x * e2y - e1y * e2x), e1x * e2x + e1y * e2y)
+        out.append((alpha, n1x + n2x, n1y + n2y, 1.0 + (n1x * n2x + n1y * n2y)))
+        x1, y1, e1x, e1y, n1x, n1y = x2, y2, e2x, e2y, n2x, n2y
+    return out
+
+
+def mitered_inflate(poly: ConvexPolygon, offset: float, corners: list | None = None) -> ConvexPolygon:
     """Translate each edge outward by ``offset`` and join at the sharp
     intersections of consecutive edge lines (miter corners).
 
     Each output vertex lies offset/sin(alpha/2) from its original vertex
     along the exterior bisector, so the original polygon keeps distance at
-    least ``offset`` from the inflated boundary.
+    least ``offset`` from the inflated boundary. ``corners`` is the
+    polygon's corner pass when the caller has already run it.
     """
     if not (offset > 0.0 and math.isfinite(offset)):
         raise ValueError(f"offset must be positive, got {offset}")
-    verts = poly.vertices
-    n = len(verts)
-    out = []
-    for i in range(n):
-        prev = verts[i - 1]
-        v = verts[i]
-        nxt = verts[(i + 1) % n]
-        e1x = v.x - prev.x
-        e1y = v.y - prev.y
-        e2x = nxt.x - v.x
-        e2y = nxt.y - v.y
-        n1 = math.hypot(e1x, e1y)
-        n2 = math.hypot(e2x, e2y)
-        # Outward normals of a CCW polygon point to the right of each edge.
-        n1x, n1y = e1y / n1, -e1x / n1
-        n2x, n2y = e2y / n2, -e2x / n2
-        denom = 1.0 + (n1x * n2x + n1y * n2y)
-        out.append(
-            Point2(
-                v.x + offset * (n1x + n2x) / denom,
-                v.y + offset * (n1y + n2y) / denom,
-            )
-        )
-    return ConvexPolygon(out)
+    corners = _corners(poly) if corners is None else corners
+    return ConvexPolygon._from_coordinates(
+        [x + offset * mx / d for x, (_, mx, _, d) in zip(poly.xs, corners)],
+        [y + offset * my / d for y, (_, _, my, d) in zip(poly.ys, corners)],
+    )
 
 
-def _segment_blocked(a: Point2, b: Point2, poly: ConvexPolygon) -> bool:
-    """Whether the open segment ab crosses the polygon's open interior.
+def _segment_blocked(ax: float, ay: float, bx: float, by: float, xs, ys) -> bool:
+    """Whether the open segment from (ax, ay) to (bx, by) crosses the open
+    interior of the polygon with vertex coordinates ``xs``, ``ys``.
 
     Touching the boundary (grazing a vertex or running along an edge) does
     not block. Works by clipping the segment against the polygon's
-    half-planes and testing whether the surviving midpoint is strictly
-    inside.
+    half-planes and testing whether the surviving midpoint is strictly inside.
     """
-    verts = poly.vertices
-    n = len(verts)
     t0, t1 = 0.0, 1.0
-    dx = b.x - a.x
-    dy = b.y - a.y
-    for i in range(n):
-        pa = verts[i]
-        pb = verts[(i + 1) % n]
-        ex = pb.x - pa.x
-        ey = pb.y - pa.y
-        sa = ex * (a.y - pa.y) - ey * (a.x - pa.x)
-        sb = ex * (b.y - pa.y) - ey * (b.x - pa.x)
+    dx, dy = bx - ax, by - ay
+    px, py = xs[-1], ys[-1]
+    for qx, qy in zip(xs, ys):
+        ex, ey = qx - px, qy - py
+        sa = ex * (ay - py) - ey * (ax - px)
+        sb = ex * (by - py) - ey * (bx - px)
         if sa < 0.0 and sb < 0.0:
             return False
         ds = sb - sa
         if ds != 0.0:
             t_cross = -sa / ds
             if ds < 0.0:  # leaving the half-plane
-                t1 = min(t1, t_cross)
+                t1 = t_cross if t_cross < t1 else t1
             else:  # entering
-                t0 = max(t0, t_cross)
+                t0 = t_cross if t_cross > t0 else t0
             if t0 >= t1:
                 return False
+        px, py = qx, qy
     tm = 0.5 * (t0 + t1)
-    mx = a.x + tm * dx
-    my = a.y + tm * dy
-    for i in range(n):
-        pa = verts[i]
-        pb = verts[(i + 1) % n]
-        ex = pb.x - pa.x
-        ey = pb.y - pa.y
-        s = ex * (my - pa.y) - ey * (mx - pa.x)
-        if s <= LENGTH_EPSILON * math.hypot(ex, ey):
+    mx, my = ax + tm * dx, ay + tm * dy
+    for qx, qy in zip(xs, ys):
+        ex, ey = qx - px, qy - py
+        if ex * (my - py) - ey * (mx - px) <= LENGTH_EPSILON * math.hypot(ex, ey):
             return False
+        px, py = qx, qy
     return True
-
-
-def _box(poly: ConvexPolygon) -> tuple[float, float, float, float]:
-    xs, ys = [v.x for v in poly.vertices], [v.y for v in poly.vertices]
-    return min(xs), min(ys), max(xs), max(ys)
 
 
 def build_visibility_graph(
@@ -293,39 +311,37 @@ def build_visibility_graph(
         for label, p in (("start", scenario.start), ("goal", scenario.goal)):
             if poly.contains(p, tol=LENGTH_EPSILON):
                 raise UnreachableConfigurationError(f"{label} lies inside an inflated obstacle")
+    b = scenario.bounds
     nodes: list[Point2] = []
-    hinges = []  # per node: offsets to its two polygon neighbours, its polygon's index
+    hinges = []  # per node: x, y, offsets to its two polygon neighbours, its polygon's index
     for k, poly in enumerate(inflated):
-        verts = poly.vertices
-        for v, p, q in zip(verts, verts[-1:] + verts[:-1], verts[1:] + verts[:1]):
-            if scenario.bounds.contains(v):
+        xs, ys = poly.xs, poly.ys
+        for i, v in enumerate(poly.vertices):
+            x, y = xs[i], ys[i]
+            if b.xmin <= x <= b.xmax and b.ymin <= y <= b.ymax:
                 nodes.append(v)
-                hinges.append((p.x - v.x, p.y - v.y, q.x - v.x, q.y - v.y, k))
+                j = i + 1 - len(xs)  # the next vertex, counted from the end
+                hinges.append((x, y, xs[i - 1] - x, ys[i - 1] - y, xs[j] - x, ys[j] - y, k))
     start_index, goal_index = len(nodes), len(nodes) + 1
     nodes += (scenario.start, scenario.goal)
-    hinges += [(0.0, 0.0, 0.0, 0.0, -1)] * 2
-    boxes = [(_box(poly), k, poly) for k, poly in enumerate(inflated)]
+    hinges += [(p.x, p.y, 0.0, 0.0, 0.0, 0.0, -1) for p in (scenario.start, scenario.goal)]
+    blockers = [(poly.box, k, poly.xs, poly.ys) for k, poly in enumerate(inflated)]
     edges: list[tuple[int, int, float]] = []
-    for i, a in enumerate(nodes):
-        px, py, qx, qy, own_a = hinges[i]
-        for j in range(i + 1, len(nodes)):
-            b = nodes[j]
-            dx = b.x - a.x
-            dy = b.y - a.y
+    for i, (ax, ay, px, py, qx, qy, own_a) in enumerate(hinges):
+        for j, (bx, by, px2, py2, qx2, qy2, own_b) in enumerate(hinges[i + 1:], i + 1):
+            dx, dy = bx - ax, by - ay
             # Not supporting: the two neighbours lie strictly on opposite sides.
-            if (dx * py - dy * px) * (dx * qy - dy * qx) < 0.0:
+            if ((dx * py - dy * px) * (dx * qy - dy * qx) < 0.0
+                    or (dx * py2 - dy * px2) * (dx * qy2 - dy * qx2) < 0.0):
                 continue
-            px2, py2, qx2, qy2, own_b = hinges[j]
-            if (dx * py2 - dy * px2) * (dx * qy2 - dy * qx2) < 0.0:
-                continue
-            d = dist(a, b)
+            d = math.hypot(dx, dy)
             if d <= LENGTH_EPSILON:
                 continue
-            x0, x1 = (a.x, b.x) if dx >= 0.0 else (b.x, a.x)
-            y0, y1 = (a.y, b.y) if dy >= 0.0 else (b.y, a.y)
-            for (bx0, by0, bx1, by1), k, poly in boxes:
+            x0, x1 = (ax, bx) if dx >= 0.0 else (bx, ax)
+            y0, y1 = (ay, by) if dy >= 0.0 else (by, ay)
+            for (bx0, by0, bx1, by1), k, xs, ys in blockers:
                 if (x0 < bx1 and bx0 < x1 and y0 < by1 and by0 < y1
-                        and k != own_a and k != own_b and _segment_blocked(a, b, poly)):
+                        and k != own_a and k != own_b and _segment_blocked(ax, ay, bx, by, xs, ys)):
                     break
             else:
                 edges.append((i, j, d))
@@ -342,8 +358,7 @@ def _locate(graph: VisibilityGraph, p: Point2) -> int:
 
 def shortest_polyline(graph: VisibilityGraph, start: Point2, goal: Point2) -> Polyline:
     """A* with the straight-line heuristic; optimal on the graph weights."""
-    s = _locate(graph, start)
-    g = _locate(graph, goal)
+    s, g = _locate(graph, start), _locate(graph, goal)
     adj = graph.adjacency()
     nodes = graph.nodes
     goal_node = nodes[g]
@@ -376,55 +391,42 @@ def shortest_polyline(graph: VisibilityGraph, start: Point2, goal: Point2) -> Po
     return Polyline([nodes[i] for i in order])
 
 
-def _segment_into(a: Point2, b: Point2, poly: ConvexPolygon) -> float:
-    """Distance from segment ab to the polygon (0 on contact or overlap)."""
-    verts = poly.vertices
-    n = len(verts)
-    if poly.contains(a) or poly.contains(b):
+def _segment_into(ax: float, ay: float, bx: float, by: float, xs, ys) -> float:
+    """Distance from the segment (ax, ay)-(bx, by) to the polygon with vertex
+    coordinates ``xs``, ``ys``: 0 on contact or overlap, else the least of the
+    segment's end points to the edges and the vertices to the segment."""
+    if _inside(xs, ys, ax, ay) or _inside(xs, ys, bx, by):
         return 0.0
+    dx, dy = bx - ax, by - ay
     best = math.inf
-    for i in range(n):
-        pa = verts[i]
-        pb = verts[(i + 1) % n]
-        best = min(best, _seg_seg_distance(a, b, pa, pb))
+    px, py = xs[-1], ys[-1]
+    sp = dx * (py - ay) - dy * (px - ax)  # the side of the segment vertex p lies on
+    for qx, qy in zip(xs, ys):  # the edge from p to q
+        sq = dx * (qy - ay) - dy * (qx - ax)
+        ex, ey = qx - px, qy - py
+        sa = ex * (ay - py) - ey * (ax - px)
+        sb = ex * (by - py) - ey * (bx - px)
+        if ((sa > 0 > sb) or (sa < 0 < sb)) and ((sp > 0 > sq) or (sp < 0 < sq)):
+            return 0.0
+        # Vertex p's distance to the segment came with the edge before.
+        best = min(best, point_segment_distance(ax, ay, px, py, qx, qy),
+                   point_segment_distance(bx, by, px, py, qx, qy),
+                   point_segment_distance(qx, qy, ax, ay, bx, by))
         if best == 0.0:
             return 0.0
+        px, py, sp = qx, qy, sq
     return best
 
 
-def _seg_seg_distance(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> float:
-    d1 = _orient(p3, p4, p1)
-    d2 = _orient(p3, p4, p2)
-    d3 = _orient(p1, p2, p3)
-    d4 = _orient(p1, p2, p4)
-    if ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4)):
-        return 0.0
-    return min(
-        point_segment_distance(p1, p3, p4),
-        point_segment_distance(p2, p3, p4),
-        point_segment_distance(p3, p1, p2),
-        point_segment_distance(p4, p1, p2),
-    )
-
-
-def _orient(a: Point2, b: Point2, c: Point2) -> float:
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
-def _arc_segment_distance(
-    arc: ArcSegment, a: Point2, b: Point2, start_pt: Point2, end_pt: Point2
-) -> float:
-    """Closed-form distance between a circular arc, whose end points are
-    ``start_pt`` and ``end_pt``, and a segment."""
-    cx, cy = arc.center.x, arc.center.y
-    r = arc.radius
-    dx = b.x - a.x
-    dy = b.y - a.y
-    seg_len_sq = dx * dx + dy * dy
+def _arc_segment_distance(arc, ends, ax: float, ay: float, bx: float, by: float) -> float:
+    """Closed-form distance between the arc of row ``arc`` (cx, cy, radius,
+    start_angle, sweep), whose end points are ``ends`` (sx, sy, ex, ey), and
+    the segment (ax, ay)-(bx, by)."""
+    cx, cy, r, start, sweep = arc
+    dx, dy = bx - ax, by - ay
+    qa = dx * dx + dy * dy  # the squared segment length
     # Circle-line intersections restricted to the segment and arc interval.
-    fx = a.x - cx
-    fy = a.y - cy
-    qa = seg_len_sq
+    fx, fy = ax - cx, ay - cy
     qb = 2.0 * (fx * dx + fy * dy)
     qc = fx * fx + fy * fy - r * r
     disc = qb * qb - 4.0 * qa * qc
@@ -432,37 +434,31 @@ def _arc_segment_distance(
         root = math.sqrt(disc)
         for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)):
             if 0.0 <= t <= 1.0:
-                px = a.x + t * dx
-                py = a.y + t * dy
-                phi = math.atan2(py - cy, px - cx)
-                if angle_in_sweep(phi, arc.start_angle.theta, arc.sweep):
+                phi = math.atan2(ay + t * dy - cy, ax + t * dx - cx)
+                if angle_in_sweep(phi, start, sweep):
                     return 0.0
-    candidates = [
-        point_arc_distance(a, arc),
-        point_arc_distance(b, arc),
-    ]
-    candidates.append(point_segment_distance(start_pt, a, b))
-    candidates.append(point_segment_distance(end_pt, a, b))
-    if seg_len_sq > 0.0:
-        t = ((cx - a.x) * dx + (cy - a.y) * dy) / seg_len_sq
+    candidates = [point_arc_distance(ax, ay, *arc), point_arc_distance(bx, by, *arc),
+                  point_segment_distance(ends[0], ends[1], ax, ay, bx, by),
+                  point_segment_distance(ends[2], ends[3], ax, ay, bx, by)]
+    if qa > 0.0:
+        t = ((cx - ax) * dx + (cy - ay) * dy) / qa
         if 0.0 < t < 1.0:
-            foot = Point2(a.x + t * dx, a.y + t * dy)
-            candidates.append(point_arc_distance(foot, arc))
+            candidates.append(point_arc_distance(ax + t * dx, ay + t * dy, *arc))
     return min(candidates)
 
 
-def _arc_into(arc: ArcSegment, poly: ConvexPolygon) -> float:
+def _arc_into(arc, xs, ys) -> float:
+    """Distance from the arc of row ``arc`` to the polygon with vertex
+    coordinates ``xs``, ``ys`` (0 on contact or overlap)."""
+    ends = arc_ends(*arc)
     best = math.inf
-    start_pt, _ = arc_endpoint(arc, at_end=False)
-    end_pt, _ = arc_endpoint(arc, at_end=True)
-    verts = poly.vertices
-    n = len(verts)
-    for i in range(n):
-        gap = _arc_segment_distance(arc, verts[i], verts[(i + 1) % n], start_pt, end_pt)
-        best = min(best, gap)
+    px, py = xs[-1], ys[-1]
+    for qx, qy in zip(xs, ys):
+        best = min(best, _arc_segment_distance(arc, ends, px, py, qx, qy))
         if best == 0.0:
             return 0.0
-    if best > 0.0 and poly.contains(start_pt):
+        px, py = qx, qy
+    if best > 0.0 and _inside(xs, ys, ends[0], ends[1]):
         return 0.0
     return best
 
@@ -473,13 +469,12 @@ def clearance(path: SmoothPath, obstacles: Sequence[ConvexPolygon]) -> float:
     (segment, obstacle) pairs by ascending bounding-box gap (an arc's box is
     its full circle's) until that lower bound reaches the best distance."""
     kinds, rows = path.kind.tolist(), path.data.tolist()
-    boxes = [_box(poly) for poly in obstacles]
     pairs = []
     for si, (kind, (u0, v0, u1, v1, _)) in enumerate(zip(kinds, rows)):
         # A line row is (ax, ay, bx, by, 0), an arc row (cx, cy, radius, ...).
         x0, y0, x1, y1 = ((min(u0, u1), min(v0, v1), max(u0, u1), max(v0, v1)) if kind == LINE
                           else (u0 - u1, v0 - u1, u0 + u1, v0 + u1))
-        for oi, (bx0, by0, bx1, by1) in enumerate(boxes):
+        for oi, (bx0, by0, bx1, by1) in enumerate(poly.box for poly in obstacles):
             gap = math.hypot(max(bx0 - x1, x0 - bx1, 0.0), max(by0 - y1, y0 - by1, 0.0))
             pairs.append((gap, si, oi))
     pairs.sort()
@@ -487,8 +482,9 @@ def clearance(path: SmoothPath, obstacles: Sequence[ConvexPolygon]) -> float:
     for gap, si, oi in pairs:
         if gap >= best:
             break
-        seg, poly = _segment(kinds[si], rows[si]), obstacles[oi]
-        best = min(best, _segment_into(seg.a, seg.b, poly) if kinds[si] == LINE else _arc_into(seg, poly))
+        row, poly = rows[si], obstacles[oi]
+        best = min(best, _segment_into(*row[:4], poly.xs, poly.ys) if kinds[si] == LINE
+                   else _arc_into(row, poly.xs, poly.ys))
     return best
 
 
@@ -510,14 +506,12 @@ def plan(scenario: Scenario) -> PlanResult:
     """Full pipeline: per-obstacle mitered inflation by the worst-vertex
     offset, visibility graph, A*, smoothing, and clearance certification
     against the original obstacles."""
-    h = scenario.robot_radius
-    r = scenario.turning_radius
-    offsets = []
-    inflated = []
+    h, r = scenario.robot_radius, scenario.turning_radius
+    offsets, inflated = [], []
     for poly in scenario.obstacles:
-        offset = max(required_offset(h, r, alpha) for alpha in poly.interior_angles())
-        offsets.append(offset)
-        inflated.append(mitered_inflate(poly, offset))
+        corners = _corners(poly)
+        offsets.append(_worst_offset(h, r, [alpha for alpha, _, _, _ in corners]))
+        inflated.append(mitered_inflate(poly, offsets[-1], corners))
     graph = build_visibility_graph(scenario, inflated)
     polyline = shortest_polyline(graph, scenario.start, scenario.goal)
     try:

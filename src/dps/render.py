@@ -12,8 +12,9 @@ from typing import Optional
 
 import numpy as np
 
+from .geom import arc_ends
 from .planner import Scenario
-from .smoother import ARC, Polyline, SmoothPath
+from .smoother import ARC, LINE, Polyline, SmoothPath
 
 _FULL = 2.0 * math.pi - 1e-9
 
@@ -44,9 +45,7 @@ def _arc_command(cx: float, cy: float, radius: float, start: float, sweep: float
 
 def _path_d(path: SmoothPath) -> str:
     kinds, rows = path.kind.tolist(), path.data.tolist()
-    x, y, radius, start, _ = rows[0]
-    if kinds[0] == ARC:  # start point as arc_endpoint computes it, -0.0 + 0.0 included
-        x, y = x + radius * math.cos(start + 0.0), y + radius * math.sin(start + 0.0)
+    x, y = rows[0][:2] if kinds[0] == LINE else arc_ends(*rows[0])[:2]
     parts = [f"M {_fmt(x)} {_fmt(y)}"]
     for kind, row in zip(kinds, rows):
         parts.append(_arc_command(*row) if kind == ARC else f"L {_fmt(row[2])} {_fmt(row[3])}")

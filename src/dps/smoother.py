@@ -520,13 +520,10 @@ def smooth_polyline_batch(
 
 def path_length(path: SmoothPath) -> float:
     """Total length of a smooth path, summed in segment order."""
-    x0, y0, x1, y1, sweep = path.data.T
-    lengths = (x1 * np.abs(sweep)).tolist()
-    line = path.kind == LINE
-    for i, dx, dy in zip(np.flatnonzero(line).tolist(), (x1 - x0)[line].tolist(),
-                         (y1 - y0)[line].tolist()):
-        lengths[i] = math.hypot(dx, dy)
-    return sum(lengths)
+    values = iter(memoryview(path.data.ravel()))  # row after row, as plain floats
+    return sum(x1 * abs(sweep) if kind == ARC else math.hypot(x1 - x0, y1 - y0)
+               for kind, x0, y0, x1, y1, sweep in zip(path.kind.tolist(), values, values, values,
+                                                      values, values))
 
 
 def validate(path: SmoothPath, r: float, tol: float = 1e-9) -> ValidationReport:
@@ -623,10 +620,6 @@ def extract_pieces(p: Polyline, r: float) -> list[PathPiece]:
 
 def point_to_path_distance(p: Point2, path: SmoothPath) -> float:
     """Minimum distance from a point to any path segment."""
-    best = math.inf
-    for seg in path.segments:
-        if isinstance(seg, LineSegment):
-            best = min(best, point_segment_distance(p, seg.a, seg.b))
-        else:
-            best = min(best, point_arc_distance(p, seg))
-    return best
+    return min((point_segment_distance(p.x, p.y, *row[:4]) if kind == LINE
+                else point_arc_distance(p.x, p.y, *row)
+                for kind, row in zip(path.kind.tolist(), path.data.tolist())), default=math.inf)

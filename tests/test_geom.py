@@ -220,9 +220,9 @@ def test_is_collinear():
 
 
 def test_point_segment_distance():
-    assert point_segment_distance(P(0, 1), P(-1, 0), P(1, 0)) == pytest.approx(1.0)
-    assert point_segment_distance(P(5, 0), P(-1, 0), P(1, 0)) == pytest.approx(4.0)
-    assert point_segment_distance(P(0, 0), P(0, 0), P(0, 0)) == 0.0
+    assert point_segment_distance(0, 1, -1, 0, 1, 0) == pytest.approx(1.0)
+    assert point_segment_distance(5, 0, -1, 0, 1, 0) == pytest.approx(4.0)
+    assert point_segment_distance(0, 0, 0, 0, 0, 0) == 0.0
 
 
 def test_point_arc_distance_against_sampling(rng):
@@ -234,7 +234,8 @@ def test_point_arc_distance_against_sampling(rng):
             rng.uniform(-2 * math.pi, 2 * math.pi),
         )
         p = P(rng.uniform(-8, 8), rng.uniform(-8, 8))
-        exact = point_arc_distance(p, arc)
+        exact = point_arc_distance(p.x, p.y, arc.center.x, arc.center.y, arc.radius,
+                                   arc.start_angle.theta, arc.sweep)
         best = math.inf
         for k in range(1001):
             a = arc.start_angle.theta + arc.sweep * k / 1000

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from dps.geom import ArcSegment, Heading, LineSegment, Point2, arc_endpoint, dist, interior_angle
+from dps.geom import (ArcSegment, Heading, LineSegment, Point2, arc_ends, dist, interior_angle,
+                      point_segment_distance)
 from dps.planner import (
     Bounds,
     ConvexPolygon,
@@ -14,7 +15,9 @@ from dps.planner import (
     VisibilityGraph,
     _arc_into,
     _arc_segment_distance,
+    _corners,
     _segment_blocked,
+    _segment_into,
     build_visibility_graph,
     clearance,
     convex_hull,
@@ -24,21 +27,27 @@ from dps.planner import (
     shortest_polyline,
 )
 from dps.smoother import FeasibilityError, SmoothPath, path_length, smooth_polyline
+import planner_reference as reference
 from planner_reference import (all_pairs_clearance, all_pairs_visibility_graph,
-                               inflate_obstacles, per_edge_arc_into)
+                               inflate_obstacles, per_edge_arc_into, reference_plan)
 
 P = Point2
 SQUARE = ConvexPolygon([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
+
+
+def arc_row(arc):
+    """An arc's row of a SmoothPath: (cx, cy, radius, start_angle, sweep)."""
+    return (arc.center.x, arc.center.y, arc.radius, arc.start_angle.theta, arc.sweep)
 
 
 def make_scenario(obstacles, h=0.2, r=0.5, start=P(1, 1), goal=P(19, 19)):
     return Scenario(tuple(obstacles), Bounds(0, 0, 20, 20), h, r, start, goal)
 
 
-def random_obstacle(rng, cx, cy, size):
+def random_obstacle(rng, cx, cy, size, points=None):
     pts = [
         P(cx + rng.uniform(-size, size), cy + rng.uniform(-size, size))
-        for _ in range(rng.randint(4, 10))
+        for _ in range(points or rng.randint(4, 10))
     ]
     try:
         return ConvexPolygon.from_points(pts)
@@ -120,6 +129,34 @@ SCENARIO_FAMILIES = [criterion6_scenario, integer_squares_scenario, overlapping_
                      small_radius_scenario, boundary_scenario]
 
 
+def plan_stream_scenario(rng):
+    """As the benchmark's plan_stream draws them: 1-4 hulls of 7 random
+    points, h in [0.1, 0.5], r in [h, 3h], start and goal at least 5 apart
+    and outside every obstacle; None when no such pair is found."""
+    obstacles = [random_obstacle(rng, rng.uniform(4, 16), rng.uniform(4, 16), 2.0, points=7)
+                 for _ in range(rng.randint(1, 4))]
+    obstacles = [o for o in obstacles if o]
+    h = rng.uniform(0.1, 0.5)
+    r = rng.uniform(h, 3 * h)
+    for _ in range(100):
+        start, goal = (P(rng.uniform(0.5, 19.5), rng.uniform(0.5, 19.5)) for _ in range(2))
+        if dist(start, goal) >= 5.0 and not any(o.contains(p) for o in obstacles
+                                                 for p in (start, goal)):
+            return make_scenario(obstacles, h, r, start, goal)
+    return None
+
+
+def plan_outcome(planner_fn, scenario):
+    """Everything a plan returns, compared with ==, or the error's type and message."""
+    try:
+        res = planner_fn(scenario)
+    except (ValueError, NoPathError) as err:
+        return type(err), str(err)
+    return (res.offsets, [poly.vertices for poly in res.inflated], res.polyline.points,
+            res.path.kind.tobytes(), res.path.data.tobytes(), res.path,
+            res.clearance, res.length, res.clearance_ok)
+
+
 def route_or_error(build, scenario, inflated):
     try:
         graph = build(scenario, inflated)
@@ -153,6 +190,12 @@ class TestConvexPolygon:
         with pytest.raises(ValueError):
             ConvexPolygon([P(0, 0), P(1, 0), P(2, 0), P(1, 1)])
 
+    def test_names_the_vertex_that_breaks_convexity(self):
+        with pytest.raises(ValueError, match=r"violated at index 1\)"):
+            ConvexPolygon([P(0, 0), P(1, 0), P(2, 0), P(1, 1)][::-1])
+        with pytest.raises(ValueError, match=r"violated at index 0\)"):  # checked last
+            ConvexPolygon([P(0.5, 0.5), P(1, 0), P(1, 1), P(0, 1)])
+
     def test_rejects_too_few(self):
         with pytest.raises(ValueError):
             ConvexPolygon([P(0, 0), P(1, 0)])
@@ -162,6 +205,23 @@ class TestConvexPolygon:
             [P(0, 0), P(2, 0), P(1, 0.2), P(2, 2), P(0, 2), P(1, 1)]
         )
         assert len(poly.vertices) == 4
+
+    def test_carries_coordinates_and_box(self, rng):
+        poly = ConvexPolygon([P(0, 0), P(2, 0), P(3, 1.5), P(-0.5, 2)])
+        assert poly.xs == (0, 2, 3, -0.5) and poly.ys == (0, 0, 1.5, 2)
+        assert poly.box == (-0.5, 0, 3, 2)
+        assert repr(poly) == f"ConvexPolygon(vertices={poly.vertices!r})"
+        for _ in range(50):
+            poly = random_obstacle(rng, 0.0, 0.0, 3.0)
+            if poly is None:
+                continue
+            for q in (poly, mitered_inflate(poly, rng.uniform(0.1, 1.0))):
+                assert q.xs == tuple(v.x for v in q.vertices)
+                assert q.ys == tuple(v.y for v in q.vertices)
+                assert q.box == (min(q.xs), min(q.ys), max(q.xs), max(q.ys))
+                twin = ConvexPolygon(q.vertices)
+                assert twin == q and hash(twin) == hash(q) and repr(twin) == repr(q)
+                assert twin != ConvexPolygon(q.vertices[1:] + q.vertices[:1])
 
     def test_contains(self):
         assert SQUARE.contains(P(0.5, 0.5))
@@ -251,21 +311,80 @@ class TestMiteredInflate:
                     assert s >= offset - 1e-9  # original vertex depth behind every edge
 
 
+    def test_matches_object_reference(self, rng):
+        """Angles and inflated vertices bit-equal to the per-vertex
+        ``interior_angle`` / ``Point2`` construction, with the corner pass
+        given or not."""
+        for _ in range(300):
+            poly = random_obstacle(rng, rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.5, 3))
+            if poly is None:
+                continue
+            offset = rng.uniform(0.01, 1.5)
+            assert poly.interior_angles() == reference.interior_angles(poly)
+            expected = reference.mitered_inflate(poly, offset)
+            assert mitered_inflate(poly, offset) == expected
+            assert mitered_inflate(poly, offset, _corners(poly)) == expected
+
+
+def test_angle_rounding_to_pi_takes_the_limit_offset():
+    """A hull vertex whose interior angle rounds to pi: plan() used to stop
+    with required_offset's ValueError; that vertex now needs the limit h."""
+    poly = ConvexPolygon.from_points([P(4, 4), P(10, 4), P(16, math.nextafter(4, 5)), P(10, 9)])
+    angles = poly.interior_angles()
+    assert angles[1] == math.pi and poly.vertices[1] == P(10, 4)
+    with pytest.raises(ValueError, match="vertex angle must lie in"):
+        required_offset(0.2, 0.4, math.pi)
+    result = plan(make_scenario([poly], h=0.2, r=0.4, start=P(1, 1), goal=P(18, 18)))
+    others = [required_offset(0.2, 0.4, a) for k, a in enumerate(angles) if k != 1]
+    assert result.offsets == (max(others),) and max(others) > 0.2
+    assert result.inflated[0] == reference.mitered_inflate(poly, max(others))
+    assert result.clearance_ok and result.clearance >= 0.2
+
+
 class TestSegmentBlocked:
     def test_crossing_blocked(self):
-        assert _segment_blocked(P(-1, 0.5), P(2, 0.5), SQUARE)
+        assert _segment_blocked(-1, 0.5, 2, 0.5, SQUARE.xs, SQUARE.ys)
 
     def test_grazing_vertex_not_blocked(self):
-        assert not _segment_blocked(P(-1, 0), P(2, 0), SQUARE)
+        assert not _segment_blocked(-1, 0, 2, 0, SQUARE.xs, SQUARE.ys)
 
     def test_along_edge_not_blocked(self):
-        assert not _segment_blocked(P(0, 0), P(1, 0), SQUARE)
+        assert not _segment_blocked(0, 0, 1, 0, SQUARE.xs, SQUARE.ys)
 
     def test_diagonal_of_polygon_blocked(self):
-        assert _segment_blocked(P(0, 0), P(1, 1), SQUARE)
+        assert _segment_blocked(0, 0, 1, 1, SQUARE.xs, SQUARE.ys)
+
+    def test_within_epsilon_of_edge_not_blocked(self):
+        # The clipped midpoint lies exactly LENGTH_EPSILON inside the bottom edge.
+        assert not _segment_blocked(-1, 1e-9, 2, 1e-9, SQUARE.xs, SQUARE.ys)
+        assert _segment_blocked(-1, 2e-9, 2, 2e-9, SQUARE.xs, SQUARE.ys)
 
     def test_outside_not_blocked(self):
-        assert not _segment_blocked(P(-1, -1), P(-1, 2), SQUARE)
+        assert not _segment_blocked(-1, -1, -1, 2, SQUARE.xs, SQUARE.ys)
+
+
+def test_float_kernels_match_object_references(rng):
+    """Blocking, containment and segment distance on coordinates agree
+    exactly with the ``Point2`` versions, also for segments that run along
+    edges, end on vertices or pass through them."""
+    for _ in range(400):
+        poly = random_obstacle(rng, 0.0, 0.0, rng.uniform(0.5, 2.0))
+        if poly is None:
+            continue
+        verts = poly.vertices
+        points = [P(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(4)] + list(verts)
+        points.append(P(0.5 * (verts[0].x + verts[1].x), 0.5 * (verts[0].y + verts[1].y)))
+        for _ in range(12):
+            a, b = rng.sample(points, 2)
+            if rng.random() < 0.2:  # the line through an edge, reaching beyond it
+                a, b = P(2 * verts[0].x - verts[1].x, 2 * verts[0].y - verts[1].y), verts[1]
+            assert (_segment_blocked(a.x, a.y, b.x, b.y, poly.xs, poly.ys)
+                    == reference.segment_blocked(a, b, poly))
+            assert _segment_into(a.x, a.y, b.x, b.y, poly.xs, poly.ys) == reference.segment_into(a, b, poly)
+            for tol in (0.0, 1e-9, -1e-9):
+                assert poly.contains(a, tol) == reference.contains(poly, a, tol)
+            assert (point_segment_distance(a.x, a.y, verts[0].x, verts[0].y, b.x, b.y)
+                    == reference.point_segment_distance(a, verts[0], b))
 
 
 def test_scenario_rejects_coincident_start_and_goal():
@@ -476,7 +595,7 @@ class TestClearance:
                                    rng.uniform(0.1, 1.0))
             if poly is None:
                 continue
-            assert _arc_into(arc, poly) == per_edge_arc_into(arc, poly)
+            assert _arc_into(arc_row(arc), poly.xs, poly.ys) == per_edge_arc_into(arc, poly)
             checked += 1
 
     def test_arc_segment_distance_matches_sampling(self, rng):
@@ -491,8 +610,8 @@ class TestClearance:
             b = P(rng.uniform(-5, 5), rng.uniform(-5, 5))
             if dist(a, b) < 1e-6:
                 continue
-            ends = (arc_endpoint(arc, False)[0], arc_endpoint(arc, True)[0])
-            exact = _arc_segment_distance(arc, a, b, *ends)
+            row = arc_row(arc)
+            exact = _arc_segment_distance(row, arc_ends(*row), a.x, a.y, b.x, b.y)
             best = math.inf
             for i in range(1001):
                 ang = arc.start_angle.theta + arc.sweep * i / 1000
@@ -500,15 +619,34 @@ class TestClearance:
                     arc.center.x + arc.radius * math.cos(ang),
                     arc.center.y + arc.radius * math.sin(ang),
                 )
-                from dps.geom import point_segment_distance
-
-                best = min(best, point_segment_distance(p, a, b))
+                best = min(best, point_segment_distance(p.x, p.y, a.x, a.y, b.x, b.y))
             resolution = arc.radius * abs(arc.sweep) / 1000 + 1e-12
             assert exact <= best + 1e-12
             assert best - exact <= resolution
 
 
 class TestPlan:
+    def test_plan_matches_reference_pipeline(self):
+        """plan() on floats against the object pipeline (per-vertex
+        inflation, all-pairs graph, all-pairs clearance, segment-sum length):
+        == on offsets, inflated vertices, route, rows, clearance, length and
+        clearance_ok, or the same error type and message, on 1,000 scenarios
+        of the five families and 2,000 drawn like plan_stream's."""
+        rng = random.Random(6)
+        scenarios = [SCENARIO_FAMILIES[k % len(SCENARIO_FAMILIES)](rng) for k in range(1000)]
+        while len(scenarios) < 3000:
+            sc = plan_stream_scenario(rng)
+            if sc is not None:
+                scenarios.append(sc)
+        kinds = {}
+        for k, sc in enumerate(scenarios):
+            got = plan_outcome(plan, sc)
+            assert got == plan_outcome(reference_plan, sc), k
+            kind = got[0].__name__ if isinstance(got[0], type) else "planned"
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds["planned"] >= 2500 and kinds["UnreachableConfigurationError"] >= 100, kinds
+        assert kinds["FeasibilityError"] >= 5 and kinds["NoPathError"] >= 1, kinds
+
     def test_empty_scenario(self):
         result = plan(make_scenario([]))
         assert len(result.path.segments) == 1
@@ -539,8 +677,6 @@ class TestPlan:
         # exact clearance vs 1e3-point sampling along the planned path
         obs = ConvexPolygon([P(8, 8), P(12, 8), P(12, 12), P(8, 12)])
         result = plan(make_scenario([obs], h=0.2, r=0.5))
-        from dps.geom import point_segment_distance
-
         samples = []
         for seg in result.path.segments:
             for k in range(334):
@@ -559,7 +695,8 @@ class TestPlan:
                     )
         verts = obs.vertices
         sampled = min(
-            point_segment_distance(p, verts[i], verts[(i + 1) % len(verts)])
+            point_segment_distance(p.x, p.y, verts[i].x, verts[i].y,
+                                   verts[(i + 1) % len(verts)].x, verts[(i + 1) % len(verts)].y)
             for p in samples
             for i in range(len(verts))
         )

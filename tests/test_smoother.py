@@ -42,6 +42,8 @@ from dps.smoother import (
 from dps.randgen import random_polyline
 
 from conftest import make_triplet
+from planner_reference import point_to_path_distance as reference_point_to_path_distance
+from planner_reference import segment_sum_length
 
 P = Point2
 RIGHT_ANGLE = [P(0, 0), P(4, 0), P(4, 4)]
@@ -411,6 +413,43 @@ def test_validate_and_length_match_segment_reference(rng):
         assert [i[:2] for i in issues] == [e[:2] for e in expected]
         assert all(abs(i[2] - e[2]) <= 1e-12 * max(1.0, e[2]) for i, e in zip(issues, expected))
         assert path_length(path) == sum(seg.length() for seg in path.segments)
+
+
+def test_path_length_matches_segment_sum_on_single_segments_and_a_long_route():
+    """Bit-equal to the segment sum on one-segment paths (a line, arcs both
+    ways, a full circle) and on a 10,000-vertex long_route path."""
+    for seg in (LineSegment(P(0.1, -3), P(7.3, 2.9)),
+                ArcSegment(P(1, 2), 0.7, Heading(2.5), 1.3),
+                ArcSegment(P(-1, 0), 3.1, Heading(-math.pi / 3), -2.2),
+                ArcSegment(P(0, 0), 1.0, Heading(math.pi), 2 * math.pi)):
+        assert path_length(SmoothPath([seg], P(0, 0), P(0, 0))) == seg.length()
+    path = smooth_polyline(random_polyline(10_000, 1.0, seed=3), 1.0)
+    assert len(path.kind) == 19_997
+    assert path_length(path) == segment_sum_length(path)
+
+
+def test_point_to_path_distance_matches_segment_reference(rng):
+    """Bit-equal to the distance over the ``.segments`` objects on random
+    paths with full-circle arcs: at random points, the polyline's vertices,
+    every arc's center and points on the arcs."""
+    for _ in range(150):
+        polyline = random_polyline(rng.randint(2, 8), 1.0, rng=rng)
+        segs = list(smooth_polyline(polyline, 1.0).segments)
+        for _ in range(rng.randint(1, 3)):
+            sweep = rng.choice((2 * math.pi, -2 * math.pi, rng.uniform(-6.0, 6.0)))
+            segs.insert(rng.randint(0, len(segs)),
+                        ArcSegment(P(rng.uniform(-20, 20), rng.uniform(-20, 20)),
+                                   rng.uniform(0.2, 5.0), Heading(rng.uniform(-4, 4)), sweep))
+        path = SmoothPath(segs, P(0, 0), P(0, 0))
+        probes = list(polyline.points)
+        for seg in segs:
+            if isinstance(seg, ArcSegment):
+                ang = seg.start_angle.theta + rng.random() * seg.sweep
+                probes += [seg.center, P(seg.center.x + seg.radius * math.cos(ang),
+                                         seg.center.y + seg.radius * math.sin(ang))]
+        probes += [P(rng.uniform(-30, 30), rng.uniform(-30, 30)) for _ in range(5)]
+        for p in probes:
+            assert point_to_path_distance(p, path) == reference_point_to_path_distance(p, path)
 
 
 def test_columns_keep_heading_convention():
