@@ -1,5 +1,5 @@
-"""Benchmark harness: smoothing times (batch is the same call) and length
-comparison against the sampled-heading multipoint reference.
+"""Benchmark harness: smoothing time and length comparison against the
+sampled-heading multipoint reference.
 
 Lengths are deterministic for a fixed seed (generation draws MT19937
 uniforms only); timings use the monotonic clock with one warm-up run and
@@ -14,26 +14,25 @@ from dataclasses import dataclass
 
 from .dubins import multipoint_bruteforce
 from .randgen import random_polyline
-from .smoother import path_length, smooth_polyline, smooth_polyline_batch
+from .smoother import path_length, smooth_polyline
 
 BENCH_TURNING_RADIUS = 1.0
 
-CSV_HEADER = "n,seq_time_s,batch_time_s,dps_length,mpdp_p_length,ratio"
+CSV_HEADER = "n,seq_time_s,dps_length,mpdp_p_length,ratio"
 
 
 @dataclass(frozen=True, slots=True)
 class BenchRow:
     n: int
     seq_time_s: float
-    batch_time_s: float
     dps_length: float
     mpdp_p_length: float
     ratio: float
 
     def csv(self) -> str:
         return (
-            f"{self.n},{self.seq_time_s!r},{self.batch_time_s!r},"
-            f"{self.dps_length!r},{self.mpdp_p_length!r},{self.ratio!r}"
+            f"{self.n},{self.seq_time_s!r},{self.dps_length!r},"
+            f"{self.mpdp_p_length!r},{self.ratio!r}"
         )
 
 
@@ -55,14 +54,13 @@ def run_bench(n: int, repeats: int, seed: int, samples_per_angle: int = 360) -> 
         raise ValueError("repeats must be >= 1")
     r = BENCH_TURNING_RADIUS
     polyline = random_polyline(n, r=r, seed=seed)
-    seq_time = _time_mean(lambda: smooth_polyline(polyline, r), repeats)
-    batch_time = _time_mean(lambda: smooth_polyline_batch(polyline, r), repeats)
-    dps_length = path_length(smooth_polyline(polyline, r))
+    # The reference first: it refuses a bad sample count before any timing.
     mpdp_length = multipoint_bruteforce(polyline.points, r, samples_per_angle)
+    dps_length = path_length(smooth_polyline(polyline, r))
+    seq_time = _time_mean(lambda: smooth_polyline(polyline, r), repeats)
     return BenchRow(
         n=n,
         seq_time_s=seq_time,
-        batch_time_s=batch_time,
         dps_length=dps_length,
         mpdp_p_length=mpdp_length,
         ratio=mpdp_length / dps_length,

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 I/O or parse error, 2 smoothing refused as
+Exit codes: 0 success, 1 I/O, parse or usage error, 2 smoothing refused as
 infeasible, 3 no collision-free route, 4 optimality cross-check mismatch.
+``main`` is the one place that turns ``OSError`` and ``ValueError`` into
+``error: ...`` and exit 1; each command handles only its typed refusals.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from .dubins import classify_j_type
 from .fileio import load_path, load_polyline, load_scenario, save_path
 from .planner import NoPathError, plan
 from .render import render_svg
-from .smoother import (
-    FeasibilityError,
-    extract_pieces,
-    path_length,
-    smooth_polyline,
-    smooth_polyline_batch,
-)
+from .smoother import FeasibilityError, extract_pieces, path_length, smooth_polyline
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -32,17 +28,10 @@ ORACLE_REL_TOL = 1e-9
 
 
 def _cmd_smooth(args) -> int:
-    try:
-        polyline = load_polyline(args.input)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    polyline = load_polyline(args.input)
     mode = "best-effort" if args.best_effort else "strict"
     try:
-        if args.parallel:
-            path = smooth_polyline_batch(polyline, args.radius, mode=mode)
-        else:
-            path = smooth_polyline(polyline, args.radius, mode=mode)
+        path = smooth_polyline(polyline, args.radius, mode=mode)
     except FeasibilityError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         report = err.report
@@ -53,25 +42,14 @@ def _cmd_smooth(args) -> int:
                 file=sys.stderr,
             )
         return EXIT_INFEASIBLE
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
     if args.best_effort:
         print("note: best-effort mode may violate the curvature bound", file=sys.stderr)
-    try:
-        save_path(path, args.output, total_length=path_length(path))
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    save_path(path, args.output, total_length=path_length(path))
     return EXIT_OK
 
 
 def _cmd_plan(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    scenario = load_scenario(args.scenario)
     try:
         result = plan(scenario)
     except NoPathError as err:
@@ -80,25 +58,12 @@ def _cmd_plan(args) -> int:
     except FeasibilityError as err:
         print(f"infeasible route: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    try:
-        save_path(
-            result.path,
-            args.output,
-            total_length=result.length,
-            min_clearance=result.clearance,
-        )
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    save_path(result.path, args.output, total_length=result.length, min_clearance=result.clearance)
     return EXIT_OK
 
 
 def _cmd_oracle_check(args) -> int:
-    try:
-        polyline = load_polyline(args.input)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    polyline = load_polyline(args.input)
     try:
         pieces = extract_pieces(polyline, args.radius)
     except (FeasibilityError, ValueError) as err:
@@ -130,20 +95,25 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    try:
-        path, _meta = load_path(args.path)
-        scenario = load_scenario(args.scenario) if args.scenario else None
-        svg = render_svg(path, scenario=scenario)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    path, _meta = load_path(args.path)
+    scenario = load_scenario(args.scenario) if args.scenario else None
+    svg = render_svg(path, scenario=scenario)
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(svg)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as parse errors do; argparse's own 2 would read
+    as "smoothing refused as infeasible"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dps",
         description="Shortest curvature-bounded smoothing of polylines, with "
         "an obstacle-aware planning pipeline.",
@@ -155,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--radius", type=float, required=True, help="turning radius")
     p.add_argument("-o", "--output", required=True, help="output path JSON")
     p.add_argument("--best-effort", action="store_true", help="clamp instead of refusing")
-    p.add_argument("--parallel", action="store_true", help="same as without; kept for old scripts")
     p.set_defaults(func=_cmd_smooth)
 
     p = sub.add_parser("plan", help="plan through a scenario JSON")
@@ -185,7 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -1,16 +1,18 @@
-"""Shortest Dubins paths from the six closed-form words, plus a
-sampled-heading multipoint solver used as an independent length reference.
+"""Shortest Dubins paths from the closed-form words, plus a sampled-heading
+multipoint solver used as an independent length reference.
 
-The word formulas follow the classical Dubins-set formulation in scaled
-coordinates (unit turning radius; Shkel & Lumelsky, "Classification of the
-Dubins set", RAS 2001). There is one copy of them, written against a small
-backend of math functions: ``_SCALAR`` evaluates them on Python floats with
-the ``math`` module for one pose pair (``solve_word``, ``dubins_shortest``,
-``classify_j_type``), and ``_ARRAY`` evaluates them on numpy arrays for the
-multipoint DP. The DP computes the pair-cost matrices of many consecutive
-pairs in one evaluation, a (pairs, S, S) block of at most
-``_BLOCK_ELEMENTS`` elements; heading sets of unequal size are padded to S
-by repeating their last heading, which changes no minimum.
+The word formulas follow the Dubins-set formulation in scaled coordinates
+(unit turning radius; Shkel & Lumelsky, "Classification of the Dubins set",
+RAS 2001). LSL, LSR and RLR are written out; RSR, RSL and LRL are the same
+formulas on the problem reflected across the line of travel (``_mirrored``),
+bit-equal to their own formulas except where an ``atan2`` argument is an
+exact zero, whose sign the reflection cannot flip. The formulas run on a
+backend of math functions: ``_SCALAR`` on Python floats for one pose pair
+(``solve_word``, ``dubins_shortest``, ``classify_j_type``), ``_ARRAY`` on
+numpy arrays for the multipoint DP, which evaluates the pair costs of many
+consecutive pairs as one (pairs, S, S) block of at most ``_BLOCK_ELEMENTS``
+elements; heading sets of unequal size are padded to S by repeating their
+last heading, which changes no minimum.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ _TWO_PI = 2.0 * math.pi
 # Sweeps within rounding distance of a full circle are a numerical zero;
 # folding them keeps degenerate first/last arcs at exactly 0.
 _FULL_CIRCLE_SNAP = 1e-12
+_FOLD_LIMIT = _TWO_PI - _FULL_CIRCLE_SNAP
 _TIE_EPSILON = 1e-12
 # Element cap of one (pairs, S, S) block of pair costs in the multipoint DP.
 _BLOCK_ELEMENTS = 1 << 16
@@ -46,27 +49,22 @@ class DubinsWord:
     total: float
 
 
-def _mod2pi_scalar(x: float) -> float:
-    y = x % _TWO_PI
-    return 0.0 if y >= _TWO_PI - _FULL_CIRCLE_SNAP else y
-
-
-def _mod2pi_array(x):
-    y = np.mod(x, _TWO_PI)
-    return np.where(y >= _TWO_PI - _FULL_CIRCLE_SNAP, 0.0, y)
-
-
 # The two backends the word formulas run on: Python floats for one pose
 # pair, numpy arrays for blocks of heading pairs.
 _SCALAR = SimpleNamespace(
     sin=math.sin, cos=math.cos, atan2=math.atan2, sqrt=math.sqrt, acos=math.acos, abs=abs,
     where=lambda cond, a, b: a if cond else b, clip=lambda x, lo, hi: min(max(x, lo), hi),
-    mod2pi=_mod2pi_scalar,
 )
 _ARRAY = SimpleNamespace(
     sin=np.sin, cos=np.cos, atan2=np.arctan2, sqrt=np.sqrt, acos=np.arccos, abs=np.abs,
-    where=np.where, clip=np.clip, mod2pi=_mod2pi_array,
+    where=np.where, clip=np.clip,
 )
+
+
+def _mod2pi(x):
+    """``x`` folded into [0, 2pi) on floats or arrays; a full circle folds to 0."""
+    y = x % _TWO_PI
+    return y * (y < _FOLD_LIMIT)
 
 
 def _word_args(m, alpha, beta, d):
@@ -85,22 +83,9 @@ def _lsl(m, alpha, beta, d, sa, ca, sb, cb, cab):
     degenerate = psq <= boundary
     ok = psq >= -boundary
     tmp1 = m.atan2(cb - ca, tmp0)
-    t = m.where(degenerate, 0.0, m.mod2pi(tmp1 - alpha))
+    t = m.where(degenerate, 0.0, _mod2pi(tmp1 - alpha))
     p = m.where(degenerate, 0.0, m.sqrt(m.where(psq > 0.0, psq, 0.0)))
-    q = m.where(degenerate, m.mod2pi(beta - alpha), m.mod2pi(beta - tmp1))
-    return t, p, q, ok
-
-
-def _rsr(m, alpha, beta, d, sa, ca, sb, cb, cab):
-    tmp0 = d - sa + sb
-    psq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sb - sa)
-    boundary = 1e-12 * (4.0 + d * d)
-    degenerate = psq <= boundary
-    ok = psq >= -boundary
-    tmp1 = m.atan2(ca - cb, tmp0)
-    t = m.where(degenerate, 0.0, m.mod2pi(alpha - tmp1))
-    p = m.where(degenerate, 0.0, m.sqrt(m.where(psq > 0.0, psq, 0.0)))
-    q = m.where(degenerate, m.mod2pi(alpha - beta), m.mod2pi(tmp1 - beta))
+    q = _mod2pi(m.where(degenerate, beta - alpha, beta - tmp1))
     return t, p, q, ok
 
 
@@ -109,46 +94,35 @@ def _lsr(m, alpha, beta, d, sa, ca, sb, cb, cab):
     ok = psq >= 0.0
     p = m.sqrt(m.where(ok, psq, 0.0))
     tmp = m.atan2(-ca - cb, d + sa + sb) - m.atan2(-2.0, p)
-    t = m.mod2pi(tmp - alpha)
-    q = m.mod2pi(tmp - beta)
-    return t, p, q, ok
-
-
-def _rsl(m, alpha, beta, d, sa, ca, sb, cb, cab):
-    psq = -2.0 + d * d + 2.0 * cab - 2.0 * d * (sa + sb)
-    ok = psq >= 0.0
-    p = m.sqrt(m.where(ok, psq, 0.0))
-    tmp = m.atan2(ca + cb, d - sa - sb) - m.atan2(2.0, p)
-    t = m.mod2pi(alpha - tmp)
-    q = m.mod2pi(beta - tmp)
+    t = _mod2pi(tmp - alpha)
+    q = _mod2pi(tmp - beta)
     return t, p, q, ok
 
 
 def _rlr(m, alpha, beta, d, sa, ca, sb, cb, cab):
     tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
     ok = m.abs(tmp) <= 1.0
-    p = m.mod2pi(_TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
-    t = m.mod2pi(alpha - m.atan2(ca - cb, d - sa + sb) + 0.5 * p)
-    q = m.mod2pi(alpha - beta - t + p)
+    p = _mod2pi(_TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
+    t = _mod2pi(alpha - m.atan2(ca - cb, d - sa + sb) + 0.5 * p)
+    q = _mod2pi(alpha - beta - t + p)
     return t, p, q, ok
 
 
-def _lrl(m, alpha, beta, d, sa, ca, sb, cb, cab):
-    tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sb - sa)) / 8.0
-    ok = m.abs(tmp) <= 1.0
-    p = m.mod2pi(_TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
-    t = m.mod2pi(-alpha - m.atan2(ca - cb, d + sa - sb) + 0.5 * p)
-    q = m.mod2pi(beta - alpha - t + p)
-    return t, p, q, ok
+def _mirrored(alpha, beta, d, sa, ca, sb, cb, cab):
+    """Word arguments of the problem reflected across the line of travel."""
+    return -alpha, -beta, d, -sa, ca, -sb, cb, cab
 
 
-_WORD_FUNCS = {
-    "LSL": _lsl,
-    "RSR": _rsr,
-    "LSR": _lsr,
-    "RSL": _rsl,
-    "RLR": _rlr,
-    "LRL": _lrl,
+# Each word of WORD_ORDER, in that order, as (formula, whether it reads the
+# mirrored arguments): the reflection turns LSL, LSR and RLR into RSR, RSL
+# and LRL.
+_WORDS = {
+    "LSL": (_lsl, False),
+    "RSR": (_lsl, True),
+    "LSR": (_lsr, False),
+    "RSL": (_lsr, True),
+    "RLR": (_rlr, False),
+    "LRL": (_rlr, True),
 }
 
 
@@ -166,7 +140,9 @@ def _scaled_problem(start: Pose, goal: Pose, r: float) -> tuple:
 def solve_word(word: str, start: Pose, goal: Pose, r: float) -> Optional[DubinsWord]:
     """Evaluate one maneuver class; None when it has no real solution."""
     check_turn_radius(r)
-    t, p, q, ok = _WORD_FUNCS[word](_SCALAR, *_scaled_problem(start, goal, r))
+    formula, mirror = _WORDS[word]
+    problem = _scaled_problem(start, goal, r)
+    t, p, q, ok = formula(_SCALAR, *(_mirrored(*problem) if mirror else problem))
     if not ok:
         return None
     lengths = (t * r, p * r, q * r)
@@ -174,16 +150,17 @@ def solve_word(word: str, start: Pose, goal: Pose, r: float) -> Optional[DubinsW
 
 
 def dubins_shortest(start: Pose, goal: Pose, r: float) -> DubinsWord:
-    """Shortest of the six closed-form words, lengths unscaled by r.
+    """Shortest of the six Dubins words, lengths unscaled by r.
 
     Ties within 1e-12 are broken by the fixed word order so differential
     tests stay deterministic.
     """
     check_turn_radius(r)
     problem = _scaled_problem(start, goal, r)
+    problems = (problem, _mirrored(*problem))  # indexed by the mirror flag
     best: Optional[DubinsWord] = None
-    for word in WORD_ORDER:
-        t, p, q, ok = _WORD_FUNCS[word](_SCALAR, *problem)
+    for word, (formula, mirror) in _WORDS.items():  # in WORD_ORDER
+        t, p, q, ok = formula(_SCALAR, *problems[mirror])
         if not ok:
             continue
         total = (t + p + q) * r
@@ -216,9 +193,10 @@ def _pair_costs(points: Sequence[Point2], sets: np.ndarray, r: float) -> np.ndar
     alpha = np.mod(sets[:-1] - theta, _TWO_PI)[:, :, None]
     beta = np.mod(sets[1:] - theta, _TWO_PI)[:, None, :]
     args = _word_args(_ARRAY, alpha, beta, np.array(d)[:, None, None])
+    problems = (args, _mirrored(*args))  # indexed by the mirror flag
     best = None
-    for word in WORD_ORDER:
-        t, pl, ql, ok = _WORD_FUNCS[word](_ARRAY, *args)
+    for formula, mirror in _WORDS.values():
+        t, pl, ql, ok = formula(_ARRAY, *problems[mirror])
         total = np.where(ok, t + pl + ql, np.inf)
         best = total if best is None else np.minimum(best, total)
     return best * r

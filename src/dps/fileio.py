@@ -19,9 +19,9 @@ from typing import Optional, TextIO, Union
 
 import numpy as np
 
-from .geom import LENGTH_EPSILON, TWO_PI, Point2, arc_endpoint, normalize_angle
+from .geom import LENGTH_EPSILON, TWO_PI, Point2, arc_ends, normalize_angle
 from .planner import Bounds, ConvexPolygon, Scenario
-from .smoother import ARC, LINE, Polyline, SmoothPath, _segment
+from .smoother import ARC, LINE, Polyline, SmoothPath
 
 
 def load_polyline(source: Union[str, TextIO]) -> Polyline:
@@ -58,6 +58,19 @@ def _point(obj) -> Point2:
     return Point2(float(obj[0]), float(obj[1]))
 
 
+def _polygon(obj) -> ConvexPolygon:
+    return ConvexPolygon.from_points(map(_point, obj))
+
+
+def _named(name: str, convert, value):
+    """``convert(value)``, with a failure raised as a ``ValueError`` that
+    starts with ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name}: {err}") from None
+
+
 def load_scenario(source: Union[str, TextIO]) -> Scenario:
     """Read a planning scenario from JSON.
 
@@ -69,22 +82,23 @@ def load_scenario(source: Union[str, TextIO]) -> Scenario:
         with open(source, "r", encoding="utf-8") as fh:
             return load_scenario(fh)
     doc = json.load(source)
+    if not isinstance(doc, dict):
+        raise ValueError(f"scenario must be a JSON object, got {type(doc).__name__}")
     for key in ("bounds", "robot_radius", "turning_radius", "start", "goal", "obstacles"):
         if key not in doc:
             raise ValueError(f"scenario is missing key {key!r}")
-    bounds = doc["bounds"]
+    bounds, polys = doc["bounds"], doc["obstacles"]
     if not (isinstance(bounds, list) and len(bounds) == 4):
         raise ValueError("bounds must be [xmin, ymin, xmax, ymax]")
-    obstacles = tuple(
-        ConvexPolygon.from_points(_point(v) for v in poly) for poly in doc["obstacles"]
-    )
+    if not isinstance(polys, list):
+        raise ValueError(f"obstacles must be a list of vertex lists, got {polys!r}")
     return Scenario(
-        obstacles=obstacles,
-        bounds=Bounds(*map(float, bounds)),
-        robot_radius=float(doc["robot_radius"]),
-        turning_radius=float(doc["turning_radius"]),
-        start=_point(doc["start"]),
-        goal=_point(doc["goal"]),
+        obstacles=tuple(_named(f"obstacle {i}", _polygon, poly) for i, poly in enumerate(polys)),
+        bounds=_named("bounds", lambda b: Bounds(*map(float, b)), bounds),
+        robot_radius=_named("robot_radius", float, doc["robot_radius"]),
+        turning_radius=_named("turning_radius", float, doc["turning_radius"]),
+        start=_named("start", _point, doc["start"]),
+        goal=_named("goal", _point, doc["goal"]),
     )
 
 
@@ -122,13 +136,19 @@ def load_path(source: Union[str, TextIO]) -> tuple[SmoothPath, dict]:
         with open(source, "r", encoding="utf-8") as fh:
             return load_path(fh)
     doc = json.load(source)
+    if not isinstance(doc, dict):
+        raise ValueError(f"path file must be a JSON object, got {type(doc).__name__}")
     records = doc.get("segments")
     if not records:
         raise ValueError("path file has no segments")
+    if not isinstance(records, list):
+        raise ValueError(f"path file segments must be a list, got {records!r}")
     # Each record gives two pairs and a sweep: a line a, b and 0, an arc its
     # center, (radius, start_angle) and its sweep.
     kinds, pairs, sweeps = [], [], []
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValueError(f"segment {i}: expected an object, got {rec!r}")
         kind = rec.get("type")
         if kind not in ("line", "arc"):
             raise ValueError(f"segment {i}: unknown type {kind!r}")
@@ -168,8 +188,8 @@ def load_path(source: Union[str, TextIO]) -> tuple[SmoothPath, dict]:
     # Start angles as Heading keeps them, normalized to (-pi, pi].
     for i in np.flatnonzero(arc & ((y1 <= -math.pi) | (y1 > math.pi))).tolist():
         data[i, 3] = normalize_angle(data[i, 3])
-    first, last = _segment(kinds[0], data[0].tolist()), _segment(kinds[-1], data[-1].tolist())
-    start = first.a if kinds[0] == LINE else arc_endpoint(first, False)[0]
-    end = last.b if kinds[-1] == LINE else arc_endpoint(last, True)[0]
+    first, last = data[0].tolist(), data[-1].tolist()
+    start = first[:2] if kinds[0] == LINE else arc_ends(*first)[:2]
+    end = last[2:4] if kinds[-1] == LINE else arc_ends(*last)[2:]
     meta = {k: v for k, v in doc.items() if k != "segments"}
-    return SmoothPath._from_columns(kinds, data, start, end), meta
+    return SmoothPath._from_columns(kinds, data, Point2(*start), Point2(*end)), meta

@@ -180,13 +180,6 @@ def interior_angle(p_prev: Point2, p: Point2, p_next: Point2) -> float:
     return math.pi - turn
 
 
-def is_collinear(p_prev: Point2, p: Point2, p_next: Point2) -> bool:
-    """Scale-invariant test that ``p`` is a straight pass-through vertex."""
-    v1 = p - p_prev
-    v2 = p_next - p
-    return abs(cross(v1, v2)) <= COLLINEAR_EPSILON * v1.norm() * v2.norm() and dot(v1, v2) > 0.0
-
-
 @dataclass(frozen=True, slots=True)
 class RigidTransform:
     """Translation followed by rotation, optionally followed by a reflection

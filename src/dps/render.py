@@ -32,8 +32,7 @@ def _arc_command(cx: float, cy: float, radius: float, start: float, sweep: float
         (start + 0.5 * sweep, 0.5 * sweep),
     ]
     for a0, ds in halves:
-        end_x = cx + radius * math.cos(a0 + ds)
-        end_y = cy + radius * math.sin(a0 + ds)
+        _, _, end_x, end_y = arc_ends(cx, cy, radius, a0, ds)
         large = 1 if abs(ds) > math.pi else 0
         sweep_flag = 1 if ds > 0 else 0
         parts.append(

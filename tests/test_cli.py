@@ -58,14 +58,6 @@ def test_smooth_collinear_single_line(tmp_path):
     assert [s["type"] for s in doc["segments"]] == ["line"]
 
 
-def test_smooth_parallel_matches_sequential(tmp_path, right_angle_csv):
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    assert main(["smooth", "-r", "1", right_angle_csv, "-o", str(out_a)]) == 0
-    assert main(["smooth", "-r", "1", "--parallel", right_angle_csv, "-o", str(out_b)]) == 0
-    assert out_a.read_text() == out_b.read_text()
-
-
 def test_smooth_infeasible_exit_2(tmp_path, capsys):
     f = tmp_path / "in.csv"
     f.write_text(INFEASIBLE_CSV)
@@ -177,12 +169,12 @@ def test_bench_deterministic_lengths(capsys):
     second = capsys.readouterr().out
     header, row1 = first.strip().splitlines()
     _, row2 = second.strip().splitlines()
-    assert header == "n,seq_time_s,batch_time_s,dps_length,mpdp_p_length,ratio"
-    # timing columns may differ; length and ratio columns must not
+    assert header == "n,seq_time_s,dps_length,mpdp_p_length,ratio"
+    # the timing column may differ; length and ratio columns must not
     cols1 = row1.split(",")
     cols2 = row2.split(",")
     assert cols1[0] == cols2[0] == "50"
-    assert cols1[3:] == cols2[3:]
+    assert cols1[2:] == cols2[2:]
 
 
 def test_render_arc_command_count(tmp_path, right_angle_csv):
@@ -210,3 +202,40 @@ def test_render_empty_path_exit_1(tmp_path, capsys):
     bad = tmp_path / "empty.json"
     bad.write_text(json.dumps({"segments": []}))
     assert main(["render", str(bad), "-o", str(tmp_path / "x.svg")]) == 1
+
+
+PATH_JSON = '{"segments": [{"type": "line", "a": [0, 0], "b": [3, 0]}]}'
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["plan", "IN", "-o", "OUT"], "5"),
+    (["plan", "IN", "-o", "OUT"], "[1, 2]"),
+    (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "obstacles": 5})),
+    (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "obstacles": [5]})),
+    (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "robot_radius": None})),
+    (["render", "IN", "-o", "OUT"], "[1, 2]"),
+    (["render", "IN", "-o", "OUT"], '{"segments": 5}'),
+    (["render", "IN", "-o", "OUT"], '{"segments": [5]}'),
+    (["render", "PATH", "--scenario", "IN", "-o", "OUT"], "5"),
+    (["bench", "-n", "2", "--repeats", "1"], None),
+    (["bench", "-n", "20", "--repeats", "0"], None),
+    (["bench", "-n", "20", "--repeats", "1", "--samples", "2"], None),
+    (["smooth", "IN", "-o", "OUT"], RIGHT_ANGLE_CSV),
+    (["bench", "-n", "many"], None),
+    (["simplify", "IN"], None),
+], ids=["scenario-number", "scenario-list", "obstacles-number", "obstacle-number",
+        "robot-radius-null", "path-list", "segments-number", "segment-number",
+        "render-scenario-number", "bench-n-2", "bench-repeats-0", "bench-samples-2",
+        "usage-missing-radius", "usage-bad-int", "usage-unknown-command"])
+def test_malformed_input_exits_1(tmp_path, capsys, argv, text):
+    if text is not None:
+        (tmp_path / "in").write_text(text)
+    (tmp_path / "path.json").write_text(PATH_JSON)
+    names = {"IN": tmp_path / "in", "OUT": tmp_path / "out", "PATH": tmp_path / "path.json"}
+    try:
+        code = main([str(names.get(arg, arg)) for arg in argv])
+    except SystemExit as exit_:  # argparse exits from inside main
+        code = exit_.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: " in err and "Traceback" not in err

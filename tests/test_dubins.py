@@ -1,6 +1,8 @@
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from dps import dubins
@@ -20,7 +22,8 @@ from dps.smoother import (extract_pieces, path_length, smooth_polyline,
                           solve_three_points, vertex_solutions)
 
 from conftest import make_triplet
-from dubins_reference import multipoint_per_pair, reference_shortest, word_totals
+from dubins_reference import (ARRAY, SCALAR, SIX_WORDS, multipoint_per_pair, reference_shortest,
+                              word_totals)
 from dubins_search import dubins_search
 
 P = Point2
@@ -315,7 +318,69 @@ def test_math_backend_matches_per_pair_reference(rng):
                 assert solved.total == pytest.approx(expected, rel=1e-12, abs=0.0), family
 
 
+def _scaled_problems(rng, n):
+    """n seeded random scaled problems, with d = 0 and U-turns among them,
+    then the boundary families of ``_degenerate_pairs`` reduced by the solver."""
+    problems = []
+    for i in range(n):
+        alpha = rng.uniform(0.0, 2 * math.pi)
+        beta = (alpha + math.pi) % (2 * math.pi) if i % 10 == 0 else rng.uniform(0.0, 2 * math.pi)
+        d = (0.0, rng.uniform(0.0, 4.5), rng.expovariate(0.2))[i % 3]
+        problems.append(dubins._word_args(dubins._SCALAR, alpha, beta, d))
+    for _, start, goal, r in _degenerate_pairs(rng):
+        problems.append(dubins._scaled_problem(start, goal, r))
+    return problems
+
+
+def test_mirrored_words_bit_equal_to_six_formulas(rng):
+    # RSR, RSL and LRL run as LSL, LSR and RLR on the reflected problem. The
+    # reflection negates alpha, beta and the sines exactly, and it negates
+    # RSR's atan2 argument ca - cb (RSL's ca + cb) everywhere but at zero:
+    # x - x is +0.0 in either order, so there atan2 may give pi for -pi and t
+    # or q come out of the fold an ulp apart. Those points need the same ok
+    # and values within 1e-12; every other value must be bit-equal.
+    problems = _scaled_problems(rng, 100_000)
+    columns = tuple(np.array(column) for column in zip(*problems))
+    ca, cb = columns[4], columns[6]
+    zeros = {"RSR": ca == cb, "RSL": ca == -cb}
+    for word in WORD_ORDER:
+        formula, mirror = dubins._WORDS[word]
+        reference = SIX_WORDS[word][0]
+        zero = zeros.get(word, np.zeros(len(problems), dtype=bool))
+        assert zero.sum() <= 0.05 * len(problems)
+        for args, at_zero in zip(problems, zero.tolist()):
+            got = formula(dubins._SCALAR, *(dubins._mirrored(*args) if mirror else args))
+            expected = reference(SCALAR, *args)
+            if at_zero:
+                assert got[3] == expected[3], word
+                assert all(abs(x - y) <= 1e-12 for x, y in zip(got[:3], expected[:3])), word
+            else:
+                assert struct.pack("<3d?", *got) == struct.pack("<3d?", *expected), word
+        got = formula(dubins._ARRAY, *(dubins._mirrored(*columns) if mirror else columns))
+        expected = reference(ARRAY, *columns)
+        assert got[3].tobytes() == expected[3].tobytes(), word
+        for x, y in zip(got[:3], expected[:3]):
+            assert x[~zero].tobytes() == y[~zero].tobytes(), word
+            assert np.all(np.abs(x[zero] - y[zero]) <= 1e-12), word
+
+
+@pytest.mark.parametrize("samples", [4, 36, 360])
+def test_multipoint_grid_bit_equal_to_six_formulas(samples):
+    n = 2 * (dubins._BLOCK_ELEMENTS // (samples * samples)) + 3 if samples < 360 else 6
+    points = random_polyline(n, 1.0, seed=samples).points
+    expected = multipoint_per_pair(points, 1.0, samples, words=SIX_WORDS)
+    assert multipoint_bruteforce(points, 1.0, samples) == expected
+
+
+def test_multipoint_pinned_bit_equal_to_six_formulas(rng):
+    polyline = random_polyline(41, 1.0, rng=rng)
+    points, headings = dps_tangent_configurations(polyline, 1.0)
+    expected = multipoint_per_pair(points, 1.0, 4, headings=headings, words=SIX_WORDS)
+    assert multipoint_bruteforce(points, 1.0, 4, headings=headings) == expected
+
+
 def test_word_value_contract():
     word = DubinsWord("LSL", (1.0, 2.0, 3.0), 6.0)
     assert word.total == sum(word.lengths)
     assert set(WORD_ORDER) == CSC_WORDS | {"RLR", "LRL"}
+    assert tuple(dubins._WORDS) == WORD_ORDER  # the solver's tie order

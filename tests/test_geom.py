@@ -17,7 +17,6 @@ from dps.geom import (
     dist,
     heading_between,
     interior_angle,
-    is_collinear,
     normalize_angle,
     point_arc_distance,
     point_segment_distance,
@@ -209,14 +208,6 @@ def test_segment_validation():
         ArcSegment(P(0, 0), -1.0, Heading(0), 1.0)
     with pytest.raises(ValueError):
         ArcSegment(P(0, 0), 1.0, Heading(0), 7.0)
-
-
-def test_is_collinear():
-    assert is_collinear(P(0, 0), P(1, 0), P(2, 0))
-    assert is_collinear(P(0, 0), P(4, 0), P(8, 1e-9))
-    assert not is_collinear(P(0, 0), P(4, 0), P(8, 1e-6))
-    # a reversal is not a pass-through
-    assert not is_collinear(P(0, 0), P(1, 0), P(0, 0.0000001))
 
 
 def test_point_segment_distance():

@@ -121,6 +121,19 @@ def test_solve_three_points_collinear_signal():
     assert solve_three_points(P(0, 0), P(1, 0), P(2, 0), 1.0) is None
 
 
+def test_vertex_solutions_pass_through_exactly_on_collinear_triples():
+    # |v1 x v2| <= 1e-9 |v1| |v2| with v1 . v2 > 0 makes a vertex a
+    # pass-through (None); a near-reversal is not one.
+    for *triple, pass_through in (
+        ((0, 0), (1, 0), (2, 0), True),
+        ((0, 0), (4, 0), (8, 1e-9), True),
+        ((0, 0), (4, 0), (8, 1e-6), False),
+        ((0, 0), (1, 0), (0, 1e-7), False),
+    ):
+        (sol,) = vertex_solutions(Polyline([P(*xy) for xy in triple]), 1.0, mode="best-effort")
+        assert (sol is None) == pass_through, triple
+
+
 def test_solve_three_points_existence_violation():
     with pytest.raises(FeasibilityError) as exc:
         solve_three_points(P(0, 0), P(0.5, 0), P(0.5, 0.5), 1.0)
