@@ -52,10 +52,17 @@ def load_polyline(source: Union[str, TextIO]) -> Polyline:
     return Polyline(points)
 
 
+def _number(value) -> float:
+    """A JSON number as a float; strings, booleans and null are refused."""
+    if type(value) not in (int, float):  # bool is a subclass of int
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _point(obj) -> Point2:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ValueError(f"expected [x, y], got {obj!r}")
-    return Point2(float(obj[0]), float(obj[1]))
+    return Point2(_number(obj[0]), _number(obj[1]))
 
 
 def _polygon(obj) -> ConvexPolygon:
@@ -67,7 +74,7 @@ def _named(name: str, convert, value):
     starts with ``name``."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"{name}: {err}") from None
 
 
@@ -76,7 +83,8 @@ def load_scenario(source: Union[str, TextIO]) -> Scenario:
 
     Required keys: ``bounds`` ([xmin, ymin, xmax, ymax]), ``robot_radius``,
     ``turning_radius``, ``start``, ``goal``, ``obstacles`` (list of vertex
-    lists; non-convex vertex lists are convex-hulled).
+    lists; non-convex vertex lists are convex-hulled). Every coordinate and
+    radius must be a JSON number; a string or a boolean raises ``ValueError``.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -94,9 +102,9 @@ def load_scenario(source: Union[str, TextIO]) -> Scenario:
         raise ValueError(f"obstacles must be a list of vertex lists, got {polys!r}")
     return Scenario(
         obstacles=tuple(_named(f"obstacle {i}", _polygon, poly) for i, poly in enumerate(polys)),
-        bounds=_named("bounds", lambda b: Bounds(*map(float, b)), bounds),
-        robot_radius=_named("robot_radius", float, doc["robot_radius"]),
-        turning_radius=_named("turning_radius", float, doc["turning_radius"]),
+        bounds=_named("bounds", lambda b: Bounds(*map(_number, b)), bounds),
+        robot_radius=_named("robot_radius", _number, doc["robot_radius"]),
+        turning_radius=_named("turning_radius", _number, doc["turning_radius"]),
         start=_named("start", _point, doc["start"]),
         goal=_named("goal", _point, doc["goal"]),
     )

@@ -1,4 +1,4 @@
-"""Planar geometry kernel: points, headings, rigid transforms, lines and arcs.
+"""Planar geometry kernel: points, headings, poses, lines and arcs.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
@@ -42,31 +42,9 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> "Point2":
-        return Point2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
 
 def dist(p: Point2, q: Point2) -> float:
     return math.hypot(q.x - p.x, q.y - p.y)
-
-
-def dot(u: Point2, v: Point2) -> float:
-    return u.x * v.x + u.y * v.y
-
-
-def cross(u: Point2, v: Point2) -> float:
-    return u.x * v.y - u.y * v.x
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,11 +110,6 @@ class ArcSegment:
         return self.radius * abs(self.sweep)
 
 
-def arc_length(arc: ArcSegment) -> float:
-    """Arc length: radius times absolute sweep."""
-    return arc.radius * abs(arc.sweep)
-
-
 def arc_endpoint(arc: ArcSegment, at_end: bool) -> tuple[Point2, Heading]:
     """Point and travel-direction tangent at the arc's start or end.
 
@@ -158,13 +131,6 @@ def arc_ends(cx: float, cy: float, radius: float, start: float, sweep: float) ->
             cx + radius * math.cos(b), cy + radius * math.sin(b))
 
 
-def heading_between(p: Point2, q: Point2) -> Heading:
-    """Direction of travel from p to q."""
-    if dist(p, q) <= LENGTH_EPSILON:
-        raise DegeneratePointsError(f"cannot take heading between coincident points {p}, {q}")
-    return Heading(math.atan2(q.y - p.y, q.x - p.x))
-
-
 def interior_angle(p_prev: Point2, p: Point2, p_next: Point2) -> float:
     """Interior angle at ``p`` between the incoming and outgoing directions.
 
@@ -172,62 +138,11 @@ def interior_angle(p_prev: Point2, p: Point2, p_next: Point2) -> float:
     turn sharpens (0 itself meaning an exact reversal). Symmetric under
     swapping the neighbors and invariant under rigid transforms.
     """
-    v1 = p - p_prev
-    v2 = p_next - p
-    if v1.norm() <= LENGTH_EPSILON or v2.norm() <= LENGTH_EPSILON:
+    v1x, v1y = p.x - p_prev.x, p.y - p_prev.y
+    v2x, v2y = p_next.x - p.x, p_next.y - p.y
+    if math.hypot(v1x, v1y) <= LENGTH_EPSILON or math.hypot(v2x, v2y) <= LENGTH_EPSILON:
         raise DegeneratePointsError("interior angle needs three pairwise distinct points")
-    turn = math.atan2(abs(cross(v1, v2)), dot(v1, v2))
-    return math.pi - turn
-
-
-@dataclass(frozen=True, slots=True)
-class RigidTransform:
-    """Translation followed by rotation, optionally followed by a reflection
-    across the x-axis. Applying the transform then its inverse reproduces the
-    input to within round-off."""
-
-    rotation: float
-    translation: Point2
-    reflect_x: bool = False
-
-    def apply(self, p: Point2) -> Point2:
-        x = p.x + self.translation.x
-        y = p.y + self.translation.y
-        c = math.cos(self.rotation)
-        s = math.sin(self.rotation)
-        rx = c * x - s * y
-        ry = s * x + c * y
-        return Point2(rx, -ry) if self.reflect_x else Point2(rx, ry)
-
-    def apply_inverse(self, p: Point2) -> Point2:
-        x, y = (p.x, -p.y) if self.reflect_x else (p.x, p.y)
-        c = math.cos(self.rotation)
-        s = math.sin(self.rotation)
-        rx = c * x + s * y
-        ry = -s * x + c * y
-        return Point2(rx - self.translation.x, ry - self.translation.y)
-
-    def apply_heading(self, h: Heading) -> Heading:
-        theta = h.theta + self.rotation
-        return Heading(-theta) if self.reflect_x else Heading(theta)
-
-
-def to_standard_setting(
-    p_i: Point2, p_m: Point2, p_f: Point2
-) -> tuple[RigidTransform, tuple[Point2, Point2, Point2]]:
-    """Rigidly move a point triple into standard placement.
-
-    The first point lands on the origin, the second on the positive x-axis,
-    and the third is reflected into the upper half plane if needed (the
-    reflection is recorded in the returned transform).
-    """
-    if dist(p_i, p_m) <= LENGTH_EPSILON:
-        raise DegeneratePointsError("standard setting needs p_i != p_m")
-    rotation = -math.atan2(p_m.y - p_i.y, p_m.x - p_i.x)
-    t = RigidTransform(rotation, Point2(-p_i.x, -p_i.y))
-    if t.apply(p_f).y < 0.0:
-        t = RigidTransform(rotation, Point2(-p_i.x, -p_i.y), reflect_x=True)
-    return t, (t.apply(p_i), t.apply(p_m), t.apply(p_f))
+    return math.pi - math.atan2(abs(v1x * v2y - v1y * v2x), v1x * v2x + v1y * v2y)
 
 
 def point_segment_distance(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:

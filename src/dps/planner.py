@@ -1,12 +1,13 @@
 """Obstacle-aware planning: inflate convex obstacles by a mitered offset,
-build a visibility graph over the inflated vertices, run A*, smooth the
-resulting polyline, and certify clearance against the original obstacles.
-Graph edges lie on supporting lines of the polygon at each polygon-vertex
-end (the tangent graph); the exact clearance search stops once a
-bounding-box lower bound reaches the best distance found. All stages run on
-plain floats: a polygon carries its coordinates and bounding box, one pass
-over its edge vectors gives its angles, offset and miter vertices, and the
-blocking and distance kernels take coordinates and ``SmoothPath`` rows.
+build a visibility graph over the inflated vertices, run A* between the
+graph's start and goal nodes, smooth the resulting polyline, and certify
+clearance against the original obstacles. Graph edges lie on supporting
+lines of the polygon at each polygon-vertex end (the tangent graph); the
+exact clearance search stops once a bounding-box lower bound reaches the
+best distance found. All stages run on plain floats: a polygon carries its
+coordinates and bounding box, one pass over its edge vectors gives its
+angles, offset and miter vertices, and the blocking and distance kernels
+take coordinates and ``SmoothPath`` rows.
 
 The offset keeps a disk robot of radius h safe even where the smoothing
 arc cuts inside an inflated corner, provided the arc's turning radius is r
@@ -348,17 +349,10 @@ def build_visibility_graph(
     return VisibilityGraph(tuple(nodes), tuple(edges), start_index, goal_index)
 
 
-def _locate(graph: VisibilityGraph, p: Point2) -> int:
-    # Start and goal come last: prefer them to a coincident vertex with pruned edges.
-    for i in reversed(range(len(graph.nodes))):
-        if dist(graph.nodes[i], p) <= LENGTH_EPSILON:
-            return i
-    raise ValueError(f"point ({p.x:g}, {p.y:g}) is not a graph node")
-
-
-def shortest_polyline(graph: VisibilityGraph, start: Point2, goal: Point2) -> Polyline:
-    """A* with the straight-line heuristic; optimal on the graph weights."""
-    s, g = _locate(graph, start), _locate(graph, goal)
+def shortest_polyline(graph: VisibilityGraph) -> Polyline:
+    """A* from the graph's start node to its goal node with the straight-line
+    heuristic; optimal on the graph weights."""
+    s, g = graph.start_index, graph.goal_index
     adj = graph.adjacency()
     nodes = graph.nodes
     goal_node = nodes[g]
@@ -513,7 +507,7 @@ def plan(scenario: Scenario) -> PlanResult:
         offsets.append(_worst_offset(h, r, [alpha for alpha, _, _, _ in corners]))
         inflated.append(mitered_inflate(poly, offsets[-1], corners))
     graph = build_visibility_graph(scenario, inflated)
-    polyline = shortest_polyline(graph, scenario.start, scenario.goal)
+    polyline = shortest_polyline(graph)
     try:
         path = smooth_polyline(polyline, r)
     except FeasibilityError as err:

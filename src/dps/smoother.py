@@ -13,9 +13,11 @@ arithmetic), by one pass over the raw coordinates. Smoothing, the
 per-vertex, per-edge and 4r far predicates, ``vertex_solutions``,
 ``extract_pieces`` and the report a ``FeasibilityError`` carries all read
 their numbers from that pass, so they accept and refuse the same inputs,
-also on the boundary |p_j p_k| = l_j + l_k. Neither mode smooths an exact
-reversal: no G1 arc of any radius turns back on itself. A ``SmoothPath``
-holds plain rows in arrays; segment objects are built only on request.
+also on the boundary |p_j p_k| = l_j + l_k; the three-point sub-problem is
+``vertex_solutions`` on a three-point polyline. Neither mode smooths an
+exact reversal: no G1 arc of any radius turns back on itself. A
+``SmoothPath`` holds plain rows in arrays; segment objects are built only on
+request.
 """
 
 from __future__ import annotations
@@ -76,13 +78,11 @@ class Polyline:
     def __len__(self) -> int:
         return len(self.points)
 
-    def length(self) -> float:
-        pts = self.points
-        return sum(dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-
 
 def polyline_length(p: Polyline) -> float:
-    return p.length()
+    """Sum of the edge lengths, in edge order."""
+    pts = p.points
+    return sum(dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,8 +119,8 @@ def _segment(kind: int, row) -> Segment:
 
 @dataclass(frozen=True, slots=True)
 class SmoothPath:
-    """Alternating line/arc sequence; consecutive lines may only occur across
-    a collinear pass-through vertex.
+    """Alternating line/arc sequence of at least one segment; consecutive
+    lines may only occur across a collinear pass-through vertex.
 
     Stored as read-only columns, one row per segment: ``kind[i]`` is LINE or
     ARC, and ``data[i]`` (an m x 5 float64 array) is (ax, ay, bx, by, 0) for
@@ -136,6 +136,8 @@ class SmoothPath:
 
     def __init__(self, segments: Sequence[Segment], start_point: Point2, end_point: Point2):
         segments = tuple(segments)
+        if not segments:
+            raise ValueError("a smooth path needs at least one segment")
         arcs = [isinstance(s, ArcSegment) for s in segments]
         rows = [(s.center.x, s.center.y, s.radius, s.start_angle.theta, s.sweep) if arc
                 else (s.a.x, s.a.y, s.b.x, s.b.y, 0.0) for s, arc in zip(segments, arcs)]
@@ -291,47 +293,12 @@ def _triplet(raw) -> TripletSolution:
     )
 
 
-def solve_three_points(p_i: Point2, p_m: Point2, p_f: Point2, r: float) -> Optional[TripletSolution]:
-    """Solve the three-point sub-problem at vertex p_m.
-
-    Returns None when the points are collinear within tolerance (the caller
-    emits a straight pass-through) and raises FeasibilityError, with the
-    three-point report, when the tangent length does not fit on the
-    incident edges.
-    """
-    check_turn_radius(r)
-    if dist(p_i, p_m) <= LENGTH_EPSILON or dist(p_m, p_f) <= LENGTH_EPSILON:
-        raise DegeneratePointsError("triplet points must be pairwise distinct")
-    raw = _solve_raw(p_i.x, p_i.y, p_m.x, p_m.y, p_f.x, p_f.y, r)
-    if raw is None:
-        return None
-    _strict(_tangent_pass((p_i, p_m, p_f), r, [raw]))
-    return _triplet(raw)
-
-
-def check_local_existence(p_i: Point2, p_m: Point2, p_f: Point2, r: float) -> bool:
-    """Per-vertex tangent-fit condition min(|p_m-p_i|, |p_f-p_m|) >= l.
-
-    Collinear triples pass trivially (no arc, tangent length zero); an exact
-    reversal fails (no finite tangent length).
-    """
-    check_turn_radius(r)
-    d1 = dist(p_i, p_m)
-    d2 = dist(p_m, p_f)
-    if d1 <= LENGTH_EPSILON or d2 <= LENGTH_EPSILON:
-        raise DegeneratePointsError("triplet points must be pairwise distinct")
-    raw = _solve_raw(p_i.x, p_i.y, p_m.x, p_m.y, p_f.x, p_f.y, r)
-    return raw is None or raw[6] <= min(d1, d2)
-
-
-def _tangent_pass(pts: tuple[Point2, ...], r: float, raws: Optional[list] = None):
+def _tangent_pass(pts: tuple[Point2, ...], r: float):
     """The numbers every predicate and every assembly reads, from one solve
-    per interior vertex (or the solves already made in ``raws``): edge
-    lengths |p_e p_e+1|, the tangent length per vertex (0 at the endpoints
-    and at pass-through vertices, inf at an exact reversal) and the raw
-    solves (None = pass-through)."""
-    if raws is None:
-        raws = [_solve_raw(a.x, a.y, m.x, m.y, b.x, b.y, r) for a, m, b in zip(pts, pts[1:], pts[2:])]
+    per interior vertex: edge lengths |p_e p_e+1|, the tangent length per
+    vertex (0 at the endpoints and at pass-through vertices, inf at an exact
+    reversal) and the raw solves (None = pass-through)."""
+    raws = [_solve_raw(a.x, a.y, m.x, m.y, b.x, b.y, r) for a, m, b in zip(pts, pts[1:], pts[2:])]
     edges = list(map(dist, pts, pts[1:]))
     ls = [0.0, *[0.0 if raw is None else raw[6] for raw in raws], 0.0]
     return edges, ls, raws

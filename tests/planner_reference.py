@@ -329,7 +329,7 @@ def reference_plan(scenario: Scenario) -> PlanResult:
         offsets.append(worst_offset(scenario, poly))
         inflated.append(mitered_inflate(poly, offsets[-1]))
     graph = all_pairs_visibility_graph(scenario, inflated)
-    polyline = shortest_polyline(graph, scenario.start, scenario.goal)
+    polyline = shortest_polyline(graph)
     try:
         path = smooth_polyline(polyline, scenario.turning_radius)
     except FeasibilityError as err:

@@ -213,6 +213,13 @@ PATH_JSON = '{"segments": [{"type": "line", "a": [0, 0], "b": [3, 0]}]}'
     (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "obstacles": 5})),
     (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "obstacles": [5]})),
     (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "robot_radius": None})),
+    (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "robot_radius": "0.2"})),
+    (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "bounds": ["0", "0", "20", "20"]})),
+    (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "start": ["1", "1"]})),
+    (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "turning_radius": True})),
+    (["plan", "IN", "-o", "OUT"],
+     json.dumps({**SCENARIO, "obstacles": [[["8", 8], [12, 8], [12, 12], [8, 12]]]})),
+    (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "robot_radius": 10 ** 400})),
     (["render", "IN", "-o", "OUT"], "[1, 2]"),
     (["render", "IN", "-o", "OUT"], '{"segments": 5}'),
     (["render", "IN", "-o", "OUT"], '{"segments": [5]}'),
@@ -224,7 +231,8 @@ PATH_JSON = '{"segments": [{"type": "line", "a": [0, 0], "b": [3, 0]}]}'
     (["bench", "-n", "many"], None),
     (["simplify", "IN"], None),
 ], ids=["scenario-number", "scenario-list", "obstacles-number", "obstacle-number",
-        "robot-radius-null", "path-list", "segments-number", "segment-number",
+        "robot-radius-null", "robot-radius-string", "bounds-strings", "start-strings",
+        "turning-radius-true", "obstacle-vertex-string", "robot-radius-huge-int", "path-list", "segments-number", "segment-number",
         "render-scenario-number", "bench-n-2", "bench-repeats-0", "bench-samples-2",
         "usage-missing-radius", "usage-bad-int", "usage-unknown-command"])
 def test_malformed_input_exits_1(tmp_path, capsys, argv, text):

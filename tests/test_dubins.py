@@ -18,10 +18,9 @@ from dps.dubins import (
     solve_word,
 )
 from dps.randgen import random_polyline
-from dps.smoother import (extract_pieces, path_length, smooth_polyline,
-                          solve_three_points, vertex_solutions)
+from dps.smoother import extract_pieces, path_length, polyline_length, smooth_polyline, vertex_solutions
 
-from conftest import make_triplet
+from conftest import make_triplet, solve_triplet
 from dubins_reference import (ARRAY, SCALAR, SIX_WORDS, multipoint_per_pair, reference_shortest,
                               word_totals)
 from dubins_search import dubins_search
@@ -141,12 +140,12 @@ def test_straight_segment_length_identity_standard_setting(rng):
     for _ in range(2000):
         r = rng.uniform(0.2, 3.0)
         p_i, p_m, p_f, _alpha = make_triplet(rng, r)
-        sol = solve_three_points(p_i, p_m, p_f, r)
+        sol = solve_triplet(p_i, p_m, p_f, r)
         if sol is None:
             continue
         if sol.sweep < 0.0:
             p_i, p_m, p_f = (P(p.x, -p.y) for p in (p_i, p_m, p_f))
-            sol = solve_three_points(p_i, p_m, p_f, r)
+            sol = solve_triplet(p_i, p_m, p_f, r)
         scale = 1.0 / r
         pi_s = P(p_i.x * scale, p_i.y * scale)
         q1_s = P(sol.q1.x * scale, sol.q1.y * scale)
@@ -177,7 +176,7 @@ def test_multipoint_monotone_under_doubling():
 def test_multipoint_at_least_euclidean():
     polyline = random_polyline(8, 1.0, seed=10)
     total = multipoint_bruteforce(polyline.points, 1.0, 24)
-    assert total >= polyline.length() - 1e-9
+    assert total >= polyline_length(polyline) - 1e-9
 
 
 def test_multipoint_singleton_headings_reproduce_path(rng):

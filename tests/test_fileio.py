@@ -297,6 +297,21 @@ def test_load_scenario_hulls_nonconvex():
     assert len(scenario.obstacles[0].vertices) == 4
 
 
+@pytest.mark.parametrize("key, value, name", [
+    ("robot_radius", "0.2", "robot_radius"),
+    ("turning_radius", True, "turning_radius"),
+    ("bounds", ["0", "0", "20", "20"], "bounds"),
+    ("start", ["1", "1"], "start"),
+    ("goal", [19, False], "goal"),
+    ("obstacles", [[[8, 8], [12, 8], [12, 12], [8, 12]], [[1, 1], ["2", 1], [2, 2]]], "obstacle 1"),
+])
+def test_load_scenario_takes_only_json_numbers(key, value, name):
+    doc = {"bounds": [0, 0, 20, 20], "robot_radius": 0.2, "turning_radius": 0.5,
+           "start": [1, 1], "goal": [19, 19], "obstacles": [], key: value}
+    with pytest.raises(ValueError, match=f"^{name}: expected a number, got "):
+        load_scenario(io.StringIO(json.dumps(doc)))
+
+
 def test_load_scenario_missing_key():
     with pytest.raises(ValueError):
         load_scenario(io.StringIO(json.dumps({"bounds": [0, 0, 1, 1]})))

@@ -11,17 +11,15 @@ from dps.geom import (
     LineSegment,
     Point2,
     Pose,
-    RigidTransform,
     arc_endpoint,
-    arc_length,
     dist,
-    heading_between,
     interior_angle,
     normalize_angle,
     point_arc_distance,
     point_segment_distance,
-    to_standard_setting,
 )
+
+from conftest import random_rigid_motion
 
 P = Point2
 
@@ -65,14 +63,6 @@ def test_heading_normalized_on_construction():
         Heading(math.nan)
 
 
-def test_heading_between_examples():
-    assert heading_between(P(0, 0), P(1, 0)).theta == 0.0
-    assert heading_between(P(0, 0), P(0, 1)).theta == pytest.approx(math.pi / 2, abs=0)
-    assert heading_between(P(1, 1), P(0, 0)).theta == pytest.approx(-3 * math.pi / 4, abs=0)
-    with pytest.raises(DegeneratePointsError):
-        heading_between(P(1, 1), P(1, 1))
-
-
 def test_interior_angle_examples():
     assert interior_angle(P(0, 0), P(1, 0), P(2, 0)) == pytest.approx(math.pi, abs=1e-15)
     assert interior_angle(P(0, 0), P(4, 0), P(4, 4)) == pytest.approx(math.pi / 2, abs=1e-15)
@@ -96,66 +86,9 @@ def test_interior_angle_symmetry_and_rigid_invariance(rng):
             continue
         alpha = interior_angle(*pts)
         assert interior_angle(pts[2], pts[1], pts[0]) == pytest.approx(alpha, abs=1e-12)
-        t = RigidTransform(
-            rng.uniform(-math.pi, math.pi),
-            P(rng.uniform(-10, 10), rng.uniform(-10, 10)),
-            reflect_x=rng.random() < 0.5,
-        )
-        moved = [t.apply(p) for p in pts]
+        move, _ = random_rigid_motion(rng)
+        moved = [move(p) for p in pts]
         assert interior_angle(*moved) == pytest.approx(alpha, abs=1e-12)
-
-
-def test_to_standard_setting_identity_case():
-    t, (a, b, c) = to_standard_setting(P(0, 0), P(7, 0), P(2.5, 3))
-    assert t.rotation == 0.0 and t.translation == P(0, 0) and not t.reflect_x
-    assert (a, b, c) == (P(0, 0), P(7, 0), P(2.5, 3))
-
-
-def test_to_standard_setting_rotation_case():
-    t, (a, b, c) = to_standard_setting(P(1, 1), P(1, 5), P(3, 5))
-    assert t.rotation == pytest.approx(-math.pi / 2, abs=1e-15)
-    assert t.translation == P(-1, -1)
-    assert a.x == pytest.approx(0, abs=1e-12) and a.y == pytest.approx(0, abs=1e-12)
-    assert b.x == pytest.approx(4, abs=1e-12) and b.y == pytest.approx(0, abs=1e-12)
-    assert c.y >= 0
-
-
-def test_to_standard_setting_reflection():
-    t, (_, b, c) = to_standard_setting(P(0, 0), P(4, 0), P(2, -3))
-    assert t.reflect_x
-    assert c.y >= 0
-    assert b.y == pytest.approx(0, abs=1e-12)
-    with pytest.raises(DegeneratePointsError):
-        to_standard_setting(P(0, 0), P(0, 0), P(1, 1))
-
-
-def test_standard_setting_round_trip(rng):
-    for _ in range(2000):
-        pts = [P(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(3)]
-        if dist(pts[0], pts[1]) < 1e-3:
-            continue
-        t, moved = to_standard_setting(*pts)
-        scale = max(abs(p.x) + abs(p.y) for p in pts) + 1.0
-        for orig, new in zip(pts, moved):
-            back = t.apply_inverse(new)
-            assert dist(back, orig) <= 1e-12 * scale
-
-
-def test_transform_heading_round_trip(rng):
-    for _ in range(500):
-        t = RigidTransform(
-            rng.uniform(-math.pi, math.pi),
-            P(rng.uniform(-10, 10), rng.uniform(-10, 10)),
-            reflect_x=rng.random() < 0.5,
-        )
-        p = P(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        q = P(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        if dist(p, q) < 1e-6:
-            continue
-        h = heading_between(p, q)
-        moved = t.apply_heading(h)
-        expected = heading_between(t.apply(p), t.apply(q))
-        assert abs(normalize_angle(moved.theta - expected.theta)) <= 1e-9
 
 
 def test_arc_endpoint_examples():
@@ -189,14 +122,12 @@ def test_arc_endpoint_tangent_perpendicular(rng):
 
 
 def test_arc_length_examples():
-    assert arc_length(ArcSegment(P(0, 0), 1.0, Heading(0), math.pi / 2)) == pytest.approx(
-        math.pi / 2
-    )
-    assert arc_length(ArcSegment(P(0, 0), 2.0, Heading(0), -math.pi / 3)) == pytest.approx(
+    assert ArcSegment(P(0, 0), 1.0, Heading(0), math.pi / 2).length() == pytest.approx(math.pi / 2)
+    assert ArcSegment(P(0, 0), 2.0, Heading(0), -math.pi / 3).length() == pytest.approx(
         2 * math.pi / 3
     )
     alpha = math.pi / 2
-    assert arc_length(ArcSegment(P(0, 0), 0.75, Heading(0), math.pi - alpha)) == pytest.approx(
+    assert ArcSegment(P(0, 0), 0.75, Heading(0), math.pi - alpha).length() == pytest.approx(
         0.75 * math.pi / 2
     )
 

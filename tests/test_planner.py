@@ -26,7 +26,7 @@ from dps.planner import (
     required_offset,
     shortest_polyline,
 )
-from dps.smoother import FeasibilityError, SmoothPath, path_length, smooth_polyline
+from dps.smoother import FeasibilityError, SmoothPath, path_length, polyline_length, smooth_polyline
 import planner_reference as reference
 from planner_reference import (all_pairs_clearance, all_pairs_visibility_graph,
                                inflate_obstacles, per_edge_arc_into, reference_plan)
@@ -160,7 +160,7 @@ def plan_outcome(planner_fn, scenario):
 def route_or_error(build, scenario, inflated):
     try:
         graph = build(scenario, inflated)
-        return shortest_polyline(graph, scenario.start, scenario.goal).points
+        return shortest_polyline(graph).points
     except NoPathError as err:  # UnreachableConfigurationError included
         return type(err)
 
@@ -448,7 +448,7 @@ class TestShortestPolyline:
     def test_two_point(self):
         sc = make_scenario([])
         graph = build_visibility_graph(sc, [])
-        polyline = shortest_polyline(graph, sc.start, sc.goal)
+        polyline = shortest_polyline(graph)
         assert len(polyline) == 2
 
     def test_matches_dijkstra(self, rng):
@@ -462,19 +462,19 @@ class TestShortestPolyline:
             inflated = [mitered_inflate(o, 0.25) for o in obstacles]
             try:
                 graph = build_visibility_graph(sc, inflated)
-                polyline = shortest_polyline(graph, sc.start, sc.goal)
+                polyline = shortest_polyline(graph)
             except (UnreachableConfigurationError, NoPathError):
                 continue
             reference = all_pairs_visibility_graph(sc, inflated)
             expected = dijkstra_reference(reference, reference.start_index, reference.goal_index)
-            assert polyline.length() == expected
+            assert polyline_length(polyline) == expected
 
     def test_no_path(self):
         wall = ConvexPolygon([P(-5, 9), P(25, 9), P(25, 11), P(-5, 11)])
         sc = make_scenario([wall])
         graph = build_visibility_graph(sc, [mitered_inflate(wall, 0.3)])
         with pytest.raises(NoPathError):
-            shortest_polyline(graph, sc.start, sc.goal)
+            shortest_polyline(graph)
 
     def test_start_at_inflated_vertex(self):
         # The goal lies behind the corner the start sits on: the straight
@@ -483,7 +483,17 @@ class TestShortestPolyline:
         sc = make_scenario([obs], h=0.5, r=0.25, start=P(7.5, 7.5), goal=P(1, 1))
         graph = build_visibility_graph(sc, [mitered_inflate(obs, 0.5)])
         assert graph.nodes[0] == sc.start
-        assert shortest_polyline(graph, sc.start, sc.goal).points == (sc.start, sc.goal)
+        assert shortest_polyline(graph).points == (sc.start, sc.goal)
+
+    def test_goal_at_inflated_vertex(self):
+        # The mirror case: the start lies behind the corner the goal sits
+        # on, and the straight route is no tangent at the corner, so A*
+        # must end at the goal node.
+        obs = ConvexPolygon([P(8, 8), P(12, 8), P(12, 12), P(8, 12)])
+        sc = make_scenario([obs], h=0.5, r=0.25, start=P(1, 1), goal=P(7.5, 7.5))
+        graph = build_visibility_graph(sc, [mitered_inflate(obs, 0.5)])
+        assert graph.nodes[0] == sc.goal
+        assert shortest_polyline(graph).points == (sc.start, sc.goal)
 
     def test_tangent_graph_routes_match_all_pairs_graph(self):
         """The tangent graph keeps a subset of the all-pairs edges (same
@@ -716,7 +726,7 @@ class TestPlan:
         sc = make_scenario(squares, h=0.2, r=0.4, start=P(0.5, 1.0), goal=P(19.5, 18.7))
         result = plan(sc)
         reference = all_pairs_visibility_graph(sc, inflate_obstacles(sc))
-        polyline = shortest_polyline(reference, sc.start, sc.goal)
+        polyline = shortest_polyline(reference)
         assert result.polyline == polyline and len(polyline) == 17
         assert result.path == smooth_polyline(polyline, 0.4)
         assert result.length == path_length(result.path)

@@ -9,7 +9,6 @@ from dps.geom import (
     Heading,
     LineSegment,
     Point2,
-    RigidTransform,
     arc_endpoint,
     dist,
     interior_angle,
@@ -24,7 +23,6 @@ from dps.smoother import (
     SmoothPath,
     check_far_condition,
     check_global_existence,
-    check_local_existence,
     deviation_bound,
     extract_pieces,
     feasibility_report,
@@ -33,7 +31,6 @@ from dps.smoother import (
     polyline_length,
     smooth_polyline,
     smooth_polyline_batch,
-    solve_three_points,
     tangent_length,
     validate,
     vertex_solutions,
@@ -41,7 +38,7 @@ from dps.smoother import (
 )
 from dps.randgen import random_polyline
 
-from conftest import make_triplet
+from conftest import make_triplet, random_rigid_motion, solve_triplet
 from planner_reference import point_to_path_distance as reference_point_to_path_distance
 from planner_reference import segment_sum_length
 
@@ -98,7 +95,7 @@ def test_cross_dot_formula_matches_half_angle_bulk():
 
 
 def test_solve_three_points_right_angle():
-    sol = solve_three_points(P(0, 0), P(4, 0), P(4, 4), 1.0)
+    sol = solve_triplet(P(0, 0), P(4, 0), P(4, 4), 1.0)
     assert dist(sol.q1, P(3, 0)) < 1e-12
     assert dist(sol.q2, P(4, 1)) < 1e-12
     assert dist(sol.center, P(3, 1)) < 1e-12
@@ -109,7 +106,7 @@ def test_solve_three_points_right_angle():
 
 
 def test_solve_three_points_mirror():
-    sol = solve_three_points(P(0, 0), P(4, 0), P(4, -4), 1.0)
+    sol = solve_triplet(P(0, 0), P(4, 0), P(4, -4), 1.0)
     assert dist(sol.q1, P(3, 0)) < 1e-12
     assert dist(sol.q2, P(4, -1)) < 1e-12
     assert dist(sol.center, P(3, -1)) < 1e-12
@@ -117,8 +114,8 @@ def test_solve_three_points_mirror():
 
 
 def test_solve_three_points_collinear_signal():
-    assert solve_three_points(P(0, 0), P(4, 0), P(8, 1e-9), 1.0) is None
-    assert solve_three_points(P(0, 0), P(1, 0), P(2, 0), 1.0) is None
+    assert solve_triplet(P(0, 0), P(4, 0), P(8, 1e-9), 1.0) is None
+    assert solve_triplet(P(0, 0), P(1, 0), P(2, 0), 1.0) is None
 
 
 def test_vertex_solutions_pass_through_exactly_on_collinear_triples():
@@ -136,23 +133,23 @@ def test_vertex_solutions_pass_through_exactly_on_collinear_triples():
 
 def test_solve_three_points_existence_violation():
     with pytest.raises(FeasibilityError) as exc:
-        solve_three_points(P(0, 0), P(0.5, 0), P(0.5, 0.5), 1.0)
+        solve_triplet(P(0, 0), P(0.5, 0), P(0.5, 0.5), 1.0)
     assert str(exc.value) == "vertex 1: l = 1 > min edge 0.5 (short by 0.5)"
     assert exc.value.report == FeasibilityReport((True, False, True), (False, False))
     with pytest.raises(DegeneratePointsError):
-        solve_three_points(P(0, 0), P(0, 0), P(1, 1), 1.0)
+        solve_triplet(P(0, 0), P(0, 0), P(1, 1), 1.0)
 
 
 def test_solve_three_points_reversal_rejected():
     with pytest.raises(FeasibilityError):
-        solve_three_points(P(0, 0), P(10, 0), P(0, 0), 1.0)
+        solve_triplet(P(0, 0), P(10, 0), P(0, 0), 1.0)
 
 
 def test_triplet_invariants_random(rng):
     for _ in range(3000):
         r = rng.uniform(0.2, 3.0)
         p_i, p_m, p_f, alpha = make_triplet(rng, r)
-        sol = solve_three_points(p_i, p_m, p_f, r)
+        sol = solve_triplet(p_i, p_m, p_f, r)
         scale = max(r, sol.d)
         assert abs(dist(sol.q1, sol.center) - r) <= 1e-9 * scale
         assert abs(dist(sol.q2, sol.center) - r) <= 1e-9 * scale
@@ -176,9 +173,12 @@ def test_triplet_invariants_random(rng):
 
 
 def test_check_local_existence_examples():
-    assert check_local_existence(P(0, 0), P(4, 0), P(4, 4), 1.0)
-    assert not check_local_existence(P(0, 0), P(0.5, 0), P(0.5, 0.5), 1.0)
-    assert check_local_existence(P(0, 0), P(1, 0), P(2, 0), 1.0)  # pass-through
+    def local_ok(*triple):
+        return check_global_existence(Polyline(triple), 1.0).local_ok[1]
+
+    assert local_ok(P(0, 0), P(4, 0), P(4, 4))
+    assert not local_ok(P(0, 0), P(0.5, 0), P(0.5, 0.5))
+    assert local_ok(P(0, 0), P(1, 0), P(2, 0))  # pass-through
 
 
 def test_check_global_existence_square_wave():
@@ -465,6 +465,12 @@ def test_point_to_path_distance_matches_segment_reference(rng):
             assert point_to_path_distance(p, path) == reference_point_to_path_distance(p, path)
 
 
+def test_empty_path_rejected():
+    # validate() would index a first and a last segment
+    with pytest.raises(ValueError, match="at least one segment"):
+        SmoothPath((), P(0, 0), P(1, 1))
+
+
 def test_columns_keep_heading_convention():
     # an arc starting at angle -pi is stored, like Heading, at +pi
     arc = ArcSegment(P(0, 0), 1.0, Heading(-math.pi), 1.0)
@@ -515,24 +521,20 @@ def test_batch_refuses_infeasible_like_sequential():
 def test_smoothing_commutes_with_rigid_transforms(rng):
     for _ in range(40):
         polyline = random_polyline(rng.randint(3, 12), 1.0, rng=rng)
-        t = RigidTransform(
-            rng.uniform(-math.pi, math.pi),
-            P(rng.uniform(-20, 20), rng.uniform(-20, 20)),
-            reflect_x=rng.random() < 0.5,
-        )
-        moved = Polyline([t.apply(p) for p in polyline.points])
+        move, mirrored = random_rigid_motion(rng)
+        moved = Polyline([move(p) for p in polyline.points])
         direct = smooth_polyline(moved, 1.0)
         original = smooth_polyline(polyline, 1.0)
         assert len(direct.segments) == len(original.segments)
         for s_orig, s_moved in zip(original.segments, direct.segments):
             assert type(s_orig) is type(s_moved)
             if isinstance(s_orig, LineSegment):
-                assert dist(t.apply(s_orig.a), s_moved.a) <= 1e-9
-                assert dist(t.apply(s_orig.b), s_moved.b) <= 1e-9
+                assert dist(move(s_orig.a), s_moved.a) <= 1e-9
+                assert dist(move(s_orig.b), s_moved.b) <= 1e-9
             else:
-                assert dist(t.apply(s_orig.center), s_moved.center) <= 1e-9
+                assert dist(move(s_orig.center), s_moved.center) <= 1e-9
                 assert abs(s_orig.radius - s_moved.radius) <= 1e-9
-                expected_sweep = -s_orig.sweep if t.reflect_x else s_orig.sweep
+                expected_sweep = -s_orig.sweep if mirrored else s_orig.sweep
                 assert abs(s_moved.sweep - expected_sweep) <= 1e-9
 
 
