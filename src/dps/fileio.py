@@ -25,31 +25,36 @@ from .smoother import ARC, LINE, Polyline, SmoothPath
 
 
 def load_polyline(source: Union[str, TextIO]) -> Polyline:
-    """Read a polyline from CSV with one ``x,y`` record per line.
+    """Read a polyline from CSV with one ``x,y`` record per line, straight
+    into the polyline's coordinate array.
 
     A single leading header line (e.g. ``x,y``) is skipped; blank lines are
-    ignored.
+    ignored. A refused record, including a non-finite coordinate, is named
+    by its line number.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return load_polyline(fh)
-    points = []
+    values, linenos = [], []
     for lineno, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        parts = text.split(",")
+        parts = line.split(",")
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'x,y', got {text!r}")
+            if not line.strip():
+                continue
+            raise ValueError(f"line {lineno}: expected 'x,y', got {line.strip()!r}")
         try:
-            x = float(parts[0])
-            y = float(parts[1])
+            values += (float(parts[0]), float(parts[1]))
         except ValueError:
             if lineno == 1:  # optional header
                 continue
-            raise ValueError(f"line {lineno}: cannot parse {text!r}") from None
-        points.append(Point2(x, y))
-    return Polyline(points)
+            raise ValueError(f"line {lineno}: cannot parse {line.strip()!r}") from None
+        linenos.append(lineno)
+    xy = np.array(values).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
+    if len(bad):
+        x, y = xy[bad[0]].tolist()
+        raise ValueError(f"line {linenos[bad[0]]}: non-finite coordinates ({x}, {y})")
+    return Polyline.from_array(xy)
 
 
 def _number(value) -> float:
@@ -116,6 +121,26 @@ _LINE = '{"type": "line", "a": [%s, %s], "b": [%s, %s]}%.0s'
 _ARC = '{"type": "arc", "center": [%s, %s], "radius": %s, "start_angle": %s, "sweep": %s}'
 
 
+# The types json.load gives JSON numbers; null reads as a non-finite number,
+# as JavaScript's JSON.stringify writes NaN and Infinity.
+_NUMBERS = {int, float, type(None)}
+
+
+def _row(i: int, rec, kind: int, p, q, sweep) -> np.ndarray:
+    """The five values of path record i; ``ValueError`` naming the segment
+    where a value is not a JSON number."""
+    pairs = {type(p), type(q)} <= {list, tuple} and len(p) == len(q) == 2
+    values = [*p, *q, sweep] if pairs else [""]
+    if not set(map(type, values)) <= _NUMBERS:
+        what = ("pairs of numbers" if kind == LINE
+                else "center and numbers for radius, start_angle and sweep")
+        raise ValueError(f"segment {i}: expected [x, y] {what}, got {rec!r}")
+    try:
+        return np.fromiter(values, np.float64, 5)
+    except OverflowError:  # an integer beyond the float range is non-finite
+        return np.full(5, math.inf)
+
+
 def save_path(
     path: SmoothPath,
     dest: Union[str, TextIO],
@@ -155,33 +180,33 @@ def load_path(source: Union[str, TextIO]) -> tuple[SmoothPath, dict]:
     # center, (radius, start_angle) and its sweep.
     kinds, pairs, sweeps = [], [], []
     for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise ValueError(f"segment {i}: expected an object, got {rec!r}")
-        kind = rec.get("type")
-        if kind not in ("line", "arc"):
-            raise ValueError(f"segment {i}: unknown type {kind!r}")
         try:
-            line = kind == "line"
-            pairs += (rec["a"], rec["b"]) if line else (rec["center"], (rec["radius"], rec["start_angle"]))
-            sweeps.append(0.0 if line else rec["sweep"])
-        except KeyError as err:
-            raise ValueError(f"segment {i}: missing key {err}") from None
-        kinds.append(LINE if line else ARC)
-    try:
-        if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) == {2}):
-            raise ValueError
-        xy = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs)).reshape(-1, 4)
-        data = np.column_stack((xy, np.fromiter(sweeps, np.float64, len(sweeps))))
-    except (TypeError, ValueError):
-        for i, rec in enumerate(records):
-            p, q = pairs[2 * i: 2 * i + 2]
-            try:
-                if {type(p), type(q)} <= {list, tuple} and len(p) == len(q) == 2:
-                    np.fromiter((*p, *q, sweeps[i]), np.float64, 5)
-                    continue
-            except (TypeError, ValueError):
-                pass
-            raise ValueError(f"segment {i}: expected [x, y] pairs of numbers, got {rec!r}") from None
+            kind = rec["type"]
+            if kind == "line":
+                pairs += rec["a"], rec["b"]
+                sweeps.append(0.0)
+                kinds.append(LINE)
+            elif kind == "arc":
+                pairs += rec["center"], (rec["radius"], rec["start_angle"])
+                sweeps.append(rec["sweep"])
+                kinds.append(ARC)
+            else:
+                raise ValueError(f"segment {i}: unknown type {kind!r}")
+        except (TypeError, KeyError) as err:
+            if not isinstance(rec, dict):
+                raise ValueError(f"segment {i}: expected an object, got {rec!r}") from None
+            problem = "unknown type None" if "type" not in rec else f"missing key {err}"
+            raise ValueError(f"segment {i}: {problem}") from None
+    shaped = set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) == {2}
+    flat = list(chain.from_iterable(pairs)) if shaped else []
+    try:  # one type check over all values, at C speed
+        if not (shaped and set(map(type, flat)) <= _NUMBERS and set(map(type, sweeps)) <= _NUMBERS):
+            raise TypeError
+        data = np.column_stack((np.fromiter(flat, np.float64, len(flat)).reshape(-1, 4),
+                                np.fromiter(sweeps, np.float64, len(sweeps))))
+    except (TypeError, OverflowError):
+        data = np.array([_row(i, rec, kinds[i], *pairs[2 * i: 2 * i + 2], sweeps[i])
+                         for i, rec in enumerate(records)])
     arc = np.array(kinds) == ARC
     x0, y0, x1, y1, sweep = data.T
     with np.errstate(invalid="ignore"):

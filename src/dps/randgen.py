@@ -23,7 +23,8 @@ import math
 import random
 from typing import Optional
 
-from .geom import Point2
+import numpy as np
+
 from .smoother import Polyline, check_turn_radius
 
 _TWO_PI = 2.0 * math.pi
@@ -126,4 +127,4 @@ def random_polyline(
             ys.pop()
             claims.pop()
             claims[-1] = 0.0
-    return Polyline([Point2(x, y) for x, y in zip(xs, ys)])
+    return Polyline.from_array(np.column_stack((xs, ys)))

@@ -23,32 +23,26 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _arc_command(cx: float, cy: float, radius: float, start: float, sweep: float) -> str:
-    """One or two elliptical-arc commands covering the arc's sweep."""
-    parts = []
-    # A full circle degenerates in the A command; emit it as two halves.
-    halves = [(start, sweep)] if abs(sweep) < _FULL else [
-        (start, 0.5 * sweep),
-        (start + 0.5 * sweep, 0.5 * sweep),
-    ]
-    for a0, ds in halves:
-        _, _, end_x, end_y = arc_ends(cx, cy, radius, a0, ds)
-        large = 1 if abs(ds) > math.pi else 0
-        sweep_flag = 1 if ds > 0 else 0
-        parts.append(
-            f"A {_fmt(radius)} {_fmt(radius)} 0 {large} {sweep_flag} "
-            f"{_fmt(end_x)} {_fmt(end_y)}"
-        )
-    return " ".join(parts)
-
-
 def _path_d(path: SmoothPath) -> str:
+    """The path as SVG commands, formatted by one template over all values.
+    An arc is an ``A`` command to its end point; a full circle, which
+    degenerates in that command, is drawn as two halves."""
     kinds, rows = path.kind.tolist(), path.data.tolist()
-    x, y = rows[0][:2] if kinds[0] == LINE else arc_ends(*rows[0])[:2]
-    parts = [f"M {_fmt(x)} {_fmt(y)}"]
+    first = rows[0][:2] if kinds[0] == LINE else arc_ends(*rows[0])[:2]
+    commands, values = ["M %.10g %.10g"], list(first)
     for kind, row in zip(kinds, rows):
-        parts.append(_arc_command(*row) if kind == ARC else f"L {_fmt(row[2])} {_fmt(row[3])}")
-    return " ".join(parts)
+        if kind == LINE:
+            commands.append("L %.10g %.10g")
+            values += row[2:4]
+            continue
+        cx, cy, radius, start, sweep = row
+        halves = [(start, sweep)] if abs(sweep) < _FULL else [
+            (start, 0.5 * sweep), (start + 0.5 * sweep, 0.5 * sweep)]
+        for a0, ds in halves:
+            commands.append("A %.10g %.10g 0 %d %d %.10g %.10g")
+            values += (radius, radius, abs(ds) > math.pi, ds > 0,
+                       *arc_ends(cx, cy, radius, a0, ds)[2:])
+    return " ".join(commands) % tuple(values)
 
 
 def _expand(bbox, x, y, margin=0.0):
@@ -77,8 +71,8 @@ def render_svg(
         _expand(bbox, np.where(arc, x0 + x1, np.maximum(x0, x1)).max().item(),
                 np.where(arc, y0 + x1, np.maximum(y0, y1)).max().item())
     if polyline is not None:
-        for p in polyline.points:
-            _expand(bbox, p.x, p.y)
+        _expand(bbox, *polyline.xy.min(axis=0).tolist())
+        _expand(bbox, *polyline.xy.max(axis=0).tolist())
     if scenario is not None:
         _expand(bbox, scenario.bounds.xmin, scenario.bounds.ymin)
         _expand(bbox, scenario.bounds.xmax, scenario.bounds.ymax)
@@ -108,7 +102,7 @@ def render_svg(
             pts = " ".join(f"{_fmt(v.x)},{_fmt(v.y)}" for v in poly.vertices)
             lines.append(f'<polygon points="{pts}" fill="#b0b0b0" stroke="none"/>')
     if polyline is not None:
-        pts = " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in polyline.points)
+        pts = " ".join(["%.10g,%.10g"] * len(polyline)) % tuple(polyline.xy.ravel().tolist())
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="#2060d0" '
             f'stroke-width="{_fmt(stroke)}"/>'

@@ -15,16 +15,29 @@ per-vertex, per-edge and 4r far predicates, ``vertex_solutions``,
 their numbers from that pass, so they accept and refuse the same inputs,
 also on the boundary |p_j p_k| = l_j + l_k; the three-point sub-problem is
 ``vertex_solutions`` on a three-point polyline. Neither mode smooths an
-exact reversal: no G1 arc of any radius turns back on itself. A
-``SmoothPath`` holds plain rows in arrays; segment objects are built only on
-request.
+exact reversal: no G1 arc of any radius turns back on itself.
+
+A ``Polyline`` holds one read-only n x 2 float64 array and a ``SmoothPath``
+plain rows in arrays; ``Point2`` and segment objects are built only on
+request. The pass is written once, as formulas for one vertex, over a
+backend of math functions: ``_FLOATS`` runs them vertex by vertex on Python
+floats, ``_ARRAYS`` on numpy columns and places the path's rows by mask and
+cumsum index arithmetic. Polylines of fewer than ``_ARRAY_MIN_VERTICES``
+vertices take the float backend. Both backends use only correctly rounded
+operations (+ - * / and sqrt; a length is ``sqrt(x*x + y*y)``, not
+``hypot``) and take both angles from ``math.atan2``, so the switch changes
+no answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import partial, reduce
+from itertools import chain, repeat
+from operator import sub
+from types import SimpleNamespace
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,12 +51,88 @@ from .geom import (
     LineSegment,
     Point2,
     Pose,
-    dist,
     point_arc_distance,
     point_segment_distance,
 )
 
 Segment = Union[LineSegment, ArcSegment]
+
+# Vertex count from which the tangent pass runs on numpy columns instead of
+# Python floats: smoothing plus a feasibility report takes equally long on
+# both at 40-48 vertices on a 2-vCPU x86-64 VM (BENCH_pr9_long_route.json,
+# "backend_crossover_us").
+_ARRAY_MIN_VERTICES = 44
+
+
+def _atan2_rows(y, x):
+    """math.atan2 element by element: np.arctan2 differs from it in the last
+    bits on some inputs, and the two backends must agree."""
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), np.float64, len(y))
+
+
+def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, sweep, radius, through, _):
+    """Path rows in travel order from (x, y) to (xn, yn): a line into each
+    arc vertex's arc unless it would be empty, the arc, and a last line."""
+    kinds, values = [], []
+    for ax, ay, bx, by, ox, oy, turn, rad, skip in zip(q1x, q1y, q2x, q2y, cx, cy, sweep, radius,
+                                                       through):
+        if skip:
+            continue
+        if _apart(x, y, ax, ay, _FLOATS):
+            kinds.append(LINE)
+            values += (x, y, ax, ay, 0.0)
+        kinds.append(ARC)
+        values += (ox, oy, rad, _start_angle(ax, ay, ox, oy, _FLOATS), turn)
+        x, y = bx, by
+    if _apart(x, y, xn, yn, _FLOATS) or not kinds:
+        kinds.append(LINE)
+        values += (x, y, xn, yn, 0.0)
+    return kinds, values
+
+
+def _assemble_columns(x0, y0, xn, yn, *raws):
+    """``_assemble_rows`` on columns: arc k lands at row cumsum(1 + line)[k]
+    - 1, where ``line`` flags a line into the arc, and that line just before."""
+    q1x, q1y, q2x, q2y, cx, cy, _, sweep, radius = (c[~raws[9]] for c in raws[:9])
+    x, y = np.concatenate(([x0], q2x)), np.concatenate(([y0], q2y))  # where lines start
+    line = _apart(x[:-1], y[:-1], q1x, q1y, _ARRAYS)
+    arc_at = np.cumsum(1 + line) - 1
+    tail = _apart(x[-1].item(), y[-1].item(), xn, yn, _FLOATS) or not len(arc_at)
+    kind = np.full(len(arc_at) + line.sum() + tail, LINE, np.int8)
+    data = np.zeros((len(kind), 5))
+    kind[arc_at] = ARC
+    data[arc_at] = np.column_stack((cx, cy, radius, _start_angle(q1x, q1y, cx, cy, _ARRAYS), sweep))
+    data[arc_at[line] - 1, :4] = np.column_stack((x[:-1], y[:-1], q1x, q1y))[line]
+    if tail:
+        data[-1] = (x[-1], y[-1], xn, yn, 0.0)
+    return kind, data
+
+
+# The two backends the pass runs on. ``map(f, *columns)`` applies a formula
+# written for one vertex to every row, ``map_n`` one with n outputs, and
+# ``each(v)`` passes a scalar to every row; ``isfinite`` works on a column and
+# ``find(column, value)`` gives the rows that hold ``value``.
+_FLOATS = SimpleNamespace(
+    sqrt=math.sqrt, atan2=math.atan2, copysign=math.copysign, min=min,
+    where=lambda cond, a, b: a if cond else b, each=repeat,
+    map=lambda f, *args: list(map(f, *args, repeat(_FLOATS))),
+    map_n=lambda n, f, *args: list(zip(*_FLOATS.map(f, *args))) or [()] * n,
+    isfinite=partial(map, math.isfinite), all=all, columns=lambda xy: xy.T.tolist(),
+    tolist=lambda c: c, cat=lambda *c: list(chain(*c)),
+    find=lambda c, value: [i for i, v in enumerate(c) if v == value], assemble=_assemble_rows,
+)
+_ARRAYS = SimpleNamespace(
+    sqrt=np.sqrt, atan2=_atan2_rows, copysign=np.copysign, min=lambda *a: reduce(np.minimum, a),
+    where=np.where, each=lambda v: v, map=lambda f, *args: f(*args, _ARRAYS),
+    map_n=lambda n, f, *args: list(np.broadcast_arrays(*f(*args, _ARRAYS))),
+    isfinite=np.isfinite, all=np.all, columns=lambda xy: tuple(xy.T),
+    tolist=lambda c: c.tolist(), cat=lambda *c: np.concatenate(c),
+    find=lambda c, value: np.flatnonzero(c == value), assemble=_assemble_columns,
+)
+
+
+def _backend(n: int):
+    return _FLOATS if n < _ARRAY_MIN_VERTICES else _ARRAYS
 
 
 class FeasibilityError(ValueError):
@@ -60,29 +149,78 @@ def check_turn_radius(r: float) -> float:
     return r
 
 
+def _distance(ax, ay, bx, by, m):
+    dx = bx - ax
+    dy = by - ay
+    return m.sqrt(dx * dx + dy * dy)
+
+
+def _apart(ax, ay, bx, by, m):
+    return _distance(ax, ay, bx, by, m) > LENGTH_EPSILON
+
+
 @dataclass(frozen=True, slots=True)
 class Polyline:
-    """Ordered sequence of at least two points with distinct neighbors."""
+    """Ordered sequence of at least two points with distinct neighbors.
 
-    points: tuple[Point2, ...]
+    Held as ``xy``, one read-only n x 2 float64 array of coordinates.
+    ``points`` builds n ``Point2`` objects anew on every access, about half
+    a microsecond each; code that walks a long polyline reads ``xy``.
+    """
+
+    xy: np.ndarray
 
     def __init__(self, points: Sequence[Point2]):
-        pts = tuple(points)
-        if len(pts) < 2:
-            raise ValueError(f"polyline needs at least 2 points, got {len(pts)}")
-        for i in range(len(pts) - 1):
-            if dist(pts[i], pts[i + 1]) <= LENGTH_EPSILON:
-                raise DegeneratePointsError(f"polyline points {i} and {i + 1} coincide")
-        object.__setattr__(self, "points", pts)
+        xy = np.array([c for p in points for c in (p.x, p.y)], dtype=np.float64)
+        self._fill(xy.reshape(-1, 2))
+
+    @classmethod
+    def from_array(cls, xy) -> "Polyline":
+        """A polyline over a copy of ``xy``, an n x 2 array of coordinates;
+        it refuses what ``Polyline(points)`` refuses, with the same errors,
+        and non-finite coordinates as ``Point2`` does."""
+        return object.__new__(cls)._fill(np.array(xy, dtype=np.float64))
+
+    def _fill(self, xy: np.ndarray) -> "Polyline":
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"polyline coordinates must be an n x 2 array, got shape {xy.shape}")
+        if len(xy) < 2:
+            raise ValueError(f"polyline needs at least 2 points, got {len(xy)}")
+        m = _backend(len(xy))
+        x, y = m.columns(xy)
+        if not (m.all(m.isfinite(x)) and m.all(m.isfinite(y))):
+            bad = next(row for row in xy.tolist() if not all(map(math.isfinite, row)))
+            raise ValueError("non-finite coordinates ({}, {})".format(*bad))
+        apart = m.map(_apart, x[:-1], y[:-1], x[1:], y[1:])
+        if not m.all(apart):
+            i = int(m.find(apart, False)[0])
+            raise DegeneratePointsError(f"polyline points {i} and {i + 1} coincide")
+        xy.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+        return self
+
+    @property
+    def points(self) -> tuple[Point2, ...]:
+        return tuple(map(Point2, *self.xy.T.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xy)
+
+    def __eq__(self, other):
+        if not isinstance(other, Polyline):
+            return NotImplemented
+        return np.array_equal(self.xy, other.xy)
+
+    def __hash__(self):
+        return hash((len(self.xy), *self.xy[0].tolist(), *self.xy[-1].tolist()))
 
 
 def polyline_length(p: Polyline) -> float:
-    """Sum of the edge lengths, in edge order."""
-    pts = p.points
-    return sum(dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+    """Sum of the edge lengths, in edge order. Each is ``math.hypot``, as in
+    ``path_length``, so that a path through collinear vertices measures as
+    long as its polyline, not an ulp longer."""
+    x, y = p.xy.T.tolist()
+    return sum(map(math.hypot, map(sub, x[1:], x), map(sub, y[1:], y)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,8 +287,8 @@ class SmoothPath:
         return object.__new__(cls)._fill(kind, data, start_point, end_point)
 
     def _fill(self, kind, data, start_point: Point2, end_point: Point2) -> "SmoothPath":
-        kind = np.array(kind, dtype=np.int8)
-        data = np.array(data, dtype=np.float64).reshape(len(kind), 5)
+        kind = np.asarray(kind, dtype=np.int8)
+        data = np.asarray(data, dtype=np.float64).reshape(len(kind), 5)
         kind.flags.writeable = data.flags.writeable = False
         for name, value in zip(self.__slots__, (kind, data, start_point, end_point)):
             object.__setattr__(self, name, value)
@@ -238,83 +376,93 @@ def deviation_bound(alpha: float, r: float) -> float:
     return r * (1.0 / math.sin(0.5 * alpha) - 1.0)
 
 
-def _solve_raw(xi, yi, xm, ym, xf, yf, r):
-    """Tangent solve on raw coordinates.
+def _solve_raw(xi, yi, xm, ym, xf, yf, r, m=_FLOATS):
+    """Tangent solve at the middle vertex of (p_i, p_m, p_f), on floats or,
+    with ``m = _ARRAYS``, on columns of such triples.
 
-    Returns None for a collinear pass-through vertex, otherwise the tuple
-    (q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep, r); an exact reversal
-    is reported with l = inf so the edge check rejects it.
+    Returns (q1x, q1y, q2x, q2y, cx, cy, l, sweep, r, through, n1): the entry and
+    exit tangent points, the arc center, the tangent length, the signed turn
+    angle (positive = left), the radius and whether the vertex carries no
+    arc, which has l = 0: a collinear pass-through, or radius 0 (an arc that
+    best-effort clamping drops). An exact reversal has l = inf so the edge
+    check rejects it. Only l is meaningful on those kinds of vertex. n1 is
+    the length of the edge into the vertex.
     """
     v1x = xm - xi
     v1y = ym - yi
     v2x = xf - xm
     v2y = yf - ym
-    n1 = math.hypot(v1x, v1y)
-    n2 = math.hypot(v2x, v2y)
+    n1 = m.sqrt(v1x * v1x + v1y * v1y)
+    n2 = m.sqrt(v2x * v2x + v2y * v2y)
     crs = v1x * v2y - v1y * v2x
     dt = v1x * v2x + v1y * v2y
-    if abs(crs) <= COLLINEAR_EPSILON * n1 * n2 and dt > 0.0:
-        return None
+    through = ((abs(crs) <= COLLINEAR_EPSILON * n1 * n2) & (dt > 0.0)) | (r == 0.0)
     denom = dt + n1 * n2
-    if denom == 0.0:
-        return xm, ym, xm, ym, xm, ym, math.inf, math.inf, 0.0, math.pi, r
-    sweep = math.atan2(crs, dt)
-    alpha = math.pi - abs(sweep)
-    l = r * abs(crs) / denom
+    reversal = denom == 0.0
+    fit = r * abs(crs) / (denom + reversal)  # divides by 1 at a reversal
+    l = m.where(through, 0.0, m.where(reversal, math.inf, fit))
+    sweep = m.atan2(crs, dt)
     u1x = v1x / n1
     u1y = v1y / n1
-    u2x = v2x / n2
-    u2y = v2y / n2
-    q1x = xm - l * u1x
-    q1y = ym - l * u1y
-    q2x = xm + l * u2x
-    q2y = ym + l * u2y
-    if sweep > 0.0:
-        cx = q1x - r * u1y
-        cy = q1y + r * u1x
-    else:
-        cx = q1x + r * u1y
-        cy = q1y - r * u1x
-    d = math.hypot(xm - cx, ym - cy)
-    return q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep, r
+    q1x = xm - fit * u1x
+    q1y = ym - fit * u1y
+    side = m.copysign(r, sweep)  # the center lies left of a left turn
+    return (q1x, q1y, xm + fit * (v2x / n2), ym + fit * (v2y / n2),
+            q1x - side * u1y, q1y + side * u1x, l, sweep, r, through, n1)
 
 
-def _triplet(raw) -> TripletSolution:
-    q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep, radius = raw
-    return TripletSolution(
-        q1=Point2(q1x, q1y),
-        q2=Point2(q2x, q2y),
-        center=Point2(cx, cy),
-        l=l,
-        d=d,
-        alpha=alpha,
-        sweep=sweep,
-        deviation=d - radius,
-    )
+_RAW_FIELDS = 11
 
 
-def _tangent_pass(pts: tuple[Point2, ...], r: float):
-    """The numbers every predicate and every assembly reads, from one solve
-    per interior vertex: edge lengths |p_e p_e+1|, the tangent length per
-    vertex (0 at the endpoints and at pass-through vertices, inf at an exact
-    reversal) and the raw solves (None = pass-through)."""
-    raws = [_solve_raw(a.x, a.y, m.x, m.y, b.x, b.y, r) for a, m, b in zip(pts, pts[1:], pts[2:])]
-    edges = list(map(dist, pts, pts[1:]))
-    ls = [0.0, *[0.0 if raw is None else raw[6] for raw in raws], 0.0]
-    return edges, ls, raws
+class _Pass(NamedTuple):
+    """The numbers every predicate and every assembly reads: the backend,
+    the coordinate columns, the edge lengths |p_e p_e+1|, the tangent length
+    per vertex (0 at the endpoints and at pass-through vertices, inf at an
+    exact reversal) and the ``_solve_raw`` columns of the interior vertices."""
+
+    m: SimpleNamespace
+    x: Sequence[float]
+    y: Sequence[float]
+    edges: Sequence[float]
+    ls: Sequence[float]
+    raws: list
 
 
-def _edges_ok(edges: list, ls: list) -> list[bool]:
-    """The paper's edge condition |p_j p_k| >= l_j + l_k, per edge. It implies
-    the per-vertex fit l_j <= min(|p_i p_j|, |p_j p_k|), also in floating
-    point, so all edges passing means the polyline is feasible."""
-    return [edge >= l0 + l1 for edge, l0, l1 in zip(edges, ls, ls[1:])]
+def _tangent_pass(p: Polyline, r: float) -> _Pass:
+    m = _backend(len(p.xy))
+    x, y = m.columns(p.xy)
+    raws = m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:],
+                   m.each(r))
+    last = _distance(float(x[-2]), float(y[-2]), float(x[-1]), float(y[-1]), _FLOATS)
+    edges = m.cat(raws[10], [last])
+    return _Pass(m, x, y, edges, m.cat([0.0], raws[6], [0.0]), raws)
 
 
-def _existence(tp) -> FeasibilityReport:
-    edges, ls, _ = tp
-    local_ok = (True, *(l <= min(e0, e1) for l, e0, e1 in zip(ls[1:-1], edges, edges[1:])), True)
-    return FeasibilityReport(local_ok, tuple(_edges_ok(edges, ls)))
+def _triplet(q1x, q1y, q2x, q2y, cx, cy, l, sweep, radius, xm, ym) -> TripletSolution:
+    d = math.sqrt((xm - cx) * (xm - cx) + (ym - cy) * (ym - cy))
+    return TripletSolution(Point2(q1x, q1y), Point2(q2x, q2y), Point2(cx, cy), l, d,
+                           math.pi - abs(sweep), sweep, d - radius)
+
+
+def _holds(edge, l0, l1, m):
+    """The paper's edge condition |p_j p_k| >= l_j + l_k. It implies the
+    per-vertex fit l_j <= min(|p_i p_j|, |p_j p_k|), also in floating point,
+    so all edges passing means the polyline is feasible."""
+    return edge >= l0 + l1
+
+
+def _fits(l, e0, e1, m):
+    return (l <= e0) & (l <= e1)
+
+
+def _far(ax, ay, qx, qy, through, r, m):
+    return through | (_distance(ax, ay, qx, qy, m) >= 4.0 * r)
+
+
+def _existence(tp: _Pass) -> FeasibilityReport:
+    m, edges, ls = tp.m, tp.edges, tp.ls
+    return FeasibilityReport((True, *m.tolist(m.map(_fits, ls[1:-1], edges[:-1], edges[1:])), True),
+                             tuple(m.tolist(m.map(_holds, edges, ls[:-1], ls[1:]))))
 
 
 def _report(p: Polyline, r: float):
@@ -322,42 +470,31 @@ def _report(p: Polyline, r: float):
     passes when the exit tangent point after p_k lies at least 4r from p_j)
     only when the existence flags all hold."""
     check_turn_radius(r)
-    pts = p.points
-    tp = _tangent_pass(pts, r)
+    tp = _tangent_pass(p, r)
     report = _existence(tp)
     if report.feasible:
-        four_r = 4.0 * r
-        far = (raw is None or math.hypot(raw[2] - a.x, raw[3] - a.y) >= four_r
-               for a, raw in zip(pts, tp[2]))
-        report = FeasibilityReport(report.local_ok, report.global_ok, (*far, True))
+        m, x, y, raws = tp.m, tp.x, tp.y, tp.raws
+        far = m.map(_far, x[:-2], y[:-2], raws[2], raws[3], raws[9], raws[8])
+        report = FeasibilityReport(report.local_ok, report.global_ok, (*m.tolist(far), True))
     return tp, report
 
 
-def _infeasible(tp, report: FeasibilityReport, vertex: Optional[int] = None) -> FeasibilityError:
+def _infeasible(tp: _Pass, report: FeasibilityReport, vertex: Optional[int] = None):
     """Refusal naming ``vertex``, else the first vertex whose tangent length
     overruns an incident edge, else the first edge too short for its two
     tangent lengths, with the numbers of the tangent pass."""
-    edges, ls, _ = tp
+    edges, ls = tp.edges, tp.ls
     if vertex is None and report.local_violations:
         vertex = report.local_violations[0]
     if vertex is not None:
-        edge, need = min(edges[vertex - 1], edges[vertex]), ls[vertex]
+        edge, need = float(min(edges[vertex - 1], edges[vertex])), float(ls[vertex])
         reason = f"vertex {vertex}: l = {need:.6g} > min edge {edge:.6g}"
     else:
         e = report.global_violations[0]
-        edge, need = edges[e], ls[e] + ls[e + 1]
+        edge, need = float(edges[e]), float(ls[e] + ls[e + 1])
         reason = f"edge {e}: |p{e} p{e + 1}| = {edge:.6g} < l{e} + l{e + 1} = {need:.6g}"
     short = "exact reversal" if need == math.inf else f"short by {need - edge:.3g}"
     return FeasibilityError(f"{reason} ({short})", report)
-
-
-def _strict(tp) -> list:
-    """Raw solves of a pass whose every edge holds its two tangent lengths;
-    FeasibilityError otherwise."""
-    edges, ls, raws = tp
-    if not all(_edges_ok(edges, ls)):
-        raise _infeasible(tp, _existence(tp))
-    return raws
 
 
 def check_global_existence(p: Polyline, r: float) -> FeasibilityReport:
@@ -365,7 +502,7 @@ def check_global_existence(p: Polyline, r: float) -> FeasibilityReport:
     |p_j - p_k| >= l_j + l_k that consecutive tangent points exist in order;
     endpoint vertices contribute zero."""
     check_turn_radius(r)
-    return _existence(_tangent_pass(p.points, r))
+    return _existence(_tangent_pass(p, r))
 
 
 def check_far_condition(p: Polyline, r: float) -> tuple[bool, ...]:
@@ -382,49 +519,56 @@ def feasibility_report(p: Polyline, r: float) -> FeasibilityReport:
     return _report(p, r)[1]
 
 
-def _feasible_pass(p: Polyline, r: float) -> tuple[list, tuple[bool, ...]]:
-    """Raw solves and far flags of a feasible polyline."""
+def _feasible_pass(p: Polyline, r: float) -> tuple[_Pass, tuple[bool, ...]]:
+    """Tangent pass and far flags of a feasible polyline."""
     tp, report = _report(p, r)
     if not report.feasible:
         raise _infeasible(tp, report)
-    return tp[2], report.far_ok
+    return tp, report.far_ok
 
 
-def _clamp(pts: tuple[Point2, ...], tp) -> list:
+def _share(edge, l0, l1, m):
+    """Factor that scales both tangent lengths of an edge down to what it
+    holds, split in proportion to them; 1 on an edge that holds both."""
+    contested = edge < l0 + l1
+    return m.where(contested, edge / m.where(contested, l0 + l1, 1.0), 1.0)
+
+
+def _clamped_radius(l, share0, share1, e0, e1, r, m):
+    """Radius that keeps the arc tangent at the tangent length its edges
+    allow (a pass-through vertex, l = 0, keeps r); 0 where that radius
+    vanishes and the arc is dropped."""
+    fit = m.min(l * share0, l * share1, e0, e1)
+    clamped = fit < l
+    r_eff = r * fit / m.where(clamped, l, 1.0)
+    return m.where(clamped, m.where(r_eff <= LENGTH_EPSILON, 0.0, r_eff), r)
+
+
+def _clamp(tp: _Pass) -> list:
     """Best-effort solves: a tangent length that its edges cannot hold is cut
     to what they can (a contested edge is split in proportion to its two
     tangent lengths) and the arc radius shrinks with it to keep tangency."""
-    edges, ls, raws = tp
-    allowed = list(ls)
-    for e, edge in enumerate(edges):
-        want = ls[e] + ls[e + 1]
-        if edge < want < math.inf:
-            scale = edge / want
-            allowed[e] = min(allowed[e], ls[e] * scale)
-            allowed[e + 1] = min(allowed[e + 1], ls[e + 1] * scale)
-    out = []
-    for j, raw in enumerate(raws, start=1):
-        l = min(allowed[j], edges[j - 1], edges[j])
-        if raw is not None and l < ls[j]:
-            r_eff = raw[10] * l / ls[j]
-            a, m, b = pts[j - 1], pts[j], pts[j + 1]
-            raw = None if r_eff <= LENGTH_EPSILON else _solve_raw(a.x, a.y, m.x, m.y, b.x, b.y, r_eff)
-        out.append(raw)
-    return out
+    m, x, y, edges, ls, raws = tp
+    share = m.map(_share, edges, ls[:-1], ls[1:])
+    radius = m.map(_clamped_radius, ls[1:-1], share[:-1], share[1:], edges[:-1], edges[1:], raws[8])
+    return m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:], radius)
 
 
-def _solves(p: Polyline, r: float, mode: str) -> list:
-    """Raw solve per interior vertex in the given smoothing mode."""
+def _solves(p: Polyline, r: float, mode: str) -> tuple[_Pass, list]:
+    """Tangent pass and the solve columns to smooth with in the given mode."""
     check_turn_radius(r)
     if mode not in ("strict", "best-effort"):
         raise ValueError(f"unknown smoothing mode {mode!r}")
-    pts = p.points
-    tp = _tangent_pass(pts, r)
+    tp = _tangent_pass(p, r)
+    m = tp.m
     if mode == "strict":
-        return _strict(tp)
-    if math.inf in tp[1]:  # no arc of any radius turns back on itself
-        raise _infeasible(tp, _existence(tp), tp[1].index(math.inf))
-    return _clamp(pts, tp)
+        if not m.all(m.map(_holds, tp.edges, tp.ls[:-1], tp.ls[1:])):
+            raise _infeasible(tp, _existence(tp))
+        return tp, tp.raws
+    reversals = m.find(tp.ls, math.inf)  # no arc of any radius turns back on itself
+    if len(reversals):
+        raise _infeasible(tp, _existence(tp), int(reversals[0]))
+    return tp, _clamp(tp)
 
 
 def vertex_solutions(p: Polyline, r: float, mode: str = "strict") -> list[Optional[TripletSolution]]:
@@ -435,29 +579,24 @@ def vertex_solutions(p: Polyline, r: float, mode: str = "strict") -> list[Option
     shrinks to keep tangency, so the result stays G1 but may violate the
     curvature bound; an exact reversal is still refused.
     """
-    return [None if raw is None else _triplet(raw) for raw in _solves(p, r, mode)]
+    tp, raws = _solves(p, r, mode)
+    *cols, through, _ = map(tp.m.tolist, raws)
+    x, y = tp.m.tolist(tp.x[1:-1]), tp.m.tolist(tp.y[1:-1])
+    return [None if t else _triplet(*row, xm, ym) for *row, t, xm, ym in zip(*cols, through, x, y)]
 
 
-def _assemble_raw(pts: tuple[Point2, ...], raws: list) -> SmoothPath:
-    kinds: list[int] = []
-    rows: list[tuple] = []
-    x, y = pts[0].x, pts[0].y
-    for raw in raws:
-        if raw is None:
-            continue
-        q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep, radius = raw
-        if math.hypot(q1x - x, q1y - y) > LENGTH_EPSILON:
-            kinds.append(LINE)
-            rows.append((x, y, q1x, q1y, 0.0))
-        start = math.atan2(q1y - cy, q1x - cx)
-        kinds.append(ARC)  # atan2 gives [-pi, pi]; a heading lies in (-pi, pi]
-        rows.append((cx, cy, radius, math.pi if start == -math.pi else start, sweep))
-        x, y = q2x, q2y
-    end = pts[-1]
-    if math.hypot(end.x - x, end.y - y) > LENGTH_EPSILON or not rows:
-        kinds.append(LINE)
-        rows.append((x, y, end.x, end.y, 0.0))
-    return SmoothPath._from_columns(kinds, rows, pts[0], end)
+def _start_angle(q1x, q1y, cx, cy, m):
+    start = m.atan2(q1y - cy, q1x - cx)  # in [-pi, pi]; a heading lies in (-pi, pi]
+    return m.where(start == -math.pi, math.pi, start)
+
+
+def _assemble_raw(tp: _Pass, raws: list) -> SmoothPath:
+    """The path of lines and arcs through the tangent points of the arc
+    vertices: a line leads into each arc unless it would be empty, and a
+    last line runs to the end point."""
+    x0, y0, xn, yn = float(tp.x[0]), float(tp.y[0]), float(tp.x[-1]), float(tp.y[-1])
+    kind, data = tp.m.assemble(x0, y0, xn, yn, *raws)
+    return SmoothPath._from_columns(kind, data, Point2(x0, y0), Point2(xn, yn))
 
 
 def smooth_polyline(p: Polyline, r: float, mode: str = "strict") -> SmoothPath:
@@ -468,7 +607,7 @@ def smooth_polyline(p: Polyline, r: float, mode: str = "strict") -> SmoothPath:
     clamps tangent lengths instead and shrinks arc radii below r where
     needed, trading the curvature guarantee for totality.
     """
-    return _assemble_raw(p.points, _solves(p, r, mode))
+    return _assemble_raw(*_solves(p, r, mode))
 
 
 def smooth_polyline_batch(
@@ -546,42 +685,25 @@ def extract_pieces(p: Polyline, r: float) -> list[PathPiece]:
     tangent configuration; the tail piece covers the final straight.
     ``guaranteed`` carries the piece's 4r far-condition flag.
     """
-    raws, far = _feasible_pass(p, r)
-    pts = p.points
+    tp, far = _feasible_pass(p, r)
+    q1x, q1y, q2x, q2y, _, _, _, sweep, _, through, _ = map(tp.m.tolist, tp.raws)
+    xs, ys = tp.m.tolist(tp.x), tp.m.tolist(tp.y)
     pieces: list[PathPiece] = []
-    cur_point = pts[0]
-    cur_heading: Optional[float] = None
-    for j, (raw, guaranteed) in enumerate(zip(raws, far), start=1):
-        if raw is None:
-            continue
-        q1x, q1y, q2x, q2y, cx, cy, l, d, alpha, sweep, radius = raw
-        q2 = Point2(q2x, q2y)
-        if cur_heading is None:
-            cur_heading = math.atan2(pts[j].y - cur_point.y, pts[j].x - cur_point.x)
-        exit_heading = math.atan2(pts[j + 1].y - pts[j].y, pts[j + 1].x - pts[j].x)
-        pieces.append(
-            PathPiece(
-                start=Pose(cur_point, Heading(cur_heading)),
-                end=Pose(q2, Heading(exit_heading)),
-                length=dist(cur_point, Point2(q1x, q1y)) + r * abs(sweep),
-                guaranteed=guaranteed,
-                vertex=j,
-            )
-        )
-        cur_point = q2
-        cur_heading = exit_heading
-    if cur_heading is None:
-        cur_heading = math.atan2(pts[-1].y - cur_point.y, pts[-1].x - cur_point.x)
-    if dist(cur_point, pts[-1]) > LENGTH_EPSILON:
-        pieces.append(
-            PathPiece(
-                start=Pose(cur_point, Heading(cur_heading)),
-                end=Pose(pts[-1], Heading(cur_heading)),
-                length=dist(cur_point, pts[-1]),
-                guaranteed=True,
-                vertex=None,
-            )
-        )
+    x, y, heading = xs[0], ys[0], None
+    for k in _FLOATS.find(through, False):  # vertex j = k + 1 carries an arc
+        j = k + 1
+        if heading is None:
+            heading = math.atan2(ys[j] - y, xs[j] - x)
+        exit_heading = math.atan2(ys[j + 1] - ys[j], xs[j + 1] - xs[j])
+        length = math.hypot(q1x[k] - x, q1y[k] - y) + r * abs(sweep[k])
+        end = Pose(Point2(q2x[k], q2y[k]), Heading(exit_heading))
+        pieces.append(PathPiece(Pose(Point2(x, y), Heading(heading)), end, length, far[k], j))
+        x, y, heading = q2x[k], q2y[k], exit_heading
+    tail = math.hypot(xs[-1] - x, ys[-1] - y)
+    if tail > LENGTH_EPSILON:
+        along = Heading(math.atan2(ys[-1] - y, xs[-1] - x) if heading is None else heading)
+        pieces.append(PathPiece(Pose(Point2(x, y), along), Pose(Point2(xs[-1], ys[-1]), along),
+                                tail, True, None))
     return pieces
 
 

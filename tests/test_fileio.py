@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -32,6 +33,13 @@ def test_load_polyline_errors():
         load_polyline(io.StringIO("0,0\n1,2,3\n"))  # bad record
     with pytest.raises(ValueError):
         load_polyline(io.StringIO("0,0\nnope,nan\n"))  # bad number past header
+
+
+def test_load_polyline_names_the_line_of_a_non_finite_coordinate():
+    for text, message in (("x,y\n0,0\n1,nan\n", "line 3: non-finite coordinates (1.0, nan)"),
+                          ("0,0\n\n-inf,2\n4,4\n", "line 3: non-finite coordinates (-inf, 2.0)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_polyline(io.StringIO(text))
 
 
 def test_path_round_trip_exact(tmp_path):
@@ -174,6 +182,11 @@ _GOOD_ARC = {"type": "arc", "center": [1.0, 1.0], "radius": 1.0, "start_angle": 
     ({**_GOOD_ARC, "sweep": None}, "non-finite"),
     ({"type": "spline"}, "unknown type 'spline'"),
     ({"type": "arc", "center": [1.0, 1.0]}, "missing key 'radius'"),
+    ({**_GOOD_LINE, "a": ["0", 0.0]}, "expected \\[x, y\\] pairs of numbers"),
+    ({**_GOOD_LINE, "b": [3.0, True]}, "expected \\[x, y\\] pairs of numbers"),
+    ({**_GOOD_ARC, "radius": "1"}, "expected \\[x, y\\] center and numbers"),
+    ({**_GOOD_ARC, "sweep": True}, "expected \\[x, y\\] center and numbers"),
+    ({**_GOOD_LINE, "b": [10 ** 400, 0.0]}, "non-finite"),
 ])
 def test_load_path_names_the_bad_segment(record, reason):
     good = [_GOOD_LINE, _GOOD_ARC, {**_GOOD_LINE, "a": [2.0, 2.0]}]

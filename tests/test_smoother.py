@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -617,3 +618,121 @@ def test_zero_length_residuals_dropped():
 def test_solve_raw_reversal_sentinel():
     raw = _solve_raw(0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 1.0)
     assert raw is not None and math.isinf(raw[6])
+
+
+def _outcomes(polyline, r, mode):
+    """Everything the tangent pass answers for one polyline, with bit-exact
+    path columns; a refusal as its message and report."""
+
+    def attempt(fn):
+        try:
+            return fn()
+        except FeasibilityError as err:
+            return ("refused", str(err), err.report)
+
+    def columns():
+        path = smooth_polyline(polyline, r, mode)
+        return path.kind.tobytes(), path.data.tobytes(), path.start_point, path.end_point
+
+    return (attempt(columns), attempt(lambda: vertex_solutions(polyline, r, mode)),
+            feasibility_report(polyline, r), check_global_existence(polyline, r),
+            attempt(lambda: check_far_condition(polyline, r)),
+            attempt(lambda: extract_pieces(polyline, r)))
+
+
+def _tight_polyline(rng, r):
+    """Right-angle turns r apart whose middle edge holds exactly l1 + l2 = 2r."""
+    s = rng.choice((0.5, 1.0, 2.0, 4.0))
+    return Polyline([P(0, 0), P(4 * s, 0), P(4 * s, 2 * s), P(0, 2 * s)]), s
+
+
+def test_backends_give_the_same_bits(monkeypatch):
+    """Each polyline runs on the float and on the array backend, whatever its
+    size: the path columns, reports, vertex solutions, pieces and refusal
+    messages must be equal, the floats bit for bit."""
+    rng = random.Random(909)
+    cases = []
+    for _ in range(150):  # seeded random routes, feasible and not
+        r = rng.uniform(0.2, 3.0)
+        cases.append((random_polyline(rng.randint(2, 30), r, rng=rng), r))
+        walk = [P(rng.uniform(-20, 20), rng.uniform(-20, 20)) for _ in range(rng.randint(2, 30))]
+        cases.append((Polyline(walk), r))
+    for _ in range(100):  # |p_j p_k| = l_j + l_k decided in the last bits
+        r = rng.uniform(0.2, 3.0)
+        cases.append((_boundary_polyline(rng, r, rng.choice((-1, 1)) * rng.uniform(0.05, 3.0)), r))
+        tight, s = _tight_polyline(rng, r)
+        cases.append((tight, s))
+    for sign in (-1, 1):  # turns just inside and just outside pass-through
+        for factor in (0.999, 0.999999, 1.0, 1.000001, 1.001):
+            cases.append((_boundary_polyline(rng, 1.0, sign * 1e-9 * factor), 1.0))
+    cases += [
+        (Polyline([P(0, 0), P(5, 0), P(1, 0), P(1, 5)]), 1.0),  # exact reversals
+        (Polyline([P(0, 0), P(1, 1), P(-1, -1), P(-1, 5)]), 0.1),
+        (Polyline([P(0, 0), P(0.5, 0), P(0.5, 0.5), P(5, 0.5), P(1, 0.5), P(1, 5)]), 1.0),
+        (Polyline([P(0, 0), P(1, 0), P(2.5, 0), P(7, 0)]), 1.0),  # all collinear
+        (Polyline([P(-3, 1), P(-1, 2), P(3, 4), P(7, 6)]), 2.0),
+        (Polyline([P(0, 0), P(3, 4)]), 1.0),  # two points
+        (Polyline([P(0, 0), P(0.5, 0), P(0.5, 0.5), P(0, 0.5), P(0, 1.0), P(1, 1.0)]), 1.0),  # clamps
+        (Polyline([P(0, 0), P(3e-9, 0), P(3e-9, 1)]), 1.0),
+    ]
+    from dps import smoother
+
+    for polyline, r in cases:
+        answers = []
+        for backend in (smoother._FLOATS, smoother._ARRAYS):
+            monkeypatch.setattr(smoother, "_backend", lambda n, backend=backend: backend)
+            answers.append([_outcomes(polyline, r, mode) for mode in ("strict", "best-effort")])
+        assert answers[0] == answers[1], polyline
+
+
+def test_exactly_tight_edge_is_feasible():
+    # l1 = l2 = s at right-angle turns of radius s, and the middle edge is 2s
+    rng = random.Random(1)
+    for _ in range(8):
+        polyline, s = _tight_polyline(rng, 1.0)
+        assert feasibility_report(polyline, s).feasible
+        assert smooth_polyline(polyline, s).kind.tolist() == [LINE, ARC, ARC, LINE]
+        assert not feasibility_report(polyline, s * (1 + 1e-12)).feasible
+
+
+def test_polyline_from_array_matches_points(rng):
+    import numpy as np
+
+    for n in (2, 3, 43, 44, 200):
+        points = random_polyline(n, 1.0, rng=rng).points
+        xy = np.array([(p.x, p.y) for p in points])
+        a, b = Polyline(points), Polyline.from_array(xy)
+        assert a == b and hash(a) == hash(b) and a.points == b.points == points
+        assert len(b) == n and b.xy.dtype == np.float64 and b.xy.shape == (n, 2)
+        xy[0, 0] += 1.0  # from_array copies
+        assert b.points == points
+        with pytest.raises(ValueError):
+            b.xy[0, 0] = 1.0  # read-only
+    assert Polyline([P(0, 0), P(1, 0)]) != Polyline([P(0, 0), P(2, 0)])
+
+
+@pytest.mark.parametrize("n", [3, 60])
+def test_polyline_from_array_refuses_like_points(n):
+    import numpy as np
+
+    xy = np.column_stack((np.arange(n, dtype=float), np.zeros(n)))
+    coincide = xy.copy()
+    coincide[n - 1] = coincide[n - 2]
+    with pytest.raises(DegeneratePointsError, match=rf"^polyline points {n - 2} and {n - 1} coincide$"):
+        Polyline.from_array(coincide)
+    with pytest.raises(DegeneratePointsError, match=rf"^polyline points {n - 2} and {n - 1} coincide$"):
+        Polyline([P(x, y) for x, y in coincide.tolist()])
+    for bad in (math.nan, math.inf, -math.inf):
+        broken = xy.copy()
+        broken[1, 1] = bad
+        with pytest.raises(ValueError) as exc:
+            P(1.0, bad)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(exc.value))}$"):
+            Polyline.from_array(broken)
+    for few in (xy[:1], xy[:0]):
+        with pytest.raises(ValueError, match=rf"^polyline needs at least 2 points, got {len(few)}$"):
+            Polyline.from_array(few)
+        with pytest.raises(ValueError, match=rf"^polyline needs at least 2 points, got {len(few)}$"):
+            Polyline([P(x, y) for x, y in few.tolist()])
+    with pytest.raises(ValueError, match="n x 2"):
+        Polyline.from_array(np.zeros((n, 3)))
