@@ -78,13 +78,13 @@ def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, sweep, radius, t
                                                        through):
         if skip:
             continue
-        if _apart(x, y, ax, ay, _FLOATS):
+        if _apart(x, y, ax, ay):
             kinds.append(LINE)
             values += (x, y, ax, ay, 0.0)
         kinds.append(ARC)
-        values += (ox, oy, rad, _start_angle(ax, ay, ox, oy, _FLOATS), turn)
+        values += (ox, oy, rad, _start_angle(ax, ay, ox, oy), turn)
         x, y = bx, by
-    if _apart(x, y, xn, yn, _FLOATS) or not kinds:
+    if _apart(x, y, xn, yn) or not kinds:
         kinds.append(LINE)
         values += (x, y, xn, yn, 0.0)
     return kinds, values
@@ -97,7 +97,7 @@ def _assemble_columns(x0, y0, xn, yn, *raws):
     x, y = np.concatenate(([x0], q2x)), np.concatenate(([y0], q2y))  # where lines start
     line = _apart(x[:-1], y[:-1], q1x, q1y, _ARRAYS)
     arc_at = np.cumsum(1 + line) - 1
-    tail = _apart(x[-1].item(), y[-1].item(), xn, yn, _FLOATS) or not len(arc_at)
+    tail = _apart(x[-1], y[-1], xn, yn) or not len(arc_at)
     kind = np.full(len(arc_at) + line.sum() + tail, LINE, np.int8)
     data = np.zeros((len(kind), 5))
     kind[arc_at] = ARC
@@ -111,12 +111,14 @@ def _assemble_columns(x0, y0, xn, yn, *raws):
 # The two backends the pass runs on. ``map(f, *columns)`` applies a formula
 # written for one vertex to every row, ``map_n`` one with n outputs, and
 # ``each(v)`` passes a scalar to every row; ``isfinite`` works on a column and
-# ``find(column, value)`` gives the rows that hold ``value``.
+# ``find(column, value)`` gives the rows that hold ``value``. Formulas take
+# the backend last and default to floats, so the float backend calls them
+# row by row without passing it.
 _FLOATS = SimpleNamespace(
     sqrt=math.sqrt, atan2=math.atan2, copysign=math.copysign, min=min,
     where=lambda cond, a, b: a if cond else b, each=repeat,
-    map=lambda f, *args: list(map(f, *args, repeat(_FLOATS))),
-    map_n=lambda n, f, *args: list(zip(*_FLOATS.map(f, *args))) or [()] * n,
+    map=lambda f, *args: list(map(f, *args)),
+    map_n=lambda n, f, *args: list(zip(*map(f, *args))) or [()] * n,
     isfinite=partial(map, math.isfinite), all=all, columns=lambda xy: xy.T.tolist(),
     tolist=lambda c: c, cat=lambda *c: list(chain(*c)),
     find=lambda c, value: [i for i, v in enumerate(c) if v == value], assemble=_assemble_rows,
@@ -149,13 +151,13 @@ def check_turn_radius(r: float) -> float:
     return r
 
 
-def _distance(ax, ay, bx, by, m):
+def _distance(ax, ay, bx, by, m=_FLOATS):
     dx = bx - ax
     dy = by - ay
     return m.sqrt(dx * dx + dy * dy)
 
 
-def _apart(ax, ay, bx, by, m):
+def _apart(ax, ay, bx, by, m=_FLOATS):
     return _distance(ax, ay, bx, by, m) > LENGTH_EPSILON
 
 
@@ -433,7 +435,7 @@ def _tangent_pass(p: Polyline, r: float) -> _Pass:
     x, y = m.columns(p.xy)
     raws = m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:],
                    m.each(r))
-    last = _distance(float(x[-2]), float(y[-2]), float(x[-1]), float(y[-1]), _FLOATS)
+    last = _distance(x[-2], y[-2], x[-1], y[-1])  # on floats also for arrays
     edges = m.cat(raws[10], [last])
     return _Pass(m, x, y, edges, m.cat([0.0], raws[6], [0.0]), raws)
 
@@ -444,18 +446,18 @@ def _triplet(q1x, q1y, q2x, q2y, cx, cy, l, sweep, radius, xm, ym) -> TripletSol
                            math.pi - abs(sweep), sweep, d - radius)
 
 
-def _holds(edge, l0, l1, m):
+def _holds(edge, l0, l1, m=_FLOATS):
     """The paper's edge condition |p_j p_k| >= l_j + l_k. It implies the
     per-vertex fit l_j <= min(|p_i p_j|, |p_j p_k|), also in floating point,
     so all edges passing means the polyline is feasible."""
     return edge >= l0 + l1
 
 
-def _fits(l, e0, e1, m):
+def _fits(l, e0, e1, m=_FLOATS):
     return (l <= e0) & (l <= e1)
 
 
-def _far(ax, ay, qx, qy, through, r, m):
+def _far(ax, ay, qx, qy, through, r, m=_FLOATS):
     return through | (_distance(ax, ay, qx, qy, m) >= 4.0 * r)
 
 
@@ -527,14 +529,14 @@ def _feasible_pass(p: Polyline, r: float) -> tuple[_Pass, tuple[bool, ...]]:
     return tp, report.far_ok
 
 
-def _share(edge, l0, l1, m):
+def _share(edge, l0, l1, m=_FLOATS):
     """Factor that scales both tangent lengths of an edge down to what it
     holds, split in proportion to them; 1 on an edge that holds both."""
     contested = edge < l0 + l1
     return m.where(contested, edge / m.where(contested, l0 + l1, 1.0), 1.0)
 
 
-def _clamped_radius(l, share0, share1, e0, e1, r, m):
+def _clamped_radius(l, share0, share1, e0, e1, r, m=_FLOATS):
     """Radius that keeps the arc tangent at the tangent length its edges
     allow (a pass-through vertex, l = 0, keeps r); 0 where that radius
     vanishes and the arc is dropped."""
@@ -585,7 +587,7 @@ def vertex_solutions(p: Polyline, r: float, mode: str = "strict") -> list[Option
     return [None if t else _triplet(*row, xm, ym) for *row, t, xm, ym in zip(*cols, through, x, y)]
 
 
-def _start_angle(q1x, q1y, cx, cy, m):
+def _start_angle(q1x, q1y, cx, cy, m=_FLOATS):
     start = m.atan2(q1y - cy, q1x - cx)  # in [-pi, pi]; a heading lies in (-pi, pi]
     return m.where(start == -math.pi, math.pi, start)
 
