@@ -3,10 +3,14 @@
 Floats are written with ``repr`` precision (up to 17 significant digits),
 so every file round-trips back to bit-identical doubles.
 
-A path JSON file holds ``{"segments": [``, one segment record per line,
-``]`` and one line per metadata key. Metadata goes through ``json`` (an
-infinite clearance reads ``Infinity``). Any layout of the document loads.
-Paths are written from and read into ``SmoothPath`` columns; the reader runs
+A polyline CSV is read straight into the ``Polyline`` coordinate array; a
+record that does not parse or has a non-finite coordinate is named by its
+line. A path JSON file holds ``{"segments": [``, one segment record per
+line, ``]`` and one line per metadata key. Metadata goes through ``json``
+(an infinite clearance reads ``Infinity``). Any layout of the document
+loads. Paths are written from and read into ``SmoothPath`` columns; the
+reader accepts only JSON numbers (``null`` and integers beyond the float
+range read as non-finite), checked by one type pass over all values, runs
 the segment constructors' checks over the arrays and names a failing index.
 """
 

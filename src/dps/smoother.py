@@ -70,11 +70,11 @@ def _atan2_rows(y, x):
     return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), np.float64, len(y))
 
 
-def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, sweep, radius, through, _):
+def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, radius, through, _):
     """Path rows in travel order from (x, y) to (xn, yn): a line into each
     arc vertex's arc unless it would be empty, the arc, and a last line."""
     kinds, values = [], []
-    for ax, ay, bx, by, ox, oy, turn, rad, skip in zip(q1x, q1y, q2x, q2y, cx, cy, sweep, radius,
+    for ax, ay, bx, by, ox, oy, c, d, rad, skip in zip(q1x, q1y, q2x, q2y, cx, cy, crs, dt, radius,
                                                        through):
         if skip:
             continue
@@ -82,7 +82,7 @@ def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, sweep, radius, t
             kinds.append(LINE)
             values += (x, y, ax, ay, 0.0)
         kinds.append(ARC)
-        values += (ox, oy, rad, _start_angle(ax, ay, ox, oy), turn)
+        values += (ox, oy, rad, _start_angle(ax, ay, ox, oy), _FLOATS.atan2(c, d))
         x, y = bx, by
     if _apart(x, y, xn, yn) or not kinds:
         kinds.append(LINE)
@@ -93,7 +93,7 @@ def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, sweep, radius, t
 def _assemble_columns(x0, y0, xn, yn, *raws):
     """``_assemble_rows`` on columns: arc k lands at row cumsum(1 + line)[k]
     - 1, where ``line`` flags a line into the arc, and that line just before."""
-    q1x, q1y, q2x, q2y, cx, cy, _, sweep, radius = (c[~raws[9]] for c in raws[:9])
+    q1x, q1y, q2x, q2y, cx, cy, _, crs, dt, radius = (c[~raws[10]] for c in raws[:10])
     x, y = np.concatenate(([x0], q2x)), np.concatenate(([y0], q2y))  # where lines start
     line = _apart(x[:-1], y[:-1], q1x, q1y, _ARRAYS)
     arc_at = np.cumsum(1 + line) - 1
@@ -101,7 +101,8 @@ def _assemble_columns(x0, y0, xn, yn, *raws):
     kind = np.full(len(arc_at) + line.sum() + tail, LINE, np.int8)
     data = np.zeros((len(kind), 5))
     kind[arc_at] = ARC
-    data[arc_at] = np.column_stack((cx, cy, radius, _start_angle(q1x, q1y, cx, cy, _ARRAYS), sweep))
+    data[arc_at] = np.column_stack((cx, cy, radius, _start_angle(q1x, q1y, cx, cy, _ARRAYS),
+                                    _ARRAYS.atan2(crs, dt)))
     data[arc_at[line] - 1, :4] = np.column_stack((x[:-1], y[:-1], q1x, q1y))[line]
     if tail:
         data[-1] = (x[-1], y[-1], xn, yn, 0.0)
@@ -382,9 +383,10 @@ def _solve_raw(xi, yi, xm, ym, xf, yf, r, m=_FLOATS):
     """Tangent solve at the middle vertex of (p_i, p_m, p_f), on floats or,
     with ``m = _ARRAYS``, on columns of such triples.
 
-    Returns (q1x, q1y, q2x, q2y, cx, cy, l, sweep, r, through, n1): the entry and
-    exit tangent points, the arc center, the tangent length, the signed turn
-    angle (positive = left), the radius and whether the vertex carries no
+    Returns (q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, r, through, n1): the
+    entry and exit tangent points, the arc center, the tangent length, the
+    cross and dot products of the edge vectors, whose ``atan2`` is the signed
+    turn angle (positive = left), the radius and whether the vertex carries no
     arc, which has l = 0: a collinear pass-through, or radius 0 (an arc that
     best-effort clamping drops). An exact reversal has l = inf so the edge
     check rejects it. Only l is meaningful on those kinds of vertex. n1 is
@@ -403,17 +405,16 @@ def _solve_raw(xi, yi, xm, ym, xf, yf, r, m=_FLOATS):
     reversal = denom == 0.0
     fit = r * abs(crs) / (denom + reversal)  # divides by 1 at a reversal
     l = m.where(through, 0.0, m.where(reversal, math.inf, fit))
-    sweep = m.atan2(crs, dt)
     u1x = v1x / n1
     u1y = v1y / n1
     q1x = xm - fit * u1x
     q1y = ym - fit * u1y
-    side = m.copysign(r, sweep)  # the center lies left of a left turn
+    side = m.copysign(r, crs)  # the center lies left of a left turn (atan2 keeps the sign)
     return (q1x, q1y, xm + fit * (v2x / n2), ym + fit * (v2y / n2),
-            q1x - side * u1y, q1y + side * u1x, l, sweep, r, through, n1)
+            q1x - side * u1y, q1y + side * u1x, l, crs, dt, r, through, n1)
 
 
-_RAW_FIELDS = 11
+_RAW_FIELDS = 12
 
 
 class _Pass(NamedTuple):
@@ -436,12 +437,13 @@ def _tangent_pass(p: Polyline, r: float) -> _Pass:
     raws = m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:],
                    m.each(r))
     last = _distance(x[-2], y[-2], x[-1], y[-1])  # on floats also for arrays
-    edges = m.cat(raws[10], [last])
+    edges = m.cat(raws[11], [last])
     return _Pass(m, x, y, edges, m.cat([0.0], raws[6], [0.0]), raws)
 
 
-def _triplet(q1x, q1y, q2x, q2y, cx, cy, l, sweep, radius, xm, ym) -> TripletSolution:
+def _triplet(q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, radius, xm, ym) -> TripletSolution:
     d = math.sqrt((xm - cx) * (xm - cx) + (ym - cy) * (ym - cy))
+    sweep = math.atan2(crs, dt)
     return TripletSolution(Point2(q1x, q1y), Point2(q2x, q2y), Point2(cx, cy), l, d,
                            math.pi - abs(sweep), sweep, d - radius)
 
@@ -476,7 +478,7 @@ def _report(p: Polyline, r: float):
     report = _existence(tp)
     if report.feasible:
         m, x, y, raws = tp.m, tp.x, tp.y, tp.raws
-        far = m.map(_far, x[:-2], y[:-2], raws[2], raws[3], raws[9], raws[8])
+        far = m.map(_far, x[:-2], y[:-2], raws[2], raws[3], raws[10], raws[9])
         report = FeasibilityReport(report.local_ok, report.global_ok, (*m.tolist(far), True))
     return tp, report
 
@@ -552,7 +554,7 @@ def _clamp(tp: _Pass) -> list:
     tangent lengths) and the arc radius shrinks with it to keep tangency."""
     m, x, y, edges, ls, raws = tp
     share = m.map(_share, edges, ls[:-1], ls[1:])
-    radius = m.map(_clamped_radius, ls[1:-1], share[:-1], share[1:], edges[:-1], edges[1:], raws[8])
+    radius = m.map(_clamped_radius, ls[1:-1], share[:-1], share[1:], edges[:-1], edges[1:], raws[9])
     return m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:], radius)
 
 
@@ -688,7 +690,7 @@ def extract_pieces(p: Polyline, r: float) -> list[PathPiece]:
     ``guaranteed`` carries the piece's 4r far-condition flag.
     """
     tp, far = _feasible_pass(p, r)
-    q1x, q1y, q2x, q2y, _, _, _, sweep, _, through, _ = map(tp.m.tolist, tp.raws)
+    q1x, q1y, q2x, q2y, _, _, _, crs, dt, _, through, _ = map(tp.m.tolist, tp.raws)
     xs, ys = tp.m.tolist(tp.x), tp.m.tolist(tp.y)
     pieces: list[PathPiece] = []
     x, y, heading = xs[0], ys[0], None
@@ -697,7 +699,7 @@ def extract_pieces(p: Polyline, r: float) -> list[PathPiece]:
         if heading is None:
             heading = math.atan2(ys[j] - y, xs[j] - x)
         exit_heading = math.atan2(ys[j + 1] - ys[j], xs[j + 1] - xs[j])
-        length = math.hypot(q1x[k] - x, q1y[k] - y) + r * abs(sweep[k])
+        length = math.hypot(q1x[k] - x, q1y[k] - y) + r * abs(math.atan2(crs[k], dt[k]))
         end = Pose(Point2(q2x[k], q2y[k]), Heading(exit_heading))
         pieces.append(PathPiece(Pose(Point2(x, y), Heading(heading)), end, length, far[k], j))
         x, y, heading = q2x[k], q2y[k], exit_heading

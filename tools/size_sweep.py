@@ -45,7 +45,13 @@ def _csv(workdir: str, n: int) -> str:
 
 
 def _rss_mib() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """Peak resident set of this process: VmHWM where /proc has it, since
+    ru_maxrss keeps the peak of the process that started this one."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM")) / 1024.0
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def measure(csv: str, n: int) -> dict:
@@ -112,10 +118,9 @@ def main(argv=None) -> int:
     elif args.one:
         print(json.dumps(measure(args.one, args.sizes[0])))
     else:
-        for n in args.sizes:
-            csv = _csv(args.workdir, n)
-            subprocess.run([sys.executable, __file__, "--src", args.src, "--one", csv, str(n)],
-                           check=True)
+        for n in args.sizes:  # each size measured in a fresh interpreter
+            subprocess.run([sys.executable, __file__, "--src", args.src, "--one",
+                            _csv(args.workdir, n), str(n)], check=True)
     return 0
 
 
