@@ -436,7 +436,7 @@ def _tangent_pass(p: Polyline, r: float) -> _Pass:
     x, y = m.columns(p.xy)
     raws = m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:],
                    m.each(r))
-    last = _distance(x[-2], y[-2], x[-1], y[-1])  # on floats also for arrays
+    last = _distance(x[-2], y[-2], x[-1], y[-1])  # one edge: float math on either backend
     edges = m.cat(raws[11], [last])
     return _Pass(m, x, y, edges, m.cat([0.0], raws[6], [0.0]), raws)
 
