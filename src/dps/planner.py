@@ -2,7 +2,8 @@
 build a visibility graph over the inflated vertices, run A* between the
 graph's start and goal nodes, smooth the resulting polyline, and certify
 clearance against the original obstacles. Graph edges lie on supporting
-lines of the polygon at each polygon-vertex end (the tangent graph); the
+lines of the polygon at each polygon-vertex end (the tangent graph) and are
+tested only when A* expands one of their nodes (lazy edge checking); the
 exact clearance search stops once a bounding-box lower bound reaches the
 best distance found. All stages run on plain floats: a polygon carries its
 coordinates and bounding box, one pass over its edge vectors gives its
@@ -20,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .geom import (
     LENGTH_EPSILON,
@@ -179,21 +180,33 @@ class Scenario:
 
 @dataclass(frozen=True, slots=True)
 class VisibilityGraph:
-    """Nodes are inflated-obstacle vertices plus start and goal; an edge
-    joins a pair whose open segment misses all inflated interiors and whose
-    line supports the polygon at each polygon-vertex end."""
+    """Nodes are inflated-obstacle vertices plus start and goal; ``weight(i, j)``
+    runs ``test`` (i < j: the edge length, inf where there is no edge) on the
+    pair's first request and keeps the answer in ``known``."""
 
     nodes: tuple[Point2, ...]
-    edges: tuple[tuple[int, int, float], ...]
     start_index: int
     goal_index: int
+    test: Callable[[int, int], float] = field(repr=False)
+    known: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def weight(self, i: int, j: int) -> float:
+        key = (i, j) if i < j else (j, i)
+        w = self.known.get(key)
+        if w is None:
+            w = self.known[key] = self.test(*key)
+        return w
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        n = len(self.nodes)
+        return tuple((i, j, w) for i in range(n) for j in range(i + 1, n)
+                     if (w := self.weight(i, j)) < math.inf)
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        return adj
+        n = len(self.nodes)
+        return [[(v, w) for v in range(n) if v != u and (w := self.weight(u, v)) < math.inf]
+                for u in range(n)]
 
 
 def required_offset(h: float, r: float, alpha: float) -> float:
@@ -304,9 +317,10 @@ def build_visibility_graph(
 
     Travel is confined to the scenario bounds: inflated vertices pushed
     outside the box are unusable as waypoints, which is what lets a wall
-    spanning the bounds actually block the route. Edges lie on supporting
-    lines of the polygon at each vertex end, which leave it on one side, so
-    only other polygons whose bounding box overlaps the segment's are tested.
+    spanning the bounds actually block the route. A pair is tested on its
+    first request. Edges lie on supporting lines of the polygon at each vertex
+    end, which leave it on one side, so only other polygons whose bounding box
+    overlaps the segment's are tested.
     """
     for poly in inflated:
         for label, p in (("start", scenario.start), ("goal", scenario.goal)):
@@ -327,34 +341,36 @@ def build_visibility_graph(
     nodes += (scenario.start, scenario.goal)
     hinges += [(p.x, p.y, 0.0, 0.0, 0.0, 0.0, -1) for p in (scenario.start, scenario.goal)]
     blockers = [(poly.box, k, poly.xs, poly.ys) for k, poly in enumerate(inflated)]
-    edges: list[tuple[int, int, float]] = []
-    for i, (ax, ay, px, py, qx, qy, own_a) in enumerate(hinges):
-        for j, (bx, by, px2, py2, qx2, qy2, own_b) in enumerate(hinges[i + 1:], i + 1):
-            dx, dy = bx - ax, by - ay
-            # Not supporting: the two neighbours lie strictly on opposite sides.
-            if ((dx * py - dy * px) * (dx * qy - dy * qx) < 0.0
-                    or (dx * py2 - dy * px2) * (dx * qy2 - dy * qx2) < 0.0):
-                continue
-            d = math.hypot(dx, dy)
-            if d <= LENGTH_EPSILON:
-                continue
-            x0, x1 = (ax, bx) if dx >= 0.0 else (bx, ax)
-            y0, y1 = (ay, by) if dy >= 0.0 else (by, ay)
-            for (bx0, by0, bx1, by1), k, xs, ys in blockers:
-                if (x0 < bx1 and bx0 < x1 and y0 < by1 and by0 < y1
-                        and k != own_a and k != own_b and _segment_blocked(ax, ay, bx, by, xs, ys)):
-                    break
-            else:
-                edges.append((i, j, d))
-    return VisibilityGraph(tuple(nodes), tuple(edges), start_index, goal_index)
+
+    def test(i: int, j: int) -> float:
+        ax, ay, px, py, qx, qy, own_a = hinges[i]
+        bx, by, px2, py2, qx2, qy2, own_b = hinges[j]
+        dx, dy = bx - ax, by - ay
+        # Not supporting: the two neighbours lie strictly on opposite sides.
+        if ((dx * py - dy * px) * (dx * qy - dy * qx) < 0.0
+                or (dx * py2 - dy * px2) * (dx * qy2 - dy * qx2) < 0.0):
+            return math.inf
+        d = math.hypot(dx, dy)
+        if d <= LENGTH_EPSILON:
+            return math.inf
+        x0, x1 = (ax, bx) if dx >= 0.0 else (bx, ax)
+        y0, y1 = (ay, by) if dy >= 0.0 else (by, ay)
+        for (bx0, by0, bx1, by1), k, xs, ys in blockers:
+            if (x0 < bx1 and bx0 < x1 and y0 < by1 and by0 < y1
+                    and k != own_a and k != own_b and _segment_blocked(ax, ay, bx, by, xs, ys)):
+                return math.inf
+        return d
+
+    return VisibilityGraph(tuple(nodes), start_index, goal_index, test)
 
 
 def shortest_polyline(graph: VisibilityGraph) -> Polyline:
     """A* from the graph's start node to its goal node with the straight-line
-    heuristic; optimal on the graph weights."""
+    heuristic; optimal on the graph weights. Expanding u asks for the weights
+    of (u, v) in increasing v, the order of ``adjacency()``, so only pairs of
+    expanded nodes are tested."""
     s, g = graph.start_index, graph.goal_index
-    adj = graph.adjacency()
-    nodes = graph.nodes
+    nodes, weight = graph.nodes, graph.weight
     goal_node = nodes[g]
     dist_to = {s: 0.0}
     parent: dict[int, int] = {}
@@ -369,9 +385,8 @@ def shortest_polyline(graph: VisibilityGraph) -> Polyline:
             break
         closed.add(u)
         du = dist_to[u]
-        for v, w in adj[u]:
-            nd = du + w
-            if nd < dist_to.get(v, math.inf):
+        for v in range(len(nodes)):
+            if v != u and (nd := du + weight(u, v)) < dist_to.get(v, math.inf):
                 dist_to[v] = nd
                 parent[v] = u
                 heapq.heappush(heap, (nd + dist(nodes[v], goal_node), counter, v))

@@ -402,7 +402,7 @@ def _solve_raw(xi, yi, xm, ym, xf, yf, r, m=_FLOATS):
     dt = v1x * v2x + v1y * v2y
     through = ((abs(crs) <= COLLINEAR_EPSILON * n1 * n2) & (dt > 0.0)) | (r == 0.0)
     denom = dt + n1 * n2
-    reversal = denom == 0.0
+    reversal = (denom == 0.0) | ((crs == 0.0) & (dt < 0.0))  # also where denom rounds above 0
     fit = r * abs(crs) / (denom + reversal)  # divides by 1 at a reversal
     l = m.where(through, 0.0, m.where(reversal, math.inf, fit))
     u1x = v1x / n1

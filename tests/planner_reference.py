@@ -1,10 +1,13 @@
 """Planner stages as they were before the float kernels, kept as test references.
 
-``all_pairs_visibility_graph`` tests every node pair against every inflated
+``all_pairs_visibility_graph`` tests a node pair against every inflated
 obstacle, and ``all_pairs_clearance`` takes the exact distance of every
-(segment, obstacle) pair. They are the builder and the clearance loop the
+(segment, obstacle) pair. They are the edge test and the clearance loop the
 planner used before the tangent graph and the bounded clearance search, so
-tests can require the same routes and bit-identical clearances.
+tests can require the same routes and bit-identical clearances. The graph is
+a ``VisibilityGraph`` like the planner's, built around that edge test.
+``eager_shortest_polyline`` is A* as it ran before edges were tested lazily:
+over ``adjacency()``, which tests every pair before the search starts.
 ``per_edge_arc_into`` rebuilds the arc's end points for every polygon edge,
 as the arc-to-polygon distance did before it built them once per polygon.
 
@@ -16,6 +19,7 @@ floats; ``reference_plan`` chains them into the whole pipeline.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Sequence
 
@@ -31,6 +35,7 @@ from dps.geom import (
 )
 from dps.planner import (
     ConvexPolygon,
+    NoPathError,
     PlanResult,
     Scenario,
     UnreachableConfigurationError,
@@ -38,7 +43,7 @@ from dps.planner import (
     required_offset,
     shortest_polyline,
 )
-from dps.smoother import FeasibilityError, SmoothPath, smooth_polyline
+from dps.smoother import FeasibilityError, Polyline, SmoothPath, smooth_polyline
 
 
 # -- point, segment and arc distances on objects ----------------------------
@@ -293,16 +298,49 @@ def all_pairs_visibility_graph(
     nodes.append(scenario.start)
     goal_index = len(nodes)
     nodes.append(scenario.goal)
-    edges: list[tuple[int, int, float]] = []
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            a, b = nodes[i], nodes[j]
-            if dist(a, b) <= LENGTH_EPSILON:
-                continue
-            if any(segment_blocked(a, b, poly) for poly in inflated):
-                continue
-            edges.append((i, j, dist(a, b)))
-    return VisibilityGraph(tuple(nodes), tuple(edges), start_index, goal_index)
+
+    def test(i: int, j: int) -> float:
+        a, b = nodes[i], nodes[j]
+        if dist(a, b) <= LENGTH_EPSILON or any(segment_blocked(a, b, poly) for poly in inflated):
+            return math.inf
+        return dist(a, b)
+
+    return VisibilityGraph(tuple(nodes), start_index, goal_index, test)
+
+
+def eager_shortest_polyline(graph: VisibilityGraph) -> Polyline:
+    """A* over the lists of ``graph.adjacency()``, every pair tested first."""
+    s, g = graph.start_index, graph.goal_index
+    adj = graph.adjacency()
+    nodes = graph.nodes
+    goal_node = nodes[g]
+    dist_to = {s: 0.0}
+    parent: dict[int, int] = {}
+    heap = [(dist(nodes[s], goal_node), 0, s)]
+    counter = 1
+    closed: set[int] = set()
+    while heap:
+        f, _, u = heapq.heappop(heap)
+        if u in closed:
+            continue
+        if u == g:
+            break
+        closed.add(u)
+        du = dist_to[u]
+        for v, w in adj[u]:
+            nd = du + w
+            if nd < dist_to.get(v, math.inf):
+                dist_to[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd + dist(nodes[v], goal_node), counter, v))
+                counter += 1
+    if g not in dist_to:
+        raise NoPathError("goal is unreachable in the visibility graph")
+    order = [g]
+    while order[-1] != s:
+        order.append(parent[order[-1]])
+    order.reverse()
+    return Polyline([nodes[i] for i in order])
 
 
 def all_pairs_clearance(path: SmoothPath, obstacles: Sequence[ConvexPolygon]) -> float:

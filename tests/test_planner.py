@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dps import planner
 from dps.geom import (ArcSegment, Heading, LineSegment, Point2, arc_ends, dist, interior_angle,
                       point_segment_distance)
 from dps.planner import (
@@ -26,10 +27,12 @@ from dps.planner import (
     required_offset,
     shortest_polyline,
 )
-from dps.smoother import FeasibilityError, SmoothPath, path_length, polyline_length, smooth_polyline
+from dps.smoother import (FeasibilityError, Polyline, SmoothPath, path_length, polyline_length,
+                          smooth_polyline)
 import planner_reference as reference
 from planner_reference import (all_pairs_clearance, all_pairs_visibility_graph,
-                               inflate_obstacles, per_edge_arc_into, reference_plan)
+                               eager_shortest_polyline, inflate_obstacles, per_edge_arc_into,
+                               reference_plan)
 
 P = Point2
 SQUARE = ConvexPolygon([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
@@ -516,6 +519,74 @@ class TestShortestPolyline:
             outcomes[key] = outcomes.get(key, 0) + 1
         for family in SCENARIO_FAMILIES:  # every family plans routes that bend
             assert outcomes.get((family.__name__, True), 0) >= 100, outcomes
+
+    def test_plan_tests_only_the_start_pairs_when_the_goal_is_in_sight(self, monkeypatch):
+        """A* expands the start and then pops the goal, so plan() tests the
+        start's N - 1 pairs and no other; the pairs it did not test are
+        tested when ``edges`` asks for them, which gives a fresh graph's tuple."""
+        squares = [ConvexPolygon([P(x, y), P(x + 2, y), P(x + 2, y + 2), P(x, y + 2)])
+                   for x, y in ((3, 3), (8, 4), (13, 3), (5, 12), (12, 13))]
+        sc = make_scenario(squares, h=0.3, r=0.4, start=P(1, 9.5), goal=P(19, 10.5))
+        graphs, tested, clips = [], [], []
+        build, blocked = planner.build_visibility_graph, planner._segment_blocked
+
+        def counting_build(scenario, inflated):
+            graph = build(scenario, inflated)
+            graphs.append(VisibilityGraph(graph.nodes, graph.start_index, graph.goal_index,
+                                          lambda i, j: tested.append((i, j)) or graph.test(i, j)))
+            return graphs[-1]
+
+        monkeypatch.setattr(planner, "build_visibility_graph", counting_build)
+        monkeypatch.setattr(planner, "_segment_blocked",
+                            lambda *args: clips.append(args) or blocked(*args))
+        result = plan(sc)
+        graph = graphs[0]
+        n = len(graph.nodes)
+        assert result.polyline.points == (sc.start, sc.goal)
+        assert sorted(tested) == [tuple(sorted((graph.start_index, v)))
+                                  for v in range(n) if v != graph.start_index]
+        assert 0 < len(clips) <= n - 1
+        searched_clips = len(clips)
+        edges = graph.edges
+        assert len(tested) == n * (n - 1) // 2 and len(clips) > 3 * searched_clips
+        assert edges == build(sc, result.inflated).edges
+        assert list(edges) == sorted(edges) and all(i < j for i, j, _ in edges)
+        kept = set(edges)
+        assert [e for e in all_pairs_visibility_graph(sc, result.inflated).edges
+                if e in kept] == list(edges)
+        adjacency = [[] for _ in range(n)]  # as the lists were built from the edges
+        for i, j, w in edges:
+            adjacency[i].append((j, w))
+            adjacency[j].append((i, w))
+        assert graph.adjacency() == adjacency
+
+    def test_ties_break_as_the_eager_search(self):
+        """Around one square, the routes left and right of it have equal
+        length; the lazy search keeps the one the eager A* over
+        ``adjacency()`` returns. So it does on integer-aligned squares,
+        whose routes often tie."""
+        obs = ConvexPolygon([P(8, 8), P(12, 8), P(12, 12), P(8, 12)])
+        for start, goal in (((10, 2), (10, 18)), ((10, 18), (10, 2)), ((2, 10), (18, 10)),
+                            ((18, 10), (2, 10))):
+            sc = make_scenario([obs], h=0.5, r=0.25, start=P(*start), goal=P(*goal))
+            inflated = inflate_obstacles(sc)
+            route = shortest_polyline(build_visibility_graph(sc, inflated))
+            assert route == eager_shortest_polyline(build_visibility_graph(sc, inflated))
+            swap = (lambda p: P(20 - p.x, p.y)) if start[0] == 10 else (lambda p: P(p.x, 20 - p.y))
+            mirrored = Polyline([swap(p) for p in route.points])
+            assert len(route) == 4 and mirrored != route
+            assert polyline_length(mirrored) == polyline_length(route)
+        rng = random.Random(8)
+        for k in range(300):
+            sc = integer_squares_scenario(rng)
+            inflated = inflate_obstacles(sc)
+            outcomes = []
+            for search in (shortest_polyline, eager_shortest_polyline):
+                try:
+                    outcomes.append(search(build_visibility_graph(sc, inflated)).points)
+                except NoPathError as err:  # UnreachableConfigurationError included
+                    outcomes.append(type(err))
+            assert outcomes[0] == outcomes[1], k
 
 
 class TestClearance:

@@ -356,6 +356,25 @@ def test_both_modes_refuse_exact_reversal():
         smooth_polyline(tight, 1.0)
 
 
+def test_reversal_with_rounded_denominator_is_refused():
+    # v1 = (1, 1) and v2 = (-2, -2): v1 x v2 is exactly 0, but v1.v2 + |v1||v2|
+    # rounds to 8.9e-16, not 0. Taken for an arc of tangent length 0, the
+    # vertex used to smooth into a half-turn arc 2r from the next line.
+    reversal = Polyline([P(0, 0), P(1, 1), P(-1, -1), P(-1, 5)])
+    for mode in ("strict", "best-effort"):
+        for fn in (smooth_polyline, vertex_solutions):
+            with pytest.raises(FeasibilityError) as exc:
+                fn(reversal, 0.1, mode=mode)
+            assert str(exc.value) == "vertex 1: l = inf > min edge 1.41421 (exact reversal)"
+            assert exc.value.report == check_global_existence(reversal, 0.1)
+    assert feasibility_report(reversal, 0.1).local_violations == [1]
+    with pytest.raises(FeasibilityError, match=r"\(exact reversal\)$"):
+        extract_pieces(reversal, 0.1)
+    # a sharp turn that is no reversal still smooths: only v1 x v2 = 0 refuses
+    sharp = Polyline([P(0, 0), P(1, 1), P(-1, -1 + 1e-3), P(-1, 5)])
+    assert validate(smooth_polyline(sharp, 1e-5), 1e-5).ok
+
+
 def test_columns_match_segments(rng):
     for n in (2, 3, 40):
         polyline = random_polyline(n, 1.0, rng=rng)
@@ -651,6 +670,8 @@ def test_backends_give_the_same_bits(monkeypatch):
     size: the path columns, reports, vertex solutions, pieces and refusal
     messages must be equal, the floats bit for bit."""
     rng = random.Random(909)
+    reversals = [Polyline([P(0, 0), P(5, 0), P(1, 0), P(1, 5)]),
+                 Polyline([P(0, 0), P(1, 1), P(-1, -1), P(-1, 5)])]
     cases = []
     for _ in range(150):  # seeded random routes, feasible and not
         r = rng.uniform(0.2, 3.0)
@@ -666,8 +687,8 @@ def test_backends_give_the_same_bits(monkeypatch):
         for factor in (0.999, 0.999999, 1.0, 1.000001, 1.001):
             cases.append((_boundary_polyline(rng, 1.0, sign * 1e-9 * factor), 1.0))
     cases += [
-        (Polyline([P(0, 0), P(5, 0), P(1, 0), P(1, 5)]), 1.0),  # exact reversals
-        (Polyline([P(0, 0), P(1, 1), P(-1, -1), P(-1, 5)]), 0.1),
+        (reversals[0], 1.0),  # exact reversals
+        (reversals[1], 0.1),  # v1.v2 + |v1||v2| rounds to 8.9e-16, not 0
         (Polyline([P(0, 0), P(0.5, 0), P(0.5, 0.5), P(5, 0.5), P(1, 0.5), P(1, 5)]), 1.0),
         (Polyline([P(0, 0), P(1, 0), P(2.5, 0), P(7, 0)]), 1.0),  # all collinear
         (Polyline([P(-3, 1), P(-1, 2), P(3, 4), P(7, 6)]), 2.0),
@@ -683,6 +704,10 @@ def test_backends_give_the_same_bits(monkeypatch):
             monkeypatch.setattr(smoother, "_backend", lambda n, backend=backend: backend)
             answers.append([_outcomes(polyline, r, mode) for mode in ("strict", "best-effort")])
         assert answers[0] == answers[1], polyline
+        if polyline in reversals:  # refused in both modes, on both backends
+            for modes in answers:
+                for smoothed, *_ in modes:
+                    assert smoothed[0] == "refused" and smoothed[1].endswith("(exact reversal)")
 
 
 def test_exactly_tight_edge_is_feasible():
