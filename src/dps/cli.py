@@ -66,7 +66,7 @@ def _cmd_oracle_check(args) -> int:
     polyline = load_polyline(args.input)
     try:
         pieces = extract_pieces(polyline, args.radius)
-    except (FeasibilityError, ValueError) as err:
+    except FeasibilityError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
     mismatches = 0

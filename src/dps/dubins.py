@@ -1,5 +1,6 @@
 """Shortest Dubins paths from the closed-form words, plus a sampled-heading
-multipoint solver used as an independent length reference.
+multipoint solver used as an independent length reference: the module
+imports only ``geom``, none of the smoothing code it checks.
 
 The word formulas follow the Dubins-set formulation in scaled coordinates
 (unit turning radius; Shkel & Lumelsky, "Classification of the Dubins set",
@@ -24,8 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import Heading, Point2, Pose
-from .smoother import check_turn_radius
+from .geom import Heading, Point2, Pose, check_turn_radius
 
 WORD_ORDER = ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL")
 CSC_WORDS = frozenset(("LSL", "RSR", "LSR", "RSL"))

@@ -8,10 +8,13 @@ record that does not parse or has a non-finite coordinate is named by its
 line. A path JSON file holds ``{"segments": [``, one segment record per
 line, ``]`` and one line per metadata key. Metadata goes through ``json``
 (an infinite clearance reads ``Infinity``). Any layout of the document
-loads. Paths are written from and read into ``SmoothPath`` columns; the
-reader accepts only JSON numbers (``null`` and integers beyond the float
-range read as non-finite), checked by one type pass over all values, runs
-the segment constructors' checks over the arrays and names a failing index.
+loads. Paths are written from and read into ``SmoothPath`` columns.
+
+The JSON readers take every number as a float (``parse_int=float``: ``-0``
+reads as -0.0, an integer beyond the float range as inf) and refuse strings
+and booleans. The path reader checks all types in one pass, reads ``null``
+as nan and names the first segment that fails a constructor check, such as
+a non-finite value.
 """
 
 from __future__ import annotations
@@ -32,14 +35,14 @@ def load_polyline(source: Union[str, TextIO]) -> Polyline:
     """Read a polyline from CSV with one ``x,y`` record per line, straight
     into the polyline's coordinate array.
 
-    A single leading header line (e.g. ``x,y``) is skipped; blank lines are
-    ignored. A refused record, including a non-finite coordinate, is named
-    by its line number.
+    A first line neither of whose fields parses as a number (e.g. ``x,y``)
+    is a header and skipped; blank lines are ignored. A refused record,
+    including a non-finite coordinate, is named by its line number.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return load_polyline(fh)
-    values, linenos = [], []
+    values = []
     for lineno, line in enumerate(source, start=1):
         parts = line.split(",")
         if len(parts) != 2:
@@ -47,25 +50,31 @@ def load_polyline(source: Union[str, TextIO]) -> Polyline:
                 continue
             raise ValueError(f"line {lineno}: expected 'x,y', got {line.strip()!r}")
         try:
-            values += (float(parts[0]), float(parts[1]))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError:
-            if lineno == 1:  # optional header
+            if lineno == 1 and not any(map(_parses, parts)):  # optional header
                 continue
             raise ValueError(f"line {lineno}: cannot parse {line.strip()!r}") from None
-        linenos.append(lineno)
-    xy = np.array(values).reshape(-1, 2)
-    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
-    if len(bad):
-        x, y = xy[bad[0]].tolist()
-        raise ValueError(f"line {linenos[bad[0]]}: non-finite coordinates ({x}, {y})")
-    return Polyline.from_array(xy)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"line {lineno}: non-finite coordinates ({x}, {y})")
+        values += (x, y)
+    return Polyline.from_array(np.array(values).reshape(-1, 2))
+
+
+def _parses(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _number(value) -> float:
-    """A JSON number as a float; strings, booleans and null are refused."""
-    if type(value) not in (int, float):  # bool is a subclass of int
+    """A JSON number read with ``parse_int=float``; strings, booleans and
+    null are refused."""
+    if type(value) is not float:
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    return value
 
 
 def _point(obj) -> Point2:
@@ -83,7 +92,7 @@ def _named(name: str, convert, value):
     starts with ``name``."""
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError) as err:
+    except (TypeError, ValueError) as err:
         raise ValueError(f"{name}: {err}") from None
 
 
@@ -98,7 +107,7 @@ def load_scenario(source: Union[str, TextIO]) -> Scenario:
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return load_scenario(fh)
-    doc = json.load(source)
+    doc = json.load(source, parse_int=float)
     if not isinstance(doc, dict):
         raise ValueError(f"scenario must be a JSON object, got {type(doc).__name__}")
     for key in ("bounds", "robot_radius", "turning_radius", "start", "goal", "obstacles"):
@@ -125,24 +134,9 @@ _LINE = '{"type": "line", "a": [%s, %s], "b": [%s, %s]}%.0s'
 _ARC = '{"type": "arc", "center": [%s, %s], "radius": %s, "start_angle": %s, "sweep": %s}'
 
 
-# The types json.load gives JSON numbers; null reads as a non-finite number,
-# as JavaScript's JSON.stringify writes NaN and Infinity.
-_NUMBERS = {int, float, type(None)}
-
-
-def _row(i: int, rec, kind: int, p, q, sweep) -> np.ndarray:
-    """The five values of path record i; ``ValueError`` naming the segment
-    where a value is not a JSON number."""
-    pairs = {type(p), type(q)} <= {list, tuple} and len(p) == len(q) == 2
-    values = [*p, *q, sweep] if pairs else [""]
-    if not set(map(type, values)) <= _NUMBERS:
-        what = ("pairs of numbers" if kind == LINE
-                else "center and numbers for radius, start_angle and sweep")
-        raise ValueError(f"segment {i}: expected [x, y] {what}, got {rec!r}")
-    try:
-        return np.fromiter(values, np.float64, 5)
-    except OverflowError:  # an integer beyond the float range is non-finite
-        return np.full(5, math.inf)
+# The types json.load(..., parse_int=float) gives JSON numbers; null reads as
+# a non-finite number, as JavaScript's JSON.stringify writes NaN and Infinity.
+_NUMBERS = {float, type(None)}
 
 
 def save_path(
@@ -172,7 +166,7 @@ def load_path(source: Union[str, TextIO]) -> tuple[SmoothPath, dict]:
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return load_path(fh)
-    doc = json.load(source)
+    doc = json.load(source, parse_int=float)
     if not isinstance(doc, dict):
         raise ValueError(f"path file must be a JSON object, got {type(doc).__name__}")
     records = doc.get("segments")
@@ -203,14 +197,15 @@ def load_path(source: Union[str, TextIO]) -> tuple[SmoothPath, dict]:
             raise ValueError(f"segment {i}: {problem}") from None
     shaped = set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) == {2}
     flat = list(chain.from_iterable(pairs)) if shaped else []
-    try:  # one type check over all values, at C speed
-        if not (shaped and set(map(type, flat)) <= _NUMBERS and set(map(type, sweeps)) <= _NUMBERS):
-            raise TypeError
-        data = np.column_stack((np.fromiter(flat, np.float64, len(flat)).reshape(-1, 4),
-                                np.fromiter(sweeps, np.float64, len(sweeps))))
-    except (TypeError, OverflowError):
-        data = np.array([_row(i, rec, kinds[i], *pairs[2 * i: 2 * i + 2], sweeps[i])
-                         for i, rec in enumerate(records)])
+    # One type check over all values, at C speed; a failure names its record.
+    if not (shaped and set(map(type, flat)) | set(map(type, sweeps)) <= _NUMBERS):
+        for i, (p, q, sweep) in enumerate(zip(pairs[::2], pairs[1::2], sweeps)):
+            if not ({type(p), type(q)} <= {list, tuple} and len(p) == len(q) == 2
+                    and set(map(type, (*p, *q, sweep))) <= _NUMBERS):
+                what = ("pairs of numbers" if kinds[i] == LINE
+                        else "center and numbers for radius, start_angle and sweep")
+                raise ValueError(f"segment {i}: expected [x, y] {what}, got {records[i]!r}")
+    data = np.column_stack((np.array(flat, np.float64).reshape(-1, 4), np.array(sweeps, np.float64)))
     arc = np.array(kinds) == ARC
     x0, y0, x1, y1, sweep = data.T
     with np.errstate(invalid="ignore"):

@@ -25,6 +25,12 @@ class DegeneratePointsError(ValueError):
     """Raised when points that must be distinct (or non-degenerate) coincide."""
 
 
+def check_turn_radius(r: float) -> float:
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError(f"turning radius must be positive and finite, got {r}")
+    return r
+
+
 def normalize_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]. Idempotent."""
     r = math.remainder(theta, TWO_PI)

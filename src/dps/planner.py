@@ -29,6 +29,7 @@ from .geom import (
     Point2,
     angle_in_sweep,
     arc_ends,
+    check_turn_radius,
     dist,
     point_arc_distance,
     point_segment_distance,
@@ -38,7 +39,6 @@ from .smoother import (
     FeasibilityError,
     Polyline,
     SmoothPath,
-    check_turn_radius,
     path_length,
     smooth_polyline,
 )
@@ -147,8 +147,9 @@ class Bounds:
     ymax: float
 
     def __post_init__(self):
-        if not (self.xmin < self.xmax and self.ymin < self.ymax):
-            raise ValueError("bounds must satisfy xmin < xmax and ymin < ymax")
+        if not (-math.inf < self.xmin < self.xmax < math.inf
+                and -math.inf < self.ymin < self.ymax < math.inf):
+            raise ValueError("bounds must be finite with xmin < xmax and ymin < ymax")
 
     def contains(self, p: Point2) -> bool:
         return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
@@ -202,11 +203,6 @@ class VisibilityGraph:
         n = len(self.nodes)
         return tuple((i, j, w) for i in range(n) for j in range(i + 1, n)
                      if (w := self.weight(i, j)) < math.inf)
-
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        n = len(self.nodes)
-        return [[(v, w) for v in range(n) if v != u and (w := self.weight(u, v)) < math.inf]
-                for u in range(n)]
 
 
 def required_offset(h: float, r: float, alpha: float) -> float:
@@ -367,8 +363,7 @@ def build_visibility_graph(
 def shortest_polyline(graph: VisibilityGraph) -> Polyline:
     """A* from the graph's start node to its goal node with the straight-line
     heuristic; optimal on the graph weights. Expanding u asks for the weights
-    of (u, v) in increasing v, the order of ``adjacency()``, so only pairs of
-    expanded nodes are tested."""
+    of (u, v) in increasing v, so only pairs of expanded nodes are tested."""
     s, g = graph.start_index, graph.goal_index
     nodes, weight = graph.nodes, graph.weight
     goal_node = nodes[g]

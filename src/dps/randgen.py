@@ -1,8 +1,9 @@
 """Random feasible polylines for benchmarks and statistical tests.
 
 Each new point is sampled uniformly on a circle around the previous point
-whose radius is drawn uniformly from [1, 10] turning radii, and resampled
-until the placement keeps the polyline feasible:
+whose radius is drawn uniformly from [1, 10] turning radii (the paper's
+protocol), and resampled, up to ``_TRIES_PER_POINT`` times, until the
+placement keeps the polyline feasible:
 
 * the edge behind the new turn holds both of its tangent lengths exactly;
 * the new edge reserves twice the new tangent length, leaving symmetric
@@ -25,9 +26,13 @@ from typing import Optional
 
 import numpy as np
 
-from .smoother import Polyline, check_turn_radius
+from .geom import check_turn_radius
+from .smoother import Polyline
 
 _TWO_PI = 2.0 * math.pi
+# Edge lengths in turning radii, and proposals per point before backtracking.
+_RADIUS_LOW, _RADIUS_HIGH = 1.0, 10.0
+_TRIES_PER_POINT = 60
 
 # An edge whose span past the fixed tangent point is below ~3.678r cannot
 # satisfy the next 4r far check for any continuation (maximizing the
@@ -41,9 +46,6 @@ def random_polyline(
     r: float = 1.0,
     rng: Optional[random.Random] = None,
     seed: Optional[int] = None,
-    radius_low: float = 1.0,
-    radius_high: float = 10.0,
-    tries_per_point: int = 60,
 ) -> Polyline:
     """Random polyline of ``n`` points that is feasible for turning radius r
     and satisfies the 4r far condition at every vertex."""
@@ -52,13 +54,13 @@ def random_polyline(
         raise ValueError(f"need at least 2 points, got {n}")
     if rng is None:
         rng = random.Random(seed)
-    lo = radius_low * r
-    span = (radius_high - radius_low) * r
+    lo = _RADIUS_LOW * r
+    span = (_RADIUS_HIGH - _RADIUS_LOW) * r
     four_r = 4.0 * r
     xs = [0.0]
     ys = [0.0]
     claims = [0.0]  # tangent length already fixed at each placed point
-    proposals_left = 1000 * n * tries_per_point
+    proposals_left = 1000 * n * _TRIES_PER_POINT
     rnd = rng.random
     cos = math.cos
     sin = math.sin
@@ -71,7 +73,7 @@ def random_polyline(
             bx = xs[-2]
             by = ys[-2]
         accepted = False
-        for _ in range(tries_per_point):
+        for _ in range(_TRIES_PER_POINT):
             proposals_left -= 1
             if proposals_left <= 0:
                 raise RuntimeError("polyline sampling did not converge")

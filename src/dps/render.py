@@ -1,8 +1,9 @@
-"""SVG rendering of smooth paths, polylines, and scenario obstacles.
+"""SVG rendering of a smooth path, alone or over a scenario's obstacles.
 
 Arcs are emitted as native SVG ``A`` commands (no polyline approximation);
 a group transform flips the y-axis so geometry coordinates map directly to
-the usual math orientation. Paths are drawn from their columns.
+the usual math orientation. Paths are drawn from their columns, in a
+document ``_WIDTH`` pixels wide.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import numpy as np
 
 from .geom import arc_ends
 from .planner import Scenario
-from .smoother import ARC, LINE, Polyline, SmoothPath
+from .smoother import ARC, LINE, SmoothPath
 
 _FULL = 2.0 * math.pi - 1e-9
+_WIDTH = 800
 
 
 def _fmt(x: float) -> str:
@@ -45,34 +47,24 @@ def _path_d(path: SmoothPath) -> str:
     return " ".join(commands) % tuple(values)
 
 
-def _expand(bbox, x, y, margin=0.0):
-    bbox[0] = min(bbox[0], x - margin)
-    bbox[1] = min(bbox[1], y - margin)
-    bbox[2] = max(bbox[2], x + margin)
-    bbox[3] = max(bbox[3], y + margin)
+def _expand(bbox, x, y):
+    bbox[0] = min(bbox[0], x)
+    bbox[1] = min(bbox[1], y)
+    bbox[2] = max(bbox[2], x)
+    bbox[3] = max(bbox[3], y)
 
 
-def render_svg(
-    path: Optional[SmoothPath],
-    scenario: Optional[Scenario] = None,
-    polyline: Optional[Polyline] = None,
-    width: int = 800,
-) -> str:
-    """Compose an SVG document from any subset of path, scenario, polyline."""
-    if path is None and scenario is None and polyline is None:
-        raise ValueError("nothing to render")
+def render_svg(path: SmoothPath, scenario: Optional[Scenario] = None) -> str:
+    """An SVG document of the path, drawn over the scenario's bounds and
+    obstacles when one is given."""
     bbox = [math.inf, math.inf, -math.inf, -math.inf]
-    if path is not None:
-        # a line spans its two end points, an arc its circle's square
-        arc = path.kind == ARC
-        x0, y0, x1, y1, _ = path.data.T
-        _expand(bbox, np.where(arc, x0 - x1, np.minimum(x0, x1)).min().item(),
-                np.where(arc, y0 - x1, np.minimum(y0, y1)).min().item())
-        _expand(bbox, np.where(arc, x0 + x1, np.maximum(x0, x1)).max().item(),
-                np.where(arc, y0 + x1, np.maximum(y0, y1)).max().item())
-    if polyline is not None:
-        _expand(bbox, *polyline.xy.min(axis=0).tolist())
-        _expand(bbox, *polyline.xy.max(axis=0).tolist())
+    # a line spans its two end points, an arc its circle's square
+    arc = path.kind == ARC
+    x0, y0, x1, y1, _ = path.data.T
+    _expand(bbox, np.where(arc, x0 - x1, np.minimum(x0, x1)).min().item(),
+            np.where(arc, y0 - x1, np.minimum(y0, y1)).min().item())
+    _expand(bbox, np.where(arc, x0 + x1, np.maximum(x0, x1)).max().item(),
+            np.where(arc, y0 + x1, np.maximum(y0, y1)).max().item())
     if scenario is not None:
         _expand(bbox, scenario.bounds.xmin, scenario.bounds.ymin)
         _expand(bbox, scenario.bounds.xmax, scenario.bounds.ymax)
@@ -89,10 +81,10 @@ def render_svg(
     w = xmax - xmin
     h = ymax - ymin
     stroke = 0.004 * max(w, h)
-    height = int(round(width * h / w))
+    height = int(round(_WIDTH * h / w))
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
         f'viewBox="{_fmt(xmin)} {_fmt(ymin)} {_fmt(w)} {_fmt(h)}">',
         # Flip y so the document shows the usual math orientation.
         f'<g transform="matrix(1 0 0 -1 0 {_fmt(ymin + ymax)})">',
@@ -101,17 +93,10 @@ def render_svg(
         for poly in scenario.obstacles:
             pts = " ".join(f"{_fmt(v.x)},{_fmt(v.y)}" for v in poly.vertices)
             lines.append(f'<polygon points="{pts}" fill="#b0b0b0" stroke="none"/>')
-    if polyline is not None:
-        pts = " ".join(["%.10g,%.10g"] * len(polyline)) % tuple(polyline.xy.ravel().tolist())
-        lines.append(
-            f'<polyline points="{pts}" fill="none" stroke="#2060d0" '
-            f'stroke-width="{_fmt(stroke)}"/>'
-        )
-    if path is not None:
-        lines.append(
-            f'<path d="{_path_d(path)}" fill="none" stroke="#d03030" '
-            f'stroke-width="{_fmt(stroke)}"/>'
-        )
+    lines.append(
+        f'<path d="{_path_d(path)}" fill="none" stroke="#d03030" '
+        f'stroke-width="{_fmt(stroke)}"/>'
+    )
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -51,6 +51,7 @@ from .geom import (
     LineSegment,
     Point2,
     Pose,
+    check_turn_radius,
     point_arc_distance,
     point_segment_distance,
 )
@@ -144,12 +145,6 @@ class FeasibilityError(ValueError):
     def __init__(self, message: str, report: "FeasibilityReport | None" = None):
         super().__init__(message)
         self.report = report
-
-
-def check_turn_radius(r: float) -> float:
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError(f"turning radius must be positive and finite, got {r}")
-    return r
 
 
 def _distance(ax, ay, bx, by, m=_FLOATS):

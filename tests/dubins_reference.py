@@ -25,8 +25,7 @@ import numpy as np
 
 from dps.dubins import (_ARRAY, _FULL_CIRCLE_SNAP, _SCALAR, _TIE_EPSILON, _TWO_PI, _WORDS,
                         WORD_ORDER, _mirrored)
-from dps.geom import Point2, Pose
-from dps.smoother import check_turn_radius
+from dps.geom import Point2, Pose, check_turn_radius
 
 
 def _mod2pi_scalar(x: float) -> float:

@@ -7,7 +7,8 @@ planner used before the tangent graph and the bounded clearance search, so
 tests can require the same routes and bit-identical clearances. The graph is
 a ``VisibilityGraph`` like the planner's, built around that edge test.
 ``eager_shortest_polyline`` is A* as it ran before edges were tested lazily:
-over ``adjacency()``, which tests every pair before the search starts.
+over ``adjacency(graph)``, the neighbour lists of every node, which test every
+pair before the search starts.
 ``per_edge_arc_into`` rebuilds the arc's end points for every polygon edge,
 as the arc-to-polygon distance did before it built them once per polygon.
 
@@ -308,10 +309,17 @@ def all_pairs_visibility_graph(
     return VisibilityGraph(tuple(nodes), start_index, goal_index, test)
 
 
+def adjacency(graph: VisibilityGraph) -> list[list[tuple[int, float]]]:
+    """Per node u, its (v, weight) pairs in increasing v, every pair tested."""
+    n = len(graph.nodes)
+    return [[(v, w) for v in range(n) if v != u and (w := graph.weight(u, v)) < math.inf]
+            for u in range(n)]
+
+
 def eager_shortest_polyline(graph: VisibilityGraph) -> Polyline:
-    """A* over the lists of ``graph.adjacency()``, every pair tested first."""
+    """A* over the lists of ``adjacency(graph)``, every pair tested first."""
     s, g = graph.start_index, graph.goal_index
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     nodes = graph.nodes
     goal_node = nodes[g]
     dist_to = {s: 0.0}

@@ -33,6 +33,10 @@ def test_load_polyline_errors():
         load_polyline(io.StringIO("0,0\n1,2,3\n"))  # bad record
     with pytest.raises(ValueError):
         load_polyline(io.StringIO("0,0\nnope,nan\n"))  # bad number past header
+    # a first line with a number in it is a record, not a header
+    for text, record in (("1,abc\n0,0\n4,0\n4,4\n", "1,abc"), ("0,0x\n4,0\n4,4\n", "0,0x")):
+        with pytest.raises(ValueError, match=f"^line 1: cannot parse {re.escape(repr(record))}$"):
+            load_polyline(io.StringIO(text))
 
 
 def test_load_polyline_names_the_line_of_a_non_finite_coordinate():
@@ -110,6 +114,13 @@ def test_path_round_trip_keeps_every_bit():
     loaded, meta = load_path(io.StringIO(buf.getvalue()))
     assert _float_bits(loaded) == _float_bits(path_in)
     assert meta["total_length"].hex() == (0.1 + 0.2).hex()
+    # integers load as their float spelling, bit for bit, and -0 as -0.0
+    ints = ('{"segments": [{"type": "line", "a": [3, 0], "b": [-0, 7]},\n'
+            '{"type": "arc", "center": [1, -0], "radius": 2, "start_angle": -0, "sweep": -3}]}')
+    as_ints, as_floats = (load_path(io.StringIO(text))[0]
+                          for text in (ints, re.sub(r"(-?\d+)", r"\1.0", ints)))
+    assert _float_bits(as_ints) == _float_bits(as_floats)
+    assert _float_bits(as_ints)[0][2] == (-0.0).hex()
 
 
 def test_path_file_has_one_segment_record_per_line(tmp_path):
@@ -165,6 +176,8 @@ def test_load_path_rejects_empty():
 
 _GOOD_LINE = {"type": "line", "a": [0.0, 0.0], "b": [1.0, 0.0]}
 _GOOD_ARC = {"type": "arc", "center": [1.0, 1.0], "radius": 1.0, "start_angle": -1.5, "sweep": 1.0}
+# Stands for an integer too long for json.dumps, which the test writes in its place.
+_DIGITS_5000 = "<a 5,000-digit integer>"
 
 
 @pytest.mark.parametrize("record, reason", [
@@ -187,13 +200,17 @@ _GOOD_ARC = {"type": "arc", "center": [1.0, 1.0], "radius": 1.0, "start_angle": 
     ({**_GOOD_ARC, "radius": "1"}, "expected \\[x, y\\] center and numbers"),
     ({**_GOOD_ARC, "sweep": True}, "expected \\[x, y\\] center and numbers"),
     ({**_GOOD_LINE, "b": [10 ** 400, 0.0]}, "non-finite"),
+    ({**_GOOD_LINE, "b": [_DIGITS_5000, 0.0]}, "non-finite value"),
+    ({**_GOOD_ARC, "sweep": -math.inf}, "non-finite value"),
+    ({"type": "line", "a": [3, 0], "b": [3, 0]},  # the record as read, numbers as floats
+     re.escape("line endpoints coincide: {'type': 'line', 'a': [3.0, 0.0], 'b': [3.0, 0.0]}")),
 ])
 def test_load_path_names_the_bad_segment(record, reason):
     good = [_GOOD_LINE, _GOOD_ARC, {**_GOOD_LINE, "a": [2.0, 2.0]}]
     # the bad record is segment 2 and a later one is bad too
     doc = {"segments": [*good[:2], record, good[2], record]}
     with pytest.raises(ValueError, match=rf"^segment 2: .*{reason}"):
-        load_path(io.StringIO(json.dumps(doc)))
+        load_path(io.StringIO(json.dumps(doc).replace(json.dumps(_DIGITS_5000), "7" * 5000)))
     loaded, _ = load_path(io.StringIO(json.dumps({"segments": good})))
     assert len(loaded.segments) == 3
 

@@ -169,7 +169,7 @@ def route_or_error(build, scenario, inflated):
 
 
 def dijkstra_reference(graph: VisibilityGraph, s: int, g: int):
-    adj = graph.adjacency()
+    adj = reference.adjacency(graph)
     dist_to = {s: 0.0}
     heap = [(0.0, s)]
     while heap:
@@ -558,12 +558,12 @@ class TestShortestPolyline:
         for i, j, w in edges:
             adjacency[i].append((j, w))
             adjacency[j].append((i, w))
-        assert graph.adjacency() == adjacency
+        assert reference.adjacency(graph) == adjacency
 
     def test_ties_break_as_the_eager_search(self):
         """Around one square, the routes left and right of it have equal
         length; the lazy search keeps the one the eager A* over
-        ``adjacency()`` returns. So it does on integer-aligned squares,
+        ``adjacency(graph)`` returns. So it does on integer-aligned squares,
         whose routes often tie."""
         obs = ConvexPolygon([P(8, 8), P(12, 8), P(12, 12), P(8, 12)])
         for start, goal in (((10, 2), (10, 18)), ((10, 18), (10, 2)), ((2, 10), (18, 10)),

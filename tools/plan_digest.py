@@ -12,12 +12,15 @@ digest plan the same routes, bit for bit.
     python3 tools/plan_digest.py --src /path/to/other/checkout/src --seeds 10-15
     python3 tools/plan_digest.py --stages --seeds 1 --rounds 3
 
-``--stages`` instead runs the stages of ``plan()`` one by one on the
-planned scenarios and prints their mean times in µs (inflate, graph, A*,
-smooth, clearance, and a whole ``plan()`` timed apart), the best of
-``--rounds`` rounds, and the mean edge-test counts per plan: node pairs
-tested, blocking clips (``_segment_blocked`` calls), pairs a clip blocked,
-and edges found. Supporting lines are the edges found plus the blocked pairs.
+``--stages`` instead plans the planned scenarios again with the planner
+functions that ``plan()`` calls wrapped by timers (module attributes, as
+perfbench's tracer wraps them) and prints the mean time per plan in µs
+spent in each stage (inflate, graph, A*, smooth, clearance, and a whole
+unwrapped ``plan()`` timed apart), the best of ``--rounds`` rounds, and the
+mean edge-test counts per plan: node pairs tested, blocking clips
+(``_segment_blocked`` calls), pairs a clip blocked, and edges found.
+Supporting lines are the edges found plus the blocked pairs. A* tests the
+edges it reaches, so their cost is in its time.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import os
 import struct
 import sys
 import time
+from contextlib import contextmanager
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -71,25 +75,35 @@ def digest(seeds) -> dict:
             "sha256": sha.hexdigest(), "counts": dict(sorted(counts.items()))}
 
 
-def _staged(planner, smoother, scenario, clock):
-    """The stages of ``plan()`` in its order; their times and the graph."""
-    h, r = scenario.robot_radius, scenario.turning_radius
-    t0 = clock()
-    offsets, inflated = [], []
-    for poly in scenario.obstacles:
-        corners = planner._corners(poly)
-        offsets.append(planner._worst_offset(h, r, [alpha for alpha, _, _, _ in corners]))
-        inflated.append(planner.mitered_inflate(poly, offsets[-1], corners))
-    t1 = clock()
-    graph = planner.build_visibility_graph(scenario, inflated)
-    t2 = clock()
-    polyline = planner.shortest_polyline(graph)
-    t3 = clock()
-    path = smoother.smooth_polyline(polyline, r)
-    t4 = clock()
-    planner.clearance(path, scenario.obstacles)
-    t5 = clock()
-    return (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4), graph
+# The planner functions each stage of plan() calls, by module attribute.
+_STAGES = {"inflate": ("_corners", "_worst_offset", "mitered_inflate"),
+           "graph": ("build_visibility_graph",), "astar": ("shortest_polyline",),
+           "smooth": ("smooth_polyline",), "clearance": ("clearance",)}
+
+
+@contextmanager
+def _wrapped(module, wrappers: dict):
+    """Replace module attributes by ``wrap(attribute)``, as perfbench's tracer
+    does, so the real ``plan()`` calls the wrappers; restore them after."""
+    real = {name: getattr(module, name) for name in wrappers}
+    for name, wrap in wrappers.items():
+        setattr(module, name, wrap(real[name]))
+    try:
+        yield
+    finally:
+        for name, f in real.items():
+            setattr(module, name, f)
+
+
+def _timer(sums: dict, stage: str):
+    def wrap(f):
+        def timed(*args):
+            t0 = time.perf_counter()
+            out = f(*args)
+            sums[stage] += time.perf_counter() - t0
+            return out
+        return timed
+    return wrap
 
 
 def stages(seeds, rounds: int) -> dict:
@@ -104,34 +118,40 @@ def stages(seeds, rounds: int) -> dict:
         planned.append(scenario)
 
     clips = blocked = pairs = edges = 0
-    real = planner._segment_blocked
+    built = []  # the graph of the plan being counted
 
-    def counted(*args):
-        nonlocal clips, blocked
-        clips += 1
-        hit = real(*args)
-        blocked += hit
-        return hit
+    def count_clips(real):
+        def counted(*args):
+            nonlocal clips, blocked
+            clips += 1
+            hit = real(*args)
+            blocked += hit
+            return hit
+        return counted
 
-    planner._segment_blocked = counted
-    try:
+    def keep_graph(real):
+        def kept(*args):
+            built.append(real(*args))
+            return built[-1]
+        return kept
+
+    with _wrapped(planner, {"_segment_blocked": count_clips, "build_visibility_graph": keep_graph}):
         for scenario in planned:
-            _, graph = _staged(planner, smoother, scenario, time.perf_counter)
-            known = getattr(graph, "known", None)  # absent where all pairs are tested up front
-            n = len(graph.nodes)
+            planner.plan(scenario)
+            g = built.pop()
+            known = getattr(g, "known", None)  # absent where all pairs are tested up front
+            n = len(g.nodes)
             pairs += n * (n - 1) // 2 if known is None else len(known)
-            edges += len(graph.edges) if known is None else sum(w < float("inf")
-                                                                for w in known.values())
-    finally:
-        planner._segment_blocked = real
+            edges += len(g.edges) if known is None else sum(w < float("inf") for w in known.values())
 
-    names = ("inflate", "graph", "astar", "smooth", "clearance")
-    best = dict.fromkeys(names + ("plan",), float("inf"))
+    best = dict.fromkeys((*_STAGES, "plan"), float("inf"))
     for _ in range(rounds):
         sums = dict.fromkeys(best, 0.0)
+        with _wrapped(planner, {name: _timer(sums, stage)
+                                for stage, names in _STAGES.items() for name in names}):
+            for scenario in planned:
+                planner.plan(scenario)
         for scenario in planned:
-            for name, t in zip(names, _staged(planner, smoother, scenario, time.perf_counter)[0]):
-                sums[name] += t
             t0 = time.perf_counter()
             planner.plan(scenario)
             sums["plan"] += time.perf_counter() - t0
