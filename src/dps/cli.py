@@ -34,13 +34,8 @@ def _cmd_smooth(args) -> int:
         path = smooth_polyline(polyline, args.radius, mode=mode)
     except FeasibilityError as err:
         print(f"infeasible: {err}", file=sys.stderr)
-        report = err.report
-        if report is not None:
-            print(
-                f"vertex violations: {report.local_violations}; "
-                f"edge violations: {report.global_violations}",
-                file=sys.stderr,
-            )
+        print(f"vertex violations: {err.report.local_violations}; "
+              f"edge violations: {err.report.global_violations}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if args.best_effort:
         print("note: best-effort mode may violate the curvature bound", file=sys.stderr)

@@ -25,16 +25,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import Heading, Point2, Pose, check_turn_radius
+from .geom import TWO_PI, Heading, Point2, Pose, check_turn_radius
 
 WORD_ORDER = ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL")
 CSC_WORDS = frozenset(("LSL", "RSR", "LSR", "RSL"))
 
-_TWO_PI = 2.0 * math.pi
 # Sweeps within rounding distance of a full circle are a numerical zero;
 # folding them keeps degenerate first/last arcs at exactly 0.
 _FULL_CIRCLE_SNAP = 1e-12
-_FOLD_LIMIT = _TWO_PI - _FULL_CIRCLE_SNAP
+_FOLD_LIMIT = TWO_PI - _FULL_CIRCLE_SNAP
 _TIE_EPSILON = 1e-12
 # Element cap of one (pairs, S, S) block of pair costs in the multipoint DP.
 _BLOCK_ELEMENTS = 1 << 16
@@ -63,7 +62,7 @@ _ARRAY = SimpleNamespace(
 
 def _mod2pi(x):
     """``x`` folded into [0, 2pi) on floats or arrays; a full circle folds to 0."""
-    y = x % _TWO_PI
+    y = x % TWO_PI
     return y * (y < _FOLD_LIMIT)
 
 
@@ -102,7 +101,7 @@ def _lsr(m, alpha, beta, d, sa, ca, sb, cb, cab):
 def _rlr(m, alpha, beta, d, sa, ca, sb, cb, cab):
     tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
     ok = m.abs(tmp) <= 1.0
-    p = _mod2pi(_TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
+    p = _mod2pi(TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
     t = _mod2pi(alpha - m.atan2(ca - cb, d - sa + sb) + 0.5 * p)
     q = _mod2pi(alpha - beta - t + p)
     return t, p, q, ok
@@ -132,8 +131,8 @@ def _scaled_problem(start: Pose, goal: Pose, r: float) -> tuple:
     dy = goal.position.y - start.position.y
     theta = math.atan2(dy, dx)
     d = math.hypot(dx, dy) / r
-    alpha = (start.heading.theta - theta) % _TWO_PI
-    beta = (goal.heading.theta - theta) % _TWO_PI
+    alpha = (start.heading.theta - theta) % TWO_PI
+    beta = (goal.heading.theta - theta) % TWO_PI
     return _word_args(_SCALAR, alpha, beta, d)
 
 
@@ -190,8 +189,8 @@ def _pair_costs(points: Sequence[Point2], sets: np.ndarray, r: float) -> np.ndar
         theta.append(math.atan2(dy, dx))
         d.append(math.hypot(dx, dy) / r)
     theta = np.array(theta)[:, None]
-    alpha = np.mod(sets[:-1] - theta, _TWO_PI)[:, :, None]
-    beta = np.mod(sets[1:] - theta, _TWO_PI)[:, None, :]
+    alpha = np.mod(sets[:-1] - theta, TWO_PI)[:, :, None]
+    beta = np.mod(sets[1:] - theta, TWO_PI)[:, None, :]
     args = _word_args(_ARRAY, alpha, beta, np.array(d)[:, None, None])
     problems = (args, _mirrored(*args))  # indexed by the mirror flag
     best = None
@@ -222,18 +221,18 @@ def multipoint_bruteforce(
     if headings is None:
         if samples_per_angle < 4:
             raise ValueError("need at least 4 heading samples per point")
-        grid = np.arange(samples_per_angle) * (_TWO_PI / samples_per_angle)
+        grid = np.arange(samples_per_angle) * (TWO_PI / samples_per_angle)
         sets = np.tile(grid, (len(pts), 1))
     else:
         if len(headings) != len(pts):
             raise ValueError("need one heading set per point")
-        ragged = [np.asarray(h, dtype=float) for h in headings]
-        if any(s.size == 0 for s in ragged):
+        sizes = list(map(len, headings))
+        if not min(sizes):
             raise ValueError("heading sets must be non-empty")
         # Repeating a set's last heading adds duplicate rows and columns,
         # which cannot change any minimum of the DP.
-        width = max(s.size for s in ragged)
-        sets = np.array([s.tolist() + [s[-1]] * (width - s.size) for s in ragged])
+        width = max(sizes)
+        sets = np.array([[*h, *[h[-1]] * (width - k)] for h, k in zip(headings, sizes)], dtype=float)
     size = sets.shape[1]
     per_block = max(1, _BLOCK_ELEMENTS // (size * size))
     cost_to = np.zeros(size)

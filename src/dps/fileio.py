@@ -208,11 +208,14 @@ def load_path(source: Union[str, TextIO]) -> tuple[SmoothPath, dict]:
     data = np.column_stack((np.array(flat, np.float64).reshape(-1, 4), np.array(sweeps, np.float64)))
     arc = np.array(kinds) == ARC
     x0, y0, x1, y1, sweep = data.T
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
+        length, reach = np.hypot(x1 - x0, y1 - y0), np.maximum(abs(x0), abs(y0)) + x1
         checks = ((~np.isfinite(data).all(axis=1), "non-finite value"),
                   (arc & ~(x1 > 0.0), "arc radius must be positive"),
                   (arc & (np.abs(sweep) > TWO_PI), "arc sweep must lie in [-2pi, 2pi]"),
-                  (~arc & ~(np.hypot(x1 - x0, y1 - y0) > LENGTH_EPSILON), "line endpoints coincide"))
+                  (arc & ~np.isfinite(reach), "arc box (center +- radius) overflows a float"),
+                  (~arc & ~(length > LENGTH_EPSILON), "line endpoints coincide"),
+                  (~arc & ~np.isfinite(length), "line length overflows a float"))
     failed = [(int(bad.argmax()), text) for bad, text in checks if bad.any()]
     if failed:
         i, text = min(failed, key=lambda f: f[0])

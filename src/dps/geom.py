@@ -116,25 +116,23 @@ class ArcSegment:
         return self.radius * abs(self.sweep)
 
 
-def arc_endpoint(arc: ArcSegment, at_end: bool) -> tuple[Point2, Heading]:
-    """Point and travel-direction tangent at the arc's start or end.
-
-    The tangent is perpendicular to the radius vector, rotated toward the
-    direction of travel given by the sweep sign.
-    """
-    angle = arc.start_angle.theta + (arc.sweep if at_end else 0.0)
-    point = Point2(arc.center.x + arc.radius * math.cos(angle),
-                   arc.center.y + arc.radius * math.sin(angle))
-    tangent = angle + (0.5 * math.pi if arc.sweep >= 0.0 else -0.5 * math.pi)
-    return point, Heading(tangent)
-
-
 def arc_ends(cx: float, cy: float, radius: float, start: float, sweep: float) -> tuple:
     """Start and end point (sx, sy, ex, ey) of an arc row (cx, cy, radius,
-    start_angle, sweep), bit-equal to the points of ``arc_endpoint``."""
-    a, b = start + 0.0, start + sweep  # + 0.0 as there: -0.0 becomes 0.0
+    start_angle, sweep); the one formula for an arc's end points, which
+    ``arc_endpoint`` reads too."""
+    a, b = start + 0.0, start + sweep  # -0.0 becomes 0.0, as start + sweep does
     return (cx + radius * math.cos(a), cy + radius * math.sin(a),
             cx + radius * math.cos(b), cy + radius * math.sin(b))
+
+
+def arc_endpoint(arc: ArcSegment, at_end: bool) -> tuple[Point2, Heading]:
+    """Point (from ``arc_ends``) and travel-direction tangent at the arc's
+    start or end; the tangent is perpendicular to the radius vector, rotated
+    toward the direction of travel given by the sweep sign."""
+    ends = arc_ends(arc.center.x, arc.center.y, arc.radius, arc.start_angle.theta, arc.sweep)
+    angle = arc.start_angle.theta + (arc.sweep if at_end else 0.0)
+    tangent = angle + (0.5 * math.pi if arc.sweep >= 0.0 else -0.5 * math.pi)
+    return Point2(*ends[2:] if at_end else ends[:2]), Heading(tangent)
 
 
 def interior_angle(p_prev: Point2, p: Point2, p_next: Point2) -> float:

@@ -36,7 +36,6 @@ from .geom import (
 )
 from .smoother import (
     LINE,
-    FeasibilityError,
     Polyline,
     SmoothPath,
     path_length,
@@ -509,7 +508,8 @@ class PlanResult:
 def plan(scenario: Scenario) -> PlanResult:
     """Full pipeline: per-obstacle mitered inflation by the worst-vertex
     offset, visibility graph, A*, smoothing, and clearance certification
-    against the original obstacles."""
+    against the original obstacles (inf with none). A route the smoother
+    refuses raises its ``FeasibilityError`` unchanged."""
     h, r = scenario.robot_radius, scenario.turning_radius
     offsets, inflated = [], []
     for poly in scenario.obstacles:
@@ -518,11 +518,7 @@ def plan(scenario: Scenario) -> PlanResult:
         inflated.append(mitered_inflate(poly, offsets[-1], corners))
     graph = build_visibility_graph(scenario, inflated)
     polyline = shortest_polyline(graph)
-    try:
-        path = smooth_polyline(polyline, r)
-    except FeasibilityError as err:
-        err.polyline = polyline  # let callers inspect the offending route
-        raise
+    path = smooth_polyline(polyline, r)
     c = clearance(path, scenario.obstacles)
     return PlanResult(
         path=path,
@@ -530,6 +526,6 @@ def plan(scenario: Scenario) -> PlanResult:
         inflated=tuple(inflated),
         offsets=tuple(offsets),
         clearance=c,
-        clearance_ok=(not scenario.obstacles) or c >= h,
+        clearance_ok=c >= h,
         length=path_length(path),
     )

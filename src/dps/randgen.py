@@ -26,10 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import check_turn_radius
+from .geom import TWO_PI, check_turn_radius
 from .smoother import Polyline
 
-_TWO_PI = 2.0 * math.pi
 # Edge lengths in turning radii, and proposals per point before backtracking.
 _RADIUS_LOW, _RADIUS_HIGH = 1.0, 10.0
 _TRIES_PER_POINT = 60
@@ -77,7 +76,7 @@ def random_polyline(
             proposals_left -= 1
             if proposals_left <= 0:
                 raise RuntimeError("polyline sampling did not converge")
-            ang = _TWO_PI * rnd()
+            ang = TWO_PI * rnd()
             rad = lo + span * rnd()
             cx = px + rad * cos(ang)
             cy = py + rad * sin(ang)

@@ -13,11 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import arc_ends
+from .geom import TWO_PI, arc_ends
 from .planner import Scenario
 from .smoother import ARC, LINE, SmoothPath
 
-_FULL = 2.0 * math.pi - 1e-9
+_FULL = TWO_PI - 1e-9
 _WIDTH = 800
 
 
@@ -26,12 +26,12 @@ def _fmt(x: float) -> str:
 
 
 def _path_d(path: SmoothPath) -> str:
-    """The path as SVG commands, formatted by one template over all values.
+    """The path as SVG commands from its start point, formatted by one
+    template over all values.
     An arc is an ``A`` command to its end point; a full circle, which
     degenerates in that command, is drawn as two halves."""
     kinds, rows = path.kind.tolist(), path.data.tolist()
-    first = rows[0][:2] if kinds[0] == LINE else arc_ends(*rows[0])[:2]
-    commands, values = ["M %.10g %.10g"], list(first)
+    commands, values = ["M %.10g %.10g"], [path.start_point.x, path.start_point.y]
     for kind, row in zip(kinds, rows):
         if kind == LINE:
             commands.append("L %.10g %.10g")

@@ -32,6 +32,7 @@ no answer.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, repeat
@@ -112,8 +113,9 @@ def _assemble_columns(x0, y0, xn, yn, *raws):
 
 # The two backends the pass runs on. ``map(f, *columns)`` applies a formula
 # written for one vertex to every row, ``map_n`` one with n outputs, and
-# ``each(v)`` passes a scalar to every row; ``isfinite`` works on a column and
-# ``find(column, value)`` gives the rows that hold ``value``. Formulas take
+# ``each(v)`` passes a scalar to every row; ``isfinite`` works on a column,
+# ``find(column, value)`` gives the rows that hold ``value`` and ``quiet()``
+# silences float overflow, which Python floats never report. Formulas take
 # the backend last and default to floats, so the float backend calls them
 # row by row without passing it.
 _FLOATS = SimpleNamespace(
@@ -124,6 +126,7 @@ _FLOATS = SimpleNamespace(
     isfinite=partial(map, math.isfinite), all=all, columns=lambda xy: xy.T.tolist(),
     tolist=lambda c: c, cat=lambda *c: list(chain(*c)),
     find=lambda c, value: [i for i, v in enumerate(c) if v == value], assemble=_assemble_rows,
+    quiet=nullcontext,
 )
 _ARRAYS = SimpleNamespace(
     sqrt=np.sqrt, atan2=_atan2_rows, copysign=np.copysign, min=lambda *a: reduce(np.minimum, a),
@@ -132,6 +135,7 @@ _ARRAYS = SimpleNamespace(
     isfinite=np.isfinite, all=np.all, columns=lambda xy: tuple(xy.T),
     tolist=lambda c: c.tolist(), cat=lambda *c: np.concatenate(c),
     find=lambda c, value: np.flatnonzero(c == value), assemble=_assemble_columns,
+    quiet=partial(np.errstate, over="ignore"),
 )
 
 
@@ -142,7 +146,7 @@ def _backend(n: int):
 class FeasibilityError(ValueError):
     """Smoothing refused: the polyline cannot hold the required tangent points."""
 
-    def __init__(self, message: str, report: "FeasibilityReport | None" = None):
+    def __init__(self, message: str, report: "FeasibilityReport"):
         super().__init__(message)
         self.report = report
 
@@ -154,7 +158,8 @@ def _distance(ax, ay, bx, by, m=_FLOATS):
 
 
 def _apart(ax, ay, bx, by, m=_FLOATS):
-    return _distance(ax, ay, bx, by, m) > LENGTH_EPSILON
+    d = _distance(ax, ay, bx, by, m)
+    return (d > LENGTH_EPSILON) & (d < math.inf)  # an overflowed distance is no gap
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,9 +194,12 @@ class Polyline:
         if not (m.all(m.isfinite(x)) and m.all(m.isfinite(y))):
             bad = next(row for row in xy.tolist() if not all(map(math.isfinite, row)))
             raise ValueError("non-finite coordinates ({}, {})".format(*bad))
-        apart = m.map(_apart, x[:-1], y[:-1], x[1:], y[1:])
+        with m.quiet():  # an overflowing distance is told apart below
+            apart = m.map(_apart, x[:-1], y[:-1], x[1:], y[1:])
         if not m.all(apart):
             i = int(m.find(apart, False)[0])
+            if _distance(*xy[i].tolist(), *xy[i + 1].tolist()) > LENGTH_EPSILON:
+                raise ValueError(f"polyline points {i} and {i + 1}: their distance overflows a float")
             raise DegeneratePointsError(f"polyline points {i} and {i + 1} coincide")
         xy.flags.writeable = False
         object.__setattr__(self, "xy", xy)
@@ -427,6 +435,7 @@ class _Pass(NamedTuple):
 
 
 def _tangent_pass(p: Polyline, r: float) -> _Pass:
+    check_turn_radius(r)
     m = _backend(len(p.xy))
     x, y = m.columns(p.xy)
     raws = m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:],
@@ -437,7 +446,7 @@ def _tangent_pass(p: Polyline, r: float) -> _Pass:
 
 
 def _triplet(q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, radius, xm, ym) -> TripletSolution:
-    d = math.sqrt((xm - cx) * (xm - cx) + (ym - cy) * (ym - cy))
+    d = _distance(cx, cy, xm, ym)
     sweep = math.atan2(crs, dt)
     return TripletSolution(Point2(q1x, q1y), Point2(q2x, q2y), Point2(cx, cy), l, d,
                            math.pi - abs(sweep), sweep, d - radius)
@@ -468,7 +477,6 @@ def _report(p: Polyline, r: float):
     """Tangent pass and report of a polyline; the far flags (edge (p_j, p_k)
     passes when the exit tangent point after p_k lies at least 4r from p_j)
     only when the existence flags all hold."""
-    check_turn_radius(r)
     tp = _tangent_pass(p, r)
     report = _existence(tp)
     if report.feasible:
@@ -500,7 +508,6 @@ def check_global_existence(p: Polyline, r: float) -> FeasibilityReport:
     """Per-vertex fit l_j <= min(|p_i p_j|, |p_j p_k|) and per-edge check
     |p_j - p_k| >= l_j + l_k that consecutive tangent points exist in order;
     endpoint vertices contribute zero."""
-    check_turn_radius(r)
     return _existence(_tangent_pass(p, r))
 
 
@@ -554,11 +561,10 @@ def _clamp(tp: _Pass) -> list:
 
 
 def _solves(p: Polyline, r: float, mode: str) -> tuple[_Pass, list]:
-    """Tangent pass and the solve columns to smooth with in the given mode."""
-    check_turn_radius(r)
+    """Tangent pass (it checks the radius first) and the mode's solve columns."""
+    tp = _tangent_pass(p, r)
     if mode not in ("strict", "best-effort"):
         raise ValueError(f"unknown smoothing mode {mode!r}")
-    tp = _tangent_pass(p, r)
     m = tp.m
     if mode == "strict":
         if not m.all(m.map(_holds, tp.edges, tp.ls[:-1], tp.ls[1:])):
@@ -609,18 +615,13 @@ def smooth_polyline(p: Polyline, r: float, mode: str = "strict") -> SmoothPath:
     return _assemble_raw(*_solves(p, r, mode))
 
 
-def smooth_polyline_batch(
-    p: Polyline,
-    r: float,
-    parallelism_hint: Optional[int] = None,
-    mode: str = "strict",
-) -> SmoothPath:
-    """The same call as ``smooth_polyline``; ``parallelism_hint`` is ignored.
+def smooth_polyline_batch(p: Polyline, r: float, parallelism_hint: Optional[int] = None) -> SmoothPath:
+    """Strict ``smooth_polyline``; ``parallelism_hint`` is ignored.
 
     Kept for callers of the former thread-pool mode, which held the GIL for
     all but the per-vertex solves and so was no faster than one thread.
     """
-    return smooth_polyline(p, r, mode)
+    return smooth_polyline(p, r)
 
 
 def path_length(path: SmoothPath) -> float:

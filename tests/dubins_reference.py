@@ -23,19 +23,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dps.dubins import (_ARRAY, _FULL_CIRCLE_SNAP, _SCALAR, _TIE_EPSILON, _TWO_PI, _WORDS,
-                        WORD_ORDER, _mirrored)
-from dps.geom import Point2, Pose, check_turn_radius
+from dps.dubins import _ARRAY, _FULL_CIRCLE_SNAP, _SCALAR, _TIE_EPSILON, _WORDS, WORD_ORDER, _mirrored
+from dps.geom import TWO_PI, Point2, Pose, check_turn_radius
 
 
 def _mod2pi_scalar(x: float) -> float:
-    y = x % _TWO_PI
-    return 0.0 if y >= _TWO_PI - _FULL_CIRCLE_SNAP else y
+    y = x % TWO_PI
+    return 0.0 if y >= TWO_PI - _FULL_CIRCLE_SNAP else y
 
 
 def _mod2pi_array(x):
-    y = np.mod(x, _TWO_PI)
-    return np.where(y >= _TWO_PI - _FULL_CIRCLE_SNAP, 0.0, y)
+    y = np.mod(x, TWO_PI)
+    return np.where(y >= TWO_PI - _FULL_CIRCLE_SNAP, 0.0, y)
 
 
 SCALAR = SimpleNamespace(**vars(_SCALAR), mod2pi=_mod2pi_scalar)
@@ -94,7 +93,7 @@ def _rsl(m, alpha, beta, d, sa, ca, sb, cb, cab):
 def _rlr(m, alpha, beta, d, sa, ca, sb, cb, cab):
     tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
     ok = m.abs(tmp) <= 1.0
-    p = m.mod2pi(_TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
+    p = m.mod2pi(TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
     t = m.mod2pi(alpha - m.atan2(ca - cb, d - sa + sb) + 0.5 * p)
     q = m.mod2pi(alpha - beta - t + p)
     return t, p, q, ok
@@ -103,7 +102,7 @@ def _rlr(m, alpha, beta, d, sa, ca, sb, cb, cab):
 def _lrl(m, alpha, beta, d, sa, ca, sb, cb, cab):
     tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sb - sa)) / 8.0
     ok = m.abs(tmp) <= 1.0
-    p = m.mod2pi(_TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
+    p = m.mod2pi(TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
     t = m.mod2pi(-alpha - m.atan2(ca - cb, d + sa - sb) + 0.5 * p)
     q = m.mod2pi(beta - alpha - t + p)
     return t, p, q, ok
@@ -126,8 +125,8 @@ def _word_matrices(p: Point2, q: Point2, h1: np.ndarray, h2: np.ndarray, r: floa
     dy = q.y - p.y
     theta = math.atan2(dy, dx)
     d = math.hypot(dx, dy) / r
-    alpha = np.mod(h1 - theta, _TWO_PI)[:, None]
-    beta = np.mod(h2 - theta, _TWO_PI)[None, :]
+    alpha = np.mod(h1 - theta, TWO_PI)[:, None]
+    beta = np.mod(h2 - theta, TWO_PI)[None, :]
     sa, ca = np.sin(alpha), np.cos(alpha)
     sb, cb = np.sin(beta), np.cos(beta)
     args = (alpha, beta, d, sa, ca, sb, cb, ca * cb + sa * sb)
@@ -164,7 +163,7 @@ def multipoint_per_pair(
     if headings is None:
         if samples_per_angle < 4:
             raise ValueError("need at least 4 heading samples per point")
-        grid = np.arange(samples_per_angle) * (_TWO_PI / samples_per_angle)
+        grid = np.arange(samples_per_angle) * (TWO_PI / samples_per_angle)
         sets = [grid] * len(pts)
     else:
         if len(headings) != len(pts):

@@ -44,7 +44,7 @@ from dps.planner import (
     required_offset,
     shortest_polyline,
 )
-from dps.smoother import FeasibilityError, Polyline, SmoothPath, smooth_polyline
+from dps.smoother import Polyline, SmoothPath, smooth_polyline
 
 
 # -- point, segment and arc distances on objects ----------------------------
@@ -376,11 +376,7 @@ def reference_plan(scenario: Scenario) -> PlanResult:
         inflated.append(mitered_inflate(poly, offsets[-1]))
     graph = all_pairs_visibility_graph(scenario, inflated)
     polyline = shortest_polyline(graph)
-    try:
-        path = smooth_polyline(polyline, scenario.turning_radius)
-    except FeasibilityError as err:
-        err.polyline = polyline
-        raise
+    path = smooth_polyline(polyline, scenario.turning_radius)
     c = all_pairs_clearance(path, scenario.obstacles)
     return PlanResult(
         path=path,
@@ -388,6 +384,6 @@ def reference_plan(scenario: Scenario) -> PlanResult:
         inflated=tuple(inflated),
         offsets=tuple(offsets),
         clearance=c,
-        clearance_ok=(not scenario.obstacles) or c >= scenario.robot_radius,
+        clearance_ok=c >= scenario.robot_radius,
         length=segment_sum_length(path),
     )

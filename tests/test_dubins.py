@@ -258,6 +258,10 @@ def test_multipoint_mixed_heading_sets_match_per_pair_reference(rng):
         headings[rng.randrange(n)] = [0.5] * 3 + [rng.uniform(-3, 3) for _ in range(9)]
         expected = multipoint_per_pair(points, r, 4, headings=headings)
         assert multipoint_bruteforce(points, r, 4, headings=headings) == expected
+        # the same sets as numpy arrays and as tuples read the same values
+        for kind in (np.array, tuple):
+            same = [kind(h) for h in headings]
+            assert multipoint_bruteforce(points, r, 4, headings=same) == expected
 
 
 def _degenerate_pairs(rng):

@@ -204,6 +204,8 @@ _DIGITS_5000 = "<a 5,000-digit integer>"
     ({**_GOOD_ARC, "sweep": -math.inf}, "non-finite value"),
     ({"type": "line", "a": [3, 0], "b": [3, 0]},  # the record as read, numbers as floats
      re.escape("line endpoints coincide: {'type': 'line', 'a': [3.0, 0.0], 'b': [3.0, 0.0]}")),
+    ({**_GOOD_LINE, "a": [0.0, -1e308], "b": [1.0, 1e308]}, "line length overflows a float"),
+    ({**_GOOD_ARC, "center": [1e308, 0.0], "radius": 1e308}, re.escape("arc box (center +- radius) overflows")),
 ])
 def test_load_path_names_the_bad_segment(record, reason):
     good = [_GOOD_LINE, _GOOD_ARC, {**_GOOD_LINE, "a": [2.0, 2.0]}]

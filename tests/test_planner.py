@@ -742,6 +742,15 @@ class TestPlan:
         assert result.offsets[0] >= 0.2
         assert len(result.polyline) >= 3
 
+    def test_touching_squares(self):
+        # two squares share the edge x = 10; the route must go around the pair
+        left = ConvexPolygon([P(8, 8), P(10, 8), P(10, 12), P(8, 12)])
+        right = ConvexPolygon([P(10, 8), P(12, 8), P(12, 12), P(10, 12)])
+        sc = make_scenario([left, right], h=0.2, r=0.5, start=P(10, 2), goal=P(10, 18))
+        assert plan_outcome(plan, sc) == plan_outcome(reference_plan, sc)
+        result = plan(sc)
+        assert result.clearance >= 0.2 and result.clearance_ok
+
     def test_blocked(self):
         wall = ConvexPolygon([P(-5, 9), P(25, 9), P(25, 11), P(-5, 11)])
         with pytest.raises(NoPathError):

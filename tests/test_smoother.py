@@ -754,6 +754,17 @@ def test_polyline_from_array_refuses_like_points(n):
             P(1.0, bad)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(exc.value))}$"):
             Polyline.from_array(broken)
+    k = np.arange(n, dtype=float)
+    bent = np.column_stack((k, k // 2)) * 1e200  # 45-degree turns
+    zigzag = np.column_stack((k, k % 2)) * 1e200  # right-angle turns
+    far = xy.copy()
+    far[n - 1] = (1e200, 1e200)
+    for huge, i in ((bent, 0), (zigzag, 0), (far, n - 2)):  # an edge length overflows
+        message = rf"^polyline points {i} and {i + 1}: their distance overflows a float$"
+        with pytest.raises(ValueError, match=message):
+            Polyline.from_array(huge)
+        with pytest.raises(ValueError, match=message):
+            Polyline([P(x, y) for x, y in huge.tolist()])
     for few in (xy[:1], xy[:0]):
         with pytest.raises(ValueError, match=rf"^polyline needs at least 2 points, got {len(few)}$"):
             Polyline.from_array(few)
