@@ -125,12 +125,16 @@ _WORDS = {
 }
 
 
+def _bearing(p: Point2, q: Point2, r: float) -> tuple[float, float]:
+    """Direction of q seen from p and their distance in units of r."""
+    dx = q.x - p.x
+    dy = q.y - p.y
+    return math.atan2(dy, dx), math.hypot(dx, dy) / r
+
+
 def _scaled_problem(start: Pose, goal: Pose, r: float) -> tuple:
     """Reduce a pose pair to the arguments of the word formulas."""
-    dx = goal.position.x - start.position.x
-    dy = goal.position.y - start.position.y
-    theta = math.atan2(dy, dx)
-    d = math.hypot(dx, dy) / r
+    theta, d = _bearing(start.position, goal.position, r)
     alpha = (start.heading.theta - theta) % TWO_PI
     beta = (goal.heading.theta - theta) % TWO_PI
     return _word_args(_SCALAR, alpha, beta, d)
@@ -182,12 +186,7 @@ def classify_j_type(start: Pose, goal: Pose, r: float) -> tuple[bool, DubinsWord
 def _pair_costs(points: Sequence[Point2], sets: np.ndarray, r: float) -> np.ndarray:
     """(pairs, S, S) shortest Dubins lengths from (points[k], sets[k, i]) to
     (points[k + 1], sets[k + 1, j]) for every consecutive pair."""
-    theta, d = [], []
-    for p, q in zip(points, points[1:]):
-        dx = q.x - p.x
-        dy = q.y - p.y
-        theta.append(math.atan2(dy, dx))
-        d.append(math.hypot(dx, dy) / r)
+    theta, d = zip(*(_bearing(p, q, r) for p, q in zip(points, points[1:])))
     theta = np.array(theta)[:, None]
     alpha = np.mod(sets[:-1] - theta, TWO_PI)[:, :, None]
     beta = np.mod(sets[1:] - theta, TWO_PI)[:, None, :]

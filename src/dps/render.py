@@ -47,31 +47,22 @@ def _path_d(path: SmoothPath) -> str:
     return " ".join(commands) % tuple(values)
 
 
-def _expand(bbox, x, y):
-    bbox[0] = min(bbox[0], x)
-    bbox[1] = min(bbox[1], y)
-    bbox[2] = max(bbox[2], x)
-    bbox[3] = max(bbox[3], y)
-
-
 def render_svg(path: SmoothPath, scenario: Optional[Scenario] = None) -> str:
     """An SVG document of the path, drawn over the scenario's bounds and
     obstacles when one is given."""
-    bbox = [math.inf, math.inf, -math.inf, -math.inf]
     # a line spans its two end points, an arc its circle's square
     arc = path.kind == ARC
     x0, y0, x1, y1, _ = path.data.T
-    _expand(bbox, np.where(arc, x0 - x1, np.minimum(x0, x1)).min().item(),
-            np.where(arc, y0 - x1, np.minimum(y0, y1)).min().item())
-    _expand(bbox, np.where(arc, x0 + x1, np.maximum(x0, x1)).max().item(),
-            np.where(arc, y0 + x1, np.maximum(y0, y1)).max().item())
+    boxes = [(np.where(arc, x0 - x1, np.minimum(x0, x1)).min().item(),
+              np.where(arc, y0 - x1, np.minimum(y0, y1)).min().item(),
+              np.where(arc, x0 + x1, np.maximum(x0, x1)).max().item(),
+              np.where(arc, y0 + x1, np.maximum(y0, y1)).max().item())]
     if scenario is not None:
-        _expand(bbox, scenario.bounds.xmin, scenario.bounds.ymin)
-        _expand(bbox, scenario.bounds.xmax, scenario.bounds.ymax)
-        for poly in scenario.obstacles:
-            for v in poly.vertices:
-                _expand(bbox, v.x, v.y)
-    xmin, ymin, xmax, ymax = bbox
+        b = scenario.bounds
+        boxes.append((b.xmin, b.ymin, b.xmax, b.ymax))
+        boxes += (poly.box for poly in scenario.obstacles)
+    lo_x, lo_y, hi_x, hi_y = zip(*boxes)
+    xmin, ymin, xmax, ymax = min(lo_x), min(lo_y), max(hi_x), max(hi_y)
     span = max(xmax - xmin, ymax - ymin, 1e-9)
     pad = 0.05 * span
     xmin -= pad

@@ -72,7 +72,7 @@ def _atan2_rows(y, x):
     return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), np.float64, len(y))
 
 
-def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, radius, through, _):
+def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, radius, through):
     """Path rows in travel order from (x, y) to (xn, yn): a line into each
     arc vertex's arc unless it would be empty, the arc, and a last line."""
     kinds, values = [], []
@@ -382,25 +382,23 @@ def deviation_bound(alpha: float, r: float) -> float:
     return r * (1.0 / math.sin(0.5 * alpha) - 1.0)
 
 
-def _solve_raw(xi, yi, xm, ym, xf, yf, r, m=_FLOATS):
-    """Tangent solve at the middle vertex of (p_i, p_m, p_f), on floats or,
-    with ``m = _ARRAYS``, on columns of such triples.
+def _solve_raw(xi, yi, xm, ym, xf, yf, n1, n2, r, m=_FLOATS):
+    """Tangent solve at the middle vertex of (p_i, p_m, p_f), whose edges
+    are n1 = |p_i p_m| and n2 = |p_m p_f| long, on floats or, with
+    ``m = _ARRAYS``, on columns of such triples.
 
-    Returns (q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, r, through, n1): the
-    entry and exit tangent points, the arc center, the tangent length, the
-    cross and dot products of the edge vectors, whose ``atan2`` is the signed
-    turn angle (positive = left), the radius and whether the vertex carries no
+    Returns (q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, r, through): the entry
+    and exit tangent points, the arc center, the tangent length, the cross
+    and dot products of the edge vectors, whose ``atan2`` is the signed turn
+    angle (positive = left), the radius and whether the vertex carries no
     arc, which has l = 0: a collinear pass-through, or radius 0 (an arc that
     best-effort clamping drops). An exact reversal has l = inf so the edge
-    check rejects it. Only l is meaningful on those kinds of vertex. n1 is
-    the length of the edge into the vertex.
+    check rejects it. Only l is meaningful on those kinds of vertex.
     """
     v1x = xm - xi
     v1y = ym - yi
     v2x = xf - xm
     v2y = yf - ym
-    n1 = m.sqrt(v1x * v1x + v1y * v1y)
-    n2 = m.sqrt(v2x * v2x + v2y * v2y)
     crs = v1x * v2y - v1y * v2x
     dt = v1x * v2x + v1y * v2y
     through = ((abs(crs) <= COLLINEAR_EPSILON * n1 * n2) & (dt > 0.0)) | (r == 0.0)
@@ -414,10 +412,10 @@ def _solve_raw(xi, yi, xm, ym, xf, yf, r, m=_FLOATS):
     q1y = ym - fit * u1y
     side = m.copysign(r, crs)  # the center lies left of a left turn (atan2 keeps the sign)
     return (q1x, q1y, xm + fit * (v2x / n2), ym + fit * (v2y / n2),
-            q1x - side * u1y, q1y + side * u1x, l, crs, dt, r, through, n1)
+            q1x - side * u1y, q1y + side * u1x, l, crs, dt, r, through)
 
 
-_RAW_FIELDS = 12
+_RAW_FIELDS = 11
 
 
 class _Pass(NamedTuple):
@@ -438,10 +436,9 @@ def _tangent_pass(p: Polyline, r: float) -> _Pass:
     check_turn_radius(r)
     m = _backend(len(p.xy))
     x, y = m.columns(p.xy)
+    edges = m.map(_distance, x[:-1], y[:-1], x[1:], y[1:])
     raws = m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:],
-                   m.each(r))
-    last = _distance(x[-2], y[-2], x[-1], y[-1])  # one edge: float math on either backend
-    edges = m.cat(raws[11], [last])
+                   edges[:-1], edges[1:], m.each(r))
     return _Pass(m, x, y, edges, m.cat([0.0], raws[6], [0.0]), raws)
 
 
@@ -557,7 +554,8 @@ def _clamp(tp: _Pass) -> list:
     m, x, y, edges, ls, raws = tp
     share = m.map(_share, edges, ls[:-1], ls[1:])
     radius = m.map(_clamped_radius, ls[1:-1], share[:-1], share[1:], edges[:-1], edges[1:], raws[9])
-    return m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:], radius)
+    return m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:],
+                   edges[:-1], edges[1:], radius)
 
 
 def _solves(p: Polyline, r: float, mode: str) -> tuple[_Pass, list]:
@@ -576,16 +574,11 @@ def _solves(p: Polyline, r: float, mode: str) -> tuple[_Pass, list]:
     return tp, _clamp(tp)
 
 
-def vertex_solutions(p: Polyline, r: float, mode: str = "strict") -> list[Optional[TripletSolution]]:
-    """Triplet solution per interior vertex (None = pass-through).
-
-    In "best-effort" mode over-long tangents are clamped to what the edges
-    can hold (contested edges are split proportionally) and the arc radius
-    shrinks to keep tangency, so the result stays G1 but may violate the
-    curvature bound; an exact reversal is still refused.
-    """
-    tp, raws = _solves(p, r, mode)
-    *cols, through, _ = map(tp.m.tolist, raws)
+def vertex_solutions(p: Polyline, r: float) -> list[Optional[TripletSolution]]:
+    """Triplet solution per interior vertex (None = pass-through) of the
+    strict smoothing; refuses what strict ``smooth_polyline`` refuses."""
+    tp, raws = _solves(p, r, "strict")
+    *cols, through = map(tp.m.tolist, raws)
     x, y = tp.m.tolist(tp.x[1:-1]), tp.m.tolist(tp.y[1:-1])
     return [None if t else _triplet(*row, xm, ym) for *row, t, xm, ym in zip(*cols, through, x, y)]
 
@@ -686,7 +679,7 @@ def extract_pieces(p: Polyline, r: float) -> list[PathPiece]:
     ``guaranteed`` carries the piece's 4r far-condition flag.
     """
     tp, far = _feasible_pass(p, r)
-    q1x, q1y, q2x, q2y, _, _, _, crs, dt, _, through, _ = map(tp.m.tolist, tp.raws)
+    q1x, q1y, q2x, q2y, _, _, _, crs, dt, _, through = map(tp.m.tolist, tp.raws)
     xs, ys = tp.m.tolist(tp.x), tp.m.tolist(tp.y)
     pieces: list[PathPiece] = []
     x, y, heading = xs[0], ys[0], None

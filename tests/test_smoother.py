@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -128,8 +129,15 @@ def test_vertex_solutions_pass_through_exactly_on_collinear_triples():
         ((0, 0), (4, 0), (8, 1e-6), False),
         ((0, 0), (1, 0), (0, 1e-7), False),
     ):
-        (sol,) = vertex_solutions(Polyline([P(*xy) for xy in triple]), 1.0, mode="best-effort")
-        assert (sol is None) == pass_through, triple
+        polyline = Polyline([P(*xy) for xy in triple])
+        kinds = smooth_polyline(polyline, 1.0, mode="best-effort").kind.tolist()
+        assert (ARC not in kinds) == pass_through, triple
+        try:
+            (sol,) = vertex_solutions(polyline, 1.0)
+        except FeasibilityError:  # the near-reversal is too sharp for r = 1
+            assert not pass_through, triple
+        else:
+            assert (sol is None) == pass_through, triple
 
 
 def test_solve_three_points_existence_violation():
@@ -341,13 +349,12 @@ def test_best_effort_mode_clamps():
 def test_both_modes_refuse_exact_reversal():
     # no G1 arc of any radius turns back on itself, so clamping cannot help
     reversal = Polyline([P(0, 0), P(5, 0), P(1, 0), P(1, 5)])
-    for mode in ("strict", "best-effort"):
-        for fn in (smooth_polyline, vertex_solutions):
-            with pytest.raises(FeasibilityError) as exc:
-                fn(reversal, 1.0, mode=mode)
-            assert str(exc.value) == "vertex 1: l = inf > min edge 4 (exact reversal)"
-            assert exc.value.report == check_global_existence(reversal, 1.0)
-            assert exc.value.report.local_violations == [1]
+    for fn in (smooth_polyline, partial(smooth_polyline, mode="best-effort"), vertex_solutions):
+        with pytest.raises(FeasibilityError) as exc:
+            fn(reversal, 1.0)
+        assert str(exc.value) == "vertex 1: l = inf > min edge 4 (exact reversal)"
+        assert exc.value.report == check_global_existence(reversal, 1.0)
+        assert exc.value.report.local_violations == [1]
     # the reversal is named even behind an earlier vertex that clamping can fix
     tight = Polyline([P(0, 0), P(0.5, 0), P(0.5, 0.5), P(5, 0.5), P(1, 0.5), P(1, 5)])
     with pytest.raises(FeasibilityError, match=r"^vertex 3: l = inf .* \(exact reversal\)$"):
@@ -361,12 +368,11 @@ def test_reversal_with_rounded_denominator_is_refused():
     # rounds to 8.9e-16, not 0. Taken for an arc of tangent length 0, the
     # vertex used to smooth into a half-turn arc 2r from the next line.
     reversal = Polyline([P(0, 0), P(1, 1), P(-1, -1), P(-1, 5)])
-    for mode in ("strict", "best-effort"):
-        for fn in (smooth_polyline, vertex_solutions):
-            with pytest.raises(FeasibilityError) as exc:
-                fn(reversal, 0.1, mode=mode)
-            assert str(exc.value) == "vertex 1: l = inf > min edge 1.41421 (exact reversal)"
-            assert exc.value.report == check_global_existence(reversal, 0.1)
+    for fn in (smooth_polyline, partial(smooth_polyline, mode="best-effort"), vertex_solutions):
+        with pytest.raises(FeasibilityError) as exc:
+            fn(reversal, 0.1)
+        assert str(exc.value) == "vertex 1: l = inf > min edge 1.41421 (exact reversal)"
+        assert exc.value.report == check_global_existence(reversal, 0.1)
     assert feasibility_report(reversal, 0.1).local_violations == [1]
     with pytest.raises(FeasibilityError, match=r"\(exact reversal\)$"):
         extract_pieces(reversal, 0.1)
@@ -635,7 +641,7 @@ def test_zero_length_residuals_dropped():
 
 
 def test_solve_raw_reversal_sentinel():
-    raw = _solve_raw(0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 1.0)
+    raw = _solve_raw(0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 5.0, 5.0, 1.0)
     assert raw is not None and math.isinf(raw[6])
 
 
@@ -653,7 +659,7 @@ def _outcomes(polyline, r, mode):
         path = smooth_polyline(polyline, r, mode)
         return path.kind.tobytes(), path.data.tobytes(), path.start_point, path.end_point
 
-    return (attempt(columns), attempt(lambda: vertex_solutions(polyline, r, mode)),
+    return (attempt(columns), attempt(lambda: vertex_solutions(polyline, r)),
             feasibility_report(polyline, r), check_global_existence(polyline, r),
             attempt(lambda: check_far_condition(polyline, r)),
             attempt(lambda: extract_pieces(polyline, r)))

@@ -13,8 +13,8 @@ digest plan the same routes, bit for bit.
     python3 tools/plan_digest.py --stages --seeds 1 --rounds 3
 
 ``--stages`` instead plans the planned scenarios again with the planner
-functions that ``plan()`` calls wrapped by timers (module attributes, as
-perfbench's tracer wraps them) and prints the mean time per plan in µs
+functions that ``plan()`` calls wrapped by perfbench's tracer (its
+``Tracer`` and ``Target``, on module attributes) and prints the mean time per plan in µs
 spent in each stage (inflate, graph, A*, smooth, clearance, and a whole
 unwrapped ``plan()`` timed apart), the best of ``--rounds`` rounds, and the
 mean edge-test counts per plan: node pairs tested, blocking clips
@@ -32,7 +32,6 @@ import os
 import struct
 import sys
 import time
-from contextlib import contextmanager
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -81,33 +80,9 @@ _STAGES = {"inflate": ("_corners", "_worst_offset", "mitered_inflate"),
            "smooth": ("smooth_polyline",), "clearance": ("clearance",)}
 
 
-@contextmanager
-def _wrapped(module, wrappers: dict):
-    """Replace module attributes by ``wrap(attribute)``, as perfbench's tracer
-    does, so the real ``plan()`` calls the wrappers; restore them after."""
-    real = {name: getattr(module, name) for name in wrappers}
-    for name, wrap in wrappers.items():
-        setattr(module, name, wrap(real[name]))
-    try:
-        yield
-    finally:
-        for name, f in real.items():
-            setattr(module, name, f)
-
-
-def _timer(sums: dict, stage: str):
-    def wrap(f):
-        def timed(*args):
-            t0 = time.perf_counter()
-            out = f(*args)
-            sums[stage] += time.perf_counter() - t0
-            return out
-        return timed
-    return wrap
-
-
 def stages(seeds, rounds: int) -> dict:
     from dps import planner, smoother
+    from perfbench.tracer import Target, Tracer
 
     planned = []
     for scenario in _scenarios(seeds):
@@ -117,40 +92,29 @@ def stages(seeds, rounds: int) -> dict:
             continue
         planned.append(scenario)
 
-    clips = blocked = pairs = edges = 0
-    built = []  # the graph of the plan being counted
-
-    def count_clips(real):
-        def counted(*args):
-            nonlocal clips, blocked
-            clips += 1
-            hit = real(*args)
-            blocked += hit
-            return hit
-        return counted
-
-    def keep_graph(real):
-        def kept(*args):
-            built.append(real(*args))
-            return built[-1]
-        return kept
-
-    with _wrapped(planner, {"_segment_blocked": count_clips, "build_visibility_graph": keep_graph}):
+    # Edge tests: one "clip" span per blocking clip, and every graph built,
+    # whose ``known`` pairs A* has tested by the time plan() returns.
+    graphs = []
+    counted = Tracer()
+    with counted.installed([
+            Target(planner, "_segment_blocked", "clip", lambda t, a, k, hit: t.add("blocked", hit)),
+            Target(planner, "build_visibility_graph", "graph", lambda t, a, k, g: graphs.append(g))]):
         for scenario in planned:
             planner.plan(scenario)
-            g = built.pop()
-            known = getattr(g, "known", None)  # absent where all pairs are tested up front
-            n = len(g.nodes)
-            pairs += n * (n - 1) // 2 if known is None else len(known)
-            edges += len(g.edges) if known is None else sum(w < float("inf") for w in known.values())
+    clips = sum(span.name == "clip" for span in counted.spans)
+    pairs = sum(len(g.known) for g in graphs)
+    edges = sum(w < float("inf") for g in graphs for w in g.known.values())
 
     best = dict.fromkeys((*_STAGES, "plan"), float("inf"))
     for _ in range(rounds):
-        sums = dict.fromkeys(best, 0.0)
-        with _wrapped(planner, {name: _timer(sums, stage)
-                                for stage, names in _STAGES.items() for name in names}):
+        timed = Tracer()
+        with timed.installed([Target(planner, name, stage)
+                              for stage, names in _STAGES.items() for name in names]):
             for scenario in planned:
                 planner.plan(scenario)
+        sums = dict.fromkeys(best, 0.0)
+        for span in timed.spans:
+            sums[span.name] += span.duration
         for scenario in planned:
             t0 = time.perf_counter()
             planner.plan(scenario)
@@ -160,7 +124,8 @@ def stages(seeds, rounds: int) -> dict:
     return {"seeds": f"{min(seeds)}-{max(seeds)}", "planned": k, "rounds": rounds,
             "stage_us": {name: round(t / k * 1e6, 1) for name, t in best.items()},
             "per_plan": {"pairs_tested": round(pairs / k, 2), "blocking_clips": round(clips / k, 2),
-                         "blocked_pairs": round(blocked / k, 2), "edges_found": round(edges / k, 2)}}
+                         "blocked_pairs": round(counted.counts["blocked"] / k, 2),
+                         "edges_found": round(edges / k, 2)}}
 
 
 def main(argv=None) -> int:
