@@ -13,8 +13,8 @@ loads. Paths are written from and read into ``SmoothPath`` columns.
 The JSON readers take every number as a float (``parse_int=float``: ``-0``
 reads as -0.0, an integer beyond the float range as inf) and refuse strings
 and booleans. The path reader checks all types in one pass, reads ``null``
-as nan and names the first segment that fails a constructor check, such as
-a non-finite value.
+as nan and names the first segment that ``smoother.first_bad_row`` refuses,
+such as one with a non-finite value.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from typing import Optional, TextIO, Union
 
 import numpy as np
 
-from .geom import LENGTH_EPSILON, TWO_PI, Point2, arc_ends, normalize_angle
+from .geom import Point2, arc_ends, normalize_angle
 from .planner import Bounds, ConvexPolygon, Scenario
-from .smoother import ARC, LINE, Polyline, SmoothPath
+from .smoother import ARC, LINE, Polyline, SmoothPath, first_bad_row
 
 
 def load_polyline(source: Union[str, TextIO]) -> Polyline:
@@ -206,22 +206,12 @@ def load_path(source: Union[str, TextIO]) -> tuple[SmoothPath, dict]:
                         else "center and numbers for radius, start_angle and sweep")
                 raise ValueError(f"segment {i}: expected [x, y] {what}, got {records[i]!r}")
     data = np.column_stack((np.array(flat, np.float64).reshape(-1, 4), np.array(sweeps, np.float64)))
-    arc = np.array(kinds) == ARC
-    x0, y0, x1, y1, sweep = data.T
-    with np.errstate(invalid="ignore", over="ignore"):
-        length, reach = np.hypot(x1 - x0, y1 - y0), np.maximum(abs(x0), abs(y0)) + x1
-        checks = ((~np.isfinite(data).all(axis=1), "non-finite value"),
-                  (arc & ~(x1 > 0.0), "arc radius must be positive"),
-                  (arc & (np.abs(sweep) > TWO_PI), "arc sweep must lie in [-2pi, 2pi]"),
-                  (arc & ~np.isfinite(reach), "arc box (center +- radius) overflows a float"),
-                  (~arc & ~(length > LENGTH_EPSILON), "line endpoints coincide"),
-                  (~arc & ~np.isfinite(length), "line length overflows a float"))
-    failed = [(int(bad.argmax()), text) for bad, text in checks if bad.any()]
-    if failed:
-        i, text = min(failed, key=lambda f: f[0])
-        raise ValueError(f"segment {i}: {text}: {records[i]!r}")
+    kind = np.array(kinds)
+    if (bad := first_bad_row(kind, data)) is not None:
+        raise ValueError("segment {}: {}: {!r}".format(*bad, records[bad[0]]))
     # Start angles as Heading keeps them, normalized to (-pi, pi].
-    for i in np.flatnonzero(arc & ((y1 <= -math.pi) | (y1 > math.pi))).tolist():
+    angle = data[:, 3]
+    for i in np.flatnonzero((kind == ARC) & ((angle <= -math.pi) | (angle > math.pi))).tolist():
         data[i, 3] = normalize_angle(data[i, 3])
     first, last = data[0].tolist(), data[-1].tolist()
     start = first[:2] if kinds[0] == LINE else arc_ends(*first)[:2]

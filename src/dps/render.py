@@ -49,7 +49,7 @@ def _path_d(path: SmoothPath) -> str:
 
 def render_svg(path: SmoothPath, scenario: Optional[Scenario] = None) -> str:
     """An SVG document of the path, drawn over the scenario's bounds and
-    obstacles when one is given."""
+    obstacles when one is given; refuses an extent that overflows a float."""
     # a line spans its two end points, an arc its circle's square
     arc = path.kind == ARC
     x0, y0, x1, y1, _ = path.data.T
@@ -71,6 +71,8 @@ def render_svg(path: SmoothPath, scenario: Optional[Scenario] = None) -> str:
     ymax += pad
     w = xmax - xmin
     h = ymax - ymin
+    if not (math.isfinite(w) and math.isfinite(h)):
+        raise ValueError("path extent overflows a float")
     stroke = 0.004 * max(w, h)
     height = int(round(_WIDTH * h / w))
 

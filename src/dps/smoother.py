@@ -7,10 +7,11 @@ the curvature bound 1/r, is never longer than the polyline, and runs in
 time linear in the number of vertices because every vertex is solved
 independently of the others.
 
-The tangent length at a vertex is computed one way only,
-``l = r|v1 x v2| / (v1.v2 + |v1||v2|)`` (r/tan(alpha/2) in exact
-arithmetic), by one pass over the raw coordinates. Smoothing, the
-per-vertex, per-edge and 4r far predicates, ``vertex_solutions``,
+The tangent length at a vertex, r/tan(alpha/2) in exact arithmetic, is
+computed once, by one pass over the raw coordinates: as
+``l = r|v1 x v2| / (v1.v2 + |v1||v2|)``, and where v1.v2 < 0, whose sum
+would cancel on a sharp turn, as ``l = r(|v1||v2| - v1.v2) / |v1 x v2|``.
+Smoothing, the per-vertex, per-edge and 4r far predicates, ``vertex_solutions``,
 ``extract_pieces`` and the report a ``FeasibilityError`` carries all read
 their numbers from that pass, so they accept and refuse the same inputs,
 also on the boundary |p_j p_k| = l_j + l_k; the three-point sub-problem is
@@ -261,6 +262,23 @@ def _segment(kind: int, row) -> Segment:
     return ArcSegment(Point2(x0, y0), x1, Heading(y1), sweep)
 
 
+def first_bad_row(kind: np.ndarray, data: np.ndarray) -> Optional[tuple[int, str]]:
+    """The first row of path columns that holds no segment and the rule it
+    breaks, or None; checked without a numpy warning."""
+    arc = kind == ARC
+    x0, y0, x1, y1, sweep = data.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        length, reach = np.hypot(x1 - x0, y1 - y0), np.maximum(abs(x0), abs(y0)) + x1
+        checks = ((~np.isfinite(data).all(axis=1), "non-finite value"),
+                  (arc & ~(x1 > 0.0), "arc radius must be positive"),
+                  (arc & (np.abs(sweep) > TWO_PI), "arc sweep must lie in [-2pi, 2pi]"),
+                  (arc & ~np.isfinite(reach), "arc box (center +- radius) overflows a float"),
+                  (~arc & ~(length > LENGTH_EPSILON), "line endpoints coincide"),
+                  (~arc & ~np.isfinite(length), "line length overflows a float"))
+    failed = [(int(bad.argmax()), rule) for bad, rule in checks if bad.any()]
+    return min(failed, key=lambda f: f[0], default=None)
+
+
 @dataclass(frozen=True, slots=True)
 class SmoothPath:
     """Alternating line/arc sequence of at least one segment; consecutive
@@ -286,6 +304,8 @@ class SmoothPath:
         rows = [(s.center.x, s.center.y, s.radius, s.start_angle.theta, s.sweep) if arc
                 else (s.a.x, s.a.y, s.b.x, s.b.y, 0.0) for s, arc in zip(segments, arcs)]
         self._fill([ARC if arc else LINE for arc in arcs], rows, start_point, end_point)
+        if (bad := first_bad_row(self.kind, self.data)) is not None:
+            raise ValueError("segment {}: {}".format(*bad))
 
     @classmethod
     def _from_columns(cls, kind, data, start_point: Point2, end_point: Point2) -> "SmoothPath":
@@ -402,9 +422,12 @@ def _solve_raw(xi, yi, xm, ym, xf, yf, n1, n2, r, m=_FLOATS):
     crs = v1x * v2y - v1y * v2x
     dt = v1x * v2x + v1y * v2y
     through = ((abs(crs) <= COLLINEAR_EPSILON * n1 * n2) & (dt > 0.0)) | (r == 0.0)
-    denom = dt + n1 * n2
-    reversal = (denom == 0.0) | ((crs == 0.0) & (dt < 0.0))  # also where denom rounds above 0
-    fit = r * abs(crs) / (denom + reversal)  # divides by 1 at a reversal
+    n12 = n1 * n2
+    obtuse = dt < 0.0  # where v1.v2 + |v1||v2| cancels, l = r(|v1||v2| - v1.v2) / |v1 x v2|
+    num = m.where(obtuse, n12 - dt, abs(crs))
+    den = m.where(obtuse, abs(crs), dt + n12)
+    reversal = den == 0.0
+    fit = r * num / (den + reversal)  # divides by 1 at a reversal
     l = m.where(through, 0.0, m.where(reversal, math.inf, fit))
     u1x = v1x / n1
     u1y = v1y / n1

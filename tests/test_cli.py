@@ -238,13 +238,16 @@ PATH_JSON = '{"segments": [{"type": "line", "a": [0, 0], "b": [3, 0]}]}'
     (["plan", "IN", "-o", "OUT"], json.dumps({**SCENARIO, "start": [math.nan, 1]})),
     (["render", "IN", "-o", "OUT"], '{"segments": [{"type": "line", "a": [0, -1e308], "b": [1, 1e308]}]}'),
     (["smooth", "IN", "-r", "1", "-o", "OUT"], "0,0\n1e200,0\n2e200,1e200\n"),
+    (["render", "IN", "-o", "OUT"], '{"segments": [{"type": "line", "a": [0, -1e308], "b": [0, 0]}, '
+                                    '{"type": "line", "a": [0, 0], "b": [0, 1e308]}]}'),
 ], ids=["scenario-number", "scenario-list", "obstacles-number", "obstacle-number",
         "robot-radius-null", "robot-radius-string", "bounds-strings", "start-strings",
         "turning-radius-true", "obstacle-vertex-string", "robot-radius-huge-int", "path-list", "segments-number", "segment-number",
         "render-scenario-number", "bench-n-2", "bench-repeats-0", "bench-samples-2",
         "usage-missing-radius", "usage-bad-int", "usage-unknown-command", "path-boolean",
         "path-huge-int", "oracle-check-negative-radius", "oracle-check-nan-radius",
-        "bounds-infinity", "start-nan", "path-extent-overflows", "polyline-edge-overflows"])
+        "bounds-infinity", "start-nan", "path-extent-overflows", "polyline-edge-overflows",
+        "render-extent-overflows"])
 def test_malformed_input_exits_1(tmp_path, capsys, argv, text):
     if text is not None:
         (tmp_path / "in").write_text(text)

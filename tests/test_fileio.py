@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -215,6 +216,36 @@ def test_load_path_names_the_bad_segment(record, reason):
         load_path(io.StringIO(json.dumps(doc).replace(json.dumps(_DIGITS_5000), "7" * 5000)))
     loaded, _ = load_path(io.StringIO(json.dumps({"segments": good})))
     assert len(loaded.segments) == 3
+
+
+def test_smooth_path_refuses_what_load_path_refuses():
+    """A line whose length, or an arc whose box (center +- radius),
+    overflows a float, from finite values: ``SmoothPath(segments)`` and
+    ``load_path`` name the segment and the rule, without a numpy warning."""
+    first = LineSegment(P(0, 0), P(1, 0))
+    for segment, record, rule in (
+        (LineSegment(P(0, -1e308), P(1, 1e308)), {**_GOOD_LINE, "a": [0.0, -1e308], "b": [1.0, 1e308]},
+         "line length overflows a float"),
+        (ArcSegment(P(1e308, 0), 1e308, Heading(0.0), 1.0),
+         {**_GOOD_ARC, "center": [1e308, 0.0], "radius": 1e308}, "arc box (center +- radius) overflows a float"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^segment 1: {re.escape(rule)}$"):
+                SmoothPath((first, segment), first.a, P(1, 1e308))
+            with pytest.raises(ValueError, match=rf"^segment 1: {re.escape(rule)}: "):
+                load_path(io.StringIO(json.dumps({"segments": [_GOOD_LINE, record]})))
+
+
+def test_render_refuses_an_extent_that_overflows():
+    # each line loads, but together they span 2e308, and so does the SVG box
+    lines = [{"type": "line", "a": [0.0, -1e308], "b": [0.0, 0.0]},
+             {"type": "line", "a": [0.0, 0.0], "b": [0.0, 1e308]}]
+    path, _ = load_path(io.StringIO(json.dumps({"segments": lines})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^path extent overflows a float$"):
+            render_svg(path)
 
 
 def test_load_path_normalizes_start_angles_like_heading():

@@ -381,6 +381,63 @@ def test_reversal_with_rounded_denominator_is_refused():
     assert validate(smooth_polyline(sharp, 1e-5), 1e-5).ok
 
 
+def _sharp_turn(rng, deficit, r):
+    """Four points at coordinates up to 1e7 whose vertex 1 turns by
+    pi - deficit, on edges long enough for strict smoothing."""
+    l = r / math.tan(0.5 * deficit)  # the tangent length of that turn
+    heading = rng.uniform(-math.pi, math.pi)
+    points = [(rng.uniform(-1e7, 1e7), rng.uniform(-1e7, 1e7))]
+    for length, turn in ((rng.uniform(1.01, 3.0) * l, 0.0),
+                         (rng.uniform(2.02, 4.0) * l, rng.choice((-1, 1)) * (math.pi - deficit)),
+                         (rng.uniform(2.02, 4.0) * l, rng.uniform(-1.0, 1.0))):
+        heading += turn
+        x, y = points[-1]
+        points.append((x + length * math.cos(heading), y + length * math.sin(heading)))
+    return Polyline.from_array(points)
+
+
+def _near_reversal(rng):
+    """(b, a, c, d) with c on the line back from a through b and beyond, one
+    coordinate of c nudged by an ulp: v1 x v2 at a is a rounding residue."""
+    import numpy as np
+
+    a = [rng.uniform(-10, 10), rng.uniform(-10, 10)]
+    b = [rng.uniform(-10, 10), rng.uniform(-10, 10)]
+    k = rng.uniform(1.5, 4.0)
+    c = [a[0] - k * (a[0] - b[0]), a[1] - k * (a[1] - b[1])]
+    i = rng.randrange(2)
+    c[i] = float(np.nextafter(c[i], rng.choice((-math.inf, math.inf))))
+    return Polyline.from_array([b, a, c, [c[0] + rng.uniform(-5, 5), c[1] + rng.uniform(-5, 5)]])
+
+
+@pytest.mark.parametrize("backend", ["_FLOATS", "_ARRAYS"])
+def test_strict_paths_validate_on_sharp_turns(monkeypatch, backend):
+    """Every path strict smoothing returns passes validate at a tolerance of
+    a few ulps of its largest coordinate: turns down to pi - 1e-6, where
+    v1.v2 + |v1||v2| cancels, and near-reversals, which must be refused."""
+    import numpy as np
+
+    from dps import smoother
+
+    monkeypatch.setattr(smoother, "_backend", lambda n: getattr(smoother, backend))
+    rng = random.Random(2718)
+    for deficit in (1e-3, 1e-4, 1e-5, 1e-6):
+        for _ in range(250):
+            polyline = _sharp_turn(rng, deficit, 1.0)
+            tol = max(1e-9, 8 * np.spacing(np.abs(polyline.xy).max()))
+            report = validate(smooth_polyline(polyline, 1.0), 1.0, tol)
+            assert report.ok, (deficit, polyline.xy.tolist(), report.issues)
+    for _ in range(500):
+        polyline = _near_reversal(rng)
+        with pytest.raises(FeasibilityError, match=r"^vertex 1: l = "):
+            smooth_polyline(polyline, 0.1)
+    # v1 x v2 = -4.4e-16 and v1.v2 + |v1||v2| = 8.9e-16, both rounding
+    # residues: l = 0.05 and a path with a 0.2 gap before the sharp-turn form
+    residue = Polyline([P(0, 0), P(1, 1), P(-2, -2.0000000000000004), P(-1, 5)])
+    with pytest.raises(FeasibilityError, match=r"^vertex 1: l = 2\.70216e\+15 > min edge 1\.41421 "):
+        smooth_polyline(residue, 0.1)
+
+
 def test_columns_match_segments(rng):
     for n in (2, 3, 40):
         polyline = random_polyline(n, 1.0, rng=rng)

@@ -13,9 +13,9 @@ digest plan the same routes, bit for bit.
     python3 tools/plan_digest.py --stages --seeds 1 --rounds 3
 
 ``--stages`` instead plans the planned scenarios again with the planner
-functions that ``plan()`` calls wrapped by perfbench's tracer (its
-``Tracer`` and ``Target``, on module attributes) and prints the mean time per plan in µs
-spent in each stage (inflate, graph, A*, smooth, clearance, and a whole
+functions that ``plan()`` calls wrapped, as module attributes, by
+perfbench's ``Tracer`` and ``Target`` and prints the mean time per plan in
+µs spent in each stage (inflate, graph, A*, smooth, clearance, and a whole
 unwrapped ``plan()`` timed apart), the best of ``--rounds`` rounds, and the
 mean edge-test counts per plan: node pairs tested, blocking clips
 (``_segment_blocked`` calls), pairs a clip blocked, and edges found.
@@ -92,8 +92,9 @@ def stages(seeds, rounds: int) -> dict:
             continue
         planned.append(scenario)
 
-    # Edge tests: one "clip" span per blocking clip, and every graph built,
-    # whose ``known`` pairs A* has tested by the time plan() returns.
+    # Edge tests: one "clip" span per blocking clip, and the graph of each
+    # plan, whose ``known`` pairs A* has tested by the time plan() returns.
+    pairs = edges = 0
     graphs = []
     counted = Tracer()
     with counted.installed([
@@ -101,9 +102,10 @@ def stages(seeds, rounds: int) -> dict:
             Target(planner, "build_visibility_graph", "graph", lambda t, a, k, g: graphs.append(g))]):
         for scenario in planned:
             planner.plan(scenario)
+            known = graphs.pop().known
+            pairs += len(known)
+            edges += sum(w < float("inf") for w in known.values())
     clips = sum(span.name == "clip" for span in counted.spans)
-    pairs = sum(len(g.known) for g in graphs)
-    edges = sum(w < float("inf") for g in graphs for w in g.known.values())
 
     best = dict.fromkeys((*_STAGES, "plan"), float("inf"))
     for _ in range(rounds):
