@@ -421,11 +421,12 @@ def _solve_raw(xi, yi, xm, ym, xf, yf, n1, n2, r, m=_FLOATS):
     v2y = yf - ym
     crs = v1x * v2y - v1y * v2x
     dt = v1x * v2x + v1y * v2y
-    through = ((abs(crs) <= COLLINEAR_EPSILON * n1 * n2) & (dt > 0.0)) | (r == 0.0)
+    acrs = abs(crs)
+    through = ((acrs <= COLLINEAR_EPSILON * n1 * n2) & (dt > 0.0)) | (r == 0.0)
     n12 = n1 * n2
     obtuse = dt < 0.0  # where v1.v2 + |v1||v2| cancels, l = r(|v1||v2| - v1.v2) / |v1 x v2|
-    num = m.where(obtuse, n12 - dt, abs(crs))
-    den = m.where(obtuse, abs(crs), dt + n12)
+    num = m.where(obtuse, n12 - dt, acrs)
+    den = m.where(obtuse, acrs, dt + n12)
     reversal = den == 0.0
     fit = r * num / (den + reversal)  # divides by 1 at a reversal
     l = m.where(through, 0.0, m.where(reversal, math.inf, fit))

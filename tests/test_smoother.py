@@ -431,8 +431,8 @@ def test_strict_paths_validate_on_sharp_turns(monkeypatch, backend):
         polyline = _near_reversal(rng)
         with pytest.raises(FeasibilityError, match=r"^vertex 1: l = "):
             smooth_polyline(polyline, 0.1)
-    # v1 x v2 = -4.4e-16 and v1.v2 + |v1||v2| = 8.9e-16, both rounding
-    # residues: l = 0.05 and a path with a 0.2 gap before the sharp-turn form
+    # v1 x v2 = -4.4e-16 and v1.v2 + |v1||v2| = 8.9e-16 are both rounding
+    # residues; their ratio gives l = 0.05 and a path with a 0.2 gap
     residue = Polyline([P(0, 0), P(1, 1), P(-2, -2.0000000000000004), P(-1, 5)])
     with pytest.raises(FeasibilityError, match=r"^vertex 1: l = 2\.70216e\+15 > min edge 1\.41421 "):
         smooth_polyline(residue, 0.1)
