@@ -50,6 +50,8 @@ def load_polyline(source: Union[str, TextIO]) -> Polyline:
                 continue
             raise ValueError(f"line {lineno}: expected 'x,y', got {line.strip()!r}")
         try:
+            if "_" in line:  # float() takes digit-group underscores, which no CSV writer emits
+                raise ValueError(line)
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
             if lineno == 1 and not any(map(_parses, parts)):  # optional header

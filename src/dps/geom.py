@@ -15,7 +15,7 @@ from dataclasses import dataclass
 # above double-precision noise at meter scale.
 LENGTH_EPSILON = 1e-9
 
-# Scale-invariant collinearity threshold: |cross| <= eps * |v1| * |v2|.
+# Collinearity threshold on the unit edge directions: |u1 x u2| <= eps.
 COLLINEAR_EPSILON = 1e-9
 
 TWO_PI = math.tau

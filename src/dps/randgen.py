@@ -14,6 +14,8 @@ placement keeps the polyline feasible:
 
 A short edge can make every continuation violate the far condition, so a
 point that exhausts its proposal budget backtracks one step and redraws.
+Tangent lengths take the smoother's two forms inline, on the unit edge
+directions: the edge behind once per placed point, (cos, sin) per proposal.
 Only ``Random.random()`` draws are used (MT19937), so sequences reproduce
 across platforms for a fixed seed.
 """
@@ -56,21 +58,17 @@ def random_polyline(
     lo = _RADIUS_LOW * r
     span = (_RADIUS_HIGH - _RADIUS_LOW) * r
     four_r = 4.0 * r
-    xs = [0.0]
-    ys = [0.0]
+    xs, ys = [0.0], [0.0]
     claims = [0.0]  # tangent length already fixed at each placed point
     proposals_left = 1000 * n * _TRIES_PER_POINT
-    rnd = rng.random
-    cos = math.cos
-    sin = math.sin
-    hypot = math.hypot
+    rnd, cos, sin, hypot = rng.random, math.cos, math.sin, math.hypot
     while len(xs) < n:
-        px = xs[-1]
-        py = ys[-1]
+        px, py = xs[-1], ys[-1]
         final_point = len(xs) + 1 == n
         if len(xs) > 1:
-            bx = xs[-2]
-            by = ys[-2]
+            bx, by = xs[-2], ys[-2]
+            n1 = hypot(px - bx, py - by)
+            u1x, u1y = (px - bx) / n1, (py - by) / n1  # the edge behind, once per placed point
         accepted = False
         for _ in range(_TRIES_PER_POINT):
             proposals_left -= 1
@@ -78,26 +76,22 @@ def random_polyline(
                 raise RuntimeError("polyline sampling did not converge")
             ang = TWO_PI * rnd()
             rad = lo + span * rnd()
-            cx = px + rad * cos(ang)
-            cy = py + rad * sin(ang)
+            u2x, u2y = cos(ang), sin(ang)
+            cx = px + rad * u2x
+            cy = py + rad * u2y
             if len(xs) == 1:
                 if not final_point and rad < _DOOMED_SPAN * r:
                     continue
                 l_new = 0.0
                 accepted = True
                 break
-            # The candidate fixes the turn angle at the current last point.
-            v1x = px - bx
-            v1y = py - by
-            v2x = cx - px
-            v2y = cy - py
-            n1 = hypot(v1x, v1y)
-            crs = v1x * v2y - v1y * v2x
-            dt = v1x * v2x + v1y * v2y
-            denom = dt + n1 * rad
-            if denom <= 0.0:
+            # The candidate fixes the turn at the current last point; its
+            # tangent length is the smoother's, from the unit edge directions.
+            crs = abs(u1x * u2y - u1y * u2x)
+            dt = u1x * u2x + u1y * u2y
+            if dt < 0.0 and crs == 0.0:  # an exact reversal
                 continue
-            l_new = r * abs(crs) / denom
+            l_new = r * ((1.0 - dt) / crs if dt < 0.0 else crs / (1.0 + dt))
             l_prev = claims[-2]
             if n1 < l_prev + l_new:  # edge behind holds both tangents
                 continue
@@ -108,10 +102,10 @@ def random_polyline(
             if not final_point and rad < l_new + _DOOMED_SPAN * r:
                 continue
             # Far case between this turn's start and end configurations.
-            qx = px + l_new * v2x / rad
-            qy = py + l_new * v2y / rad
-            ex = bx + l_prev * v1x / n1
-            ey = by + l_prev * v1y / n1
+            qx = px + l_new * u2x
+            qy = py + l_new * u2y
+            ex = bx + l_prev * u1x
+            ey = by + l_prev * u1y
             if hypot(qx - ex, qy - ey) < four_r:
                 continue
             accepted = True

@@ -8,9 +8,10 @@ time linear in the number of vertices because every vertex is solved
 independently of the others.
 
 The tangent length at a vertex, r/tan(alpha/2) in exact arithmetic, is
-computed once, by one pass over the raw coordinates: as
-``l = r|v1 x v2| / (v1.v2 + |v1||v2|)``, and where v1.v2 < 0, whose sum
-would cancel on a sharp turn, as ``l = r(|v1||v2| - v1.v2) / |v1 x v2|``.
+computed once, from the unit directions u1, u2 of its two edges, so no
+product of two lengths can overflow: as ``l = r|u1 x u2| / (1 + u1.u2)``,
+and where u1.u2 < 0, whose sum would cancel on a sharp turn, as
+``l = r(1 - u1.u2) / |u1 x u2|``.
 Smoothing, the per-vertex, per-edge and 4r far predicates, ``vertex_solutions``,
 ``extract_pieces`` and the report a ``FeasibilityError`` carries all read
 their numbers from that pass, so they accept and refuse the same inputs,
@@ -402,41 +403,34 @@ def deviation_bound(alpha: float, r: float) -> float:
     return r * (1.0 / math.sin(0.5 * alpha) - 1.0)
 
 
-def _solve_raw(xi, yi, xm, ym, xf, yf, n1, n2, r, m=_FLOATS):
-    """Tangent solve at the middle vertex of (p_i, p_m, p_f), whose edges
-    are n1 = |p_i p_m| and n2 = |p_m p_f| long, on floats or, with
-    ``m = _ARRAYS``, on columns of such triples.
+def _solve_raw(xm, ym, u1x, u1y, u2x, u2y, r, m=_FLOATS):
+    """Tangent solve at vertex p_m = (xm, ym), entered along the unit
+    direction u1 and left along u2, on floats or, with ``m = _ARRAYS``, on
+    columns of such vertices.
 
     Returns (q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, r, through): the entry
     and exit tangent points, the arc center, the tangent length, the cross
-    and dot products of the edge vectors, whose ``atan2`` is the signed turn
-    angle (positive = left), the radius and whether the vertex carries no
-    arc, which has l = 0: a collinear pass-through, or radius 0 (an arc that
-    best-effort clamping drops). An exact reversal has l = inf so the edge
-    check rejects it. Only l is meaningful on those kinds of vertex.
+    and dot products of the edge directions, whose ``atan2`` is the signed
+    turn angle (positive = left), the radius and whether the vertex carries
+    no arc, which has l = 0: a collinear pass-through, or radius 0 (an arc
+    that best-effort clamping drops). An exact reversal has l = inf so the
+    edge check rejects it. Only l is meaningful on those kinds of vertex.
     """
-    v1x = xm - xi
-    v1y = ym - yi
-    v2x = xf - xm
-    v2y = yf - ym
-    crs = v1x * v2y - v1y * v2x
-    dt = v1x * v2x + v1y * v2y
+    crs = u1x * u2y - u1y * u2x
+    dt = u1x * u2x + u1y * u2y
     acrs = abs(crs)
-    through = ((acrs <= COLLINEAR_EPSILON * n1 * n2) & (dt > 0.0)) | (r == 0.0)
-    n12 = n1 * n2
-    obtuse = dt < 0.0  # where v1.v2 + |v1||v2| cancels, l = r(|v1||v2| - v1.v2) / |v1 x v2|
-    num = m.where(obtuse, n12 - dt, acrs)
-    den = m.where(obtuse, acrs, dt + n12)
+    through = ((acrs <= COLLINEAR_EPSILON) & (dt > 0.0)) | (r == 0.0)
+    obtuse = dt < 0.0  # where 1 + u1.u2 cancels, l = r(1 - u1.u2) / |u1 x u2|
+    num = m.where(obtuse, 1.0 - dt, acrs)
+    den = m.where(obtuse, acrs, 1.0 + dt)
     reversal = den == 0.0
-    fit = r * num / (den + reversal)  # divides by 1 at a reversal
+    fit = r * (num / (den + reversal))  # tan(turn / 2) times r; divides by 1 at a reversal
     l = m.where(through, 0.0, m.where(reversal, math.inf, fit))
-    u1x = v1x / n1
-    u1y = v1y / n1
     q1x = xm - fit * u1x
     q1y = ym - fit * u1y
     side = m.copysign(r, crs)  # the center lies left of a left turn (atan2 keeps the sign)
-    return (q1x, q1y, xm + fit * (v2x / n2), ym + fit * (v2y / n2),
-            q1x - side * u1y, q1y + side * u1x, l, crs, dt, r, through)
+    return (q1x, q1y, xm + fit * u2x, ym + fit * u2y, q1x - side * u1y, q1y + side * u1x, l, crs,
+            dt, r, through)
 
 
 _RAW_FIELDS = 11
@@ -456,13 +450,21 @@ class _Pass(NamedTuple):
     raws: list
 
 
+def _edge(ax, ay, bx, by, m=_FLOATS):
+    """Length and unit direction of the edge from a to b."""
+    dx = bx - ax
+    dy = by - ay
+    n = m.sqrt(dx * dx + dy * dy)
+    return n, dx / n, dy / n
+
+
 def _tangent_pass(p: Polyline, r: float) -> _Pass:
     check_turn_radius(r)
     m = _backend(len(p.xy))
     x, y = m.columns(p.xy)
-    edges = m.map(_distance, x[:-1], y[:-1], x[1:], y[1:])
-    raws = m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:],
-                   edges[:-1], edges[1:], m.each(r))
+    edges, ux, uy = m.map_n(3, _edge, x[:-1], y[:-1], x[1:], y[1:])  # each edge measured once
+    raws = m.map_n(_RAW_FIELDS, _solve_raw, x[1:-1], y[1:-1], ux[:-1], uy[:-1], ux[1:], uy[1:],
+                   m.each(r))
     return _Pass(m, x, y, edges, m.cat([0.0], raws[6], [0.0]), raws)
 
 
@@ -502,7 +504,8 @@ def _report(p: Polyline, r: float):
     report = _existence(tp)
     if report.feasible:
         m, x, y, raws = tp.m, tp.x, tp.y, tp.raws
-        far = m.map(_far, x[:-2], y[:-2], raws[2], raws[3], raws[10], raws[9])
+        with m.quiet():  # a far distance that overflows is inf, which passes
+            far = m.map(_far, x[:-2], y[:-2], raws[2], raws[3], raws[10], raws[9])
         report = FeasibilityReport(report.local_ok, report.global_ok, (*m.tolist(far), True))
     return tp, report
 
@@ -578,8 +581,9 @@ def _clamp(tp: _Pass) -> list:
     m, x, y, edges, ls, raws = tp
     share = m.map(_share, edges, ls[:-1], ls[1:])
     radius = m.map(_clamped_radius, ls[1:-1], share[:-1], share[1:], edges[:-1], edges[1:], raws[9])
-    return m.map_n(_RAW_FIELDS, _solve_raw, x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:],
-                   edges[:-1], edges[1:], radius)
+    _, ux, uy = m.map_n(3, _edge, x[:-1], y[:-1], x[1:], y[1:])
+    return m.map_n(_RAW_FIELDS, _solve_raw, x[1:-1], y[1:-1], ux[:-1], uy[:-1], ux[1:], uy[1:],
+                   radius)
 
 
 def _solves(p: Polyline, r: float, mode: str) -> tuple[_Pass, list]:

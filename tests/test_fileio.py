@@ -38,6 +38,17 @@ def test_load_polyline_errors():
     for text, record in (("1,abc\n0,0\n4,0\n4,4\n", "1,abc"), ("0,0x\n4,0\n4,4\n", "0,0x")):
         with pytest.raises(ValueError, match=f"^line 1: cannot parse {re.escape(repr(record))}$"):
             load_polyline(io.StringIO(text))
+    # the number syntax: surrounding spaces, signs and exponents load; hex
+    # and digit-group underscores, which float() alone would take, do not
+    loaded = load_polyline(io.StringIO("x_m,y_m\n 1.5 , -2e3\n+3E-1,\t4\n-.5,+0\n"))
+    assert loaded.xy.tolist() == [[1.5, -2000.0], [0.3, 4.0], [-0.5, 0.0]]
+    for record in ("0x10,2", "1_0,2", "1,2_000.5"):
+        with pytest.raises(ValueError, match=f"^line 2: cannot parse {re.escape(repr(record))}$"):
+            load_polyline(io.StringIO(f"0,0\n{record}\n4,4\n"))
+    for record, shown in (("inf,2", "inf, 2.0"), ("1,-Infinity", "1.0, -inf"), ("nan,2", "nan, 2.0")):
+        message = f"line 2: non-finite coordinates ({shown})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_polyline(io.StringIO(f"0,0\n{record}\n4,4\n"))
 
 
 def test_load_polyline_names_the_line_of_a_non_finite_coordinate():

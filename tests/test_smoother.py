@@ -431,11 +431,65 @@ def test_strict_paths_validate_on_sharp_turns(monkeypatch, backend):
         polyline = _near_reversal(rng)
         with pytest.raises(FeasibilityError, match=r"^vertex 1: l = "):
             smooth_polyline(polyline, 0.1)
-    # v1 x v2 = -4.4e-16 and v1.v2 + |v1||v2| = 8.9e-16 are both rounding
-    # residues; their ratio gives l = 0.05 and a path with a 0.2 gap
+    # u1 x u2 = -1.1e-16 is a rounding residue, so l = r(1 - u1.u2)/|u1 x u2|
+    # is huge and the vertex is refused; the ratio of two residues, as in
+    # r|v1 x v2|/(v1.v2 + |v1||v2|), gave l = 0.05 and a path with a 0.2 gap
     residue = Polyline([P(0, 0), P(1, 1), P(-2, -2.0000000000000004), P(-1, 5)])
-    with pytest.raises(FeasibilityError, match=r"^vertex 1: l = 2\.70216e\+15 > min edge 1\.41421 "):
+    with pytest.raises(FeasibilityError, match=r"^vertex 1: l = 1\.80144e\+15 > min edge 1\.41421 "):
         smooth_polyline(residue, 0.1)
+
+
+@pytest.mark.parametrize("backend", ["_FLOATS", "_ARRAYS"])
+@pytest.mark.parametrize("n", [5, 20, 60])
+@pytest.mark.parametrize("k", [-20, 1, 100, 300, 400, 505])
+def test_power_of_two_scaling_is_exact(monkeypatch, backend, n, k):
+    """Scaling a polyline and r by 2^k scales every length of the answer by
+    exactly 2^k and keeps every angle and flag, up to coordinates near 1e154:
+    the tangent solve reads unit edge directions and multiplies no two
+    lengths, so nothing overflows and no warning is raised."""
+    import numpy as np
+
+    from dps import smoother
+
+    monkeypatch.setattr(smoother, "_backend", lambda size: getattr(smoother, backend))
+    polyline, s = random_polyline(n, 1.0, seed=n), 2.0 ** k
+    scaled = Polyline.from_array(polyline.xy * s)
+    assert feasibility_report(scaled, s) == feasibility_report(polyline, 1.0)
+    path, moved = smooth_polyline(polyline, 1.0), smooth_polyline(scaled, s)
+    expected = path.data.copy()
+    expected[:, :3] *= s  # a line's ax, ay, bx and an arc's cx, cy, radius
+    expected[path.kind == LINE, 3] *= s  # a line's by; an arc's start angle and sweep keep
+    assert np.array_equal(moved.kind, path.kind) and np.array_equal(moved.data, expected)
+
+    def scaled_pieces(pieces, factor):
+        return [(q.length * factor, q.start.heading, q.end.heading, q.guaranteed, q.vertex)
+                for q in pieces]
+
+    pieces = scaled_pieces(extract_pieces(polyline, 1.0), s)
+    assert scaled_pieces(extract_pieces(scaled, s), 1.0) == pieces
+
+
+@pytest.mark.parametrize("backend", ["_FLOATS", "_ARRAYS"])
+def test_tangent_lengths_hold_near_the_float_limit(monkeypatch, backend):
+    """Finite polylines whose products of lengths overflow a float: feasible
+    ones smooth into paths that validate within 8 ulps of their largest
+    coordinate, and a far distance that overflows passes as inf >= 4r."""
+    import numpy as np
+
+    from dps import smoother
+
+    monkeypatch.setattr(smoother, "_backend", lambda n: getattr(smoother, backend))
+    wide = Polyline([P(0, 0), P(1e150, 0), P(1.5e150, 0.8e150), P(3e150, 0.8e150)])
+    assert feasibility_report(wide, 1e140).feasible
+    assert [f"{v.l:.6g}" for v in vertex_solutions(wide, 1e140)] == ["5.54248e+139"] * 2
+    tall = Polyline([P(0, 0), P(1.3e154, 0), P(2.21e154, 9.1e153)])  # a 45-degree turn
+    assert [f"{v.l:.6g}" for v in vertex_solutions(tall, 1.0)] == ["0.414214"]
+    for polyline, r in ((wide, 1e140), (tall, 1.0)):
+        tol = 8 * np.spacing(np.abs(polyline.xy).max())
+        report = validate(smooth_polyline(polyline, r), r, tol)
+        assert report.ok, report.issues
+    far = Polyline([P(0, 0), P(1.339e154, 0), P(1.839e154, 5e153), P(2.339e154, 5e153)])
+    assert feasibility_report(far, 2.4e153).far_ok == (True, False, True)
 
 
 def test_columns_match_segments(rng):
@@ -698,7 +752,7 @@ def test_zero_length_residuals_dropped():
 
 
 def test_solve_raw_reversal_sentinel():
-    raw = _solve_raw(0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 5.0, 5.0, 1.0)
+    raw = _solve_raw(5.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0)
     assert raw is not None and math.isinf(raw[6])
 
 
