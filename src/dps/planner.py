@@ -5,10 +5,11 @@ clearance against the original obstacles. Graph edges lie on supporting
 lines of the polygon at each polygon-vertex end (the tangent graph) and are
 tested only when A* expands one of their nodes (lazy edge checking); the
 exact clearance search stops once a bounding-box lower bound reaches the
-best distance found. All stages run on plain floats: a polygon carries its
-coordinates and bounding box, one pass over its edge vectors gives its
-angles, offset and miter vertices, and the blocking and distance kernels
-take coordinates and ``SmoothPath`` rows.
+best distance found. All stages run on plain floats: polygons and the graph
+hold coordinate tuples and build ``Point2`` only when ``vertices`` or
+``nodes`` is read, one pass over a polygon's edge vectors gives its angles,
+offset and miter vertices, and the blocking and distance kernels take
+coordinates and ``SmoothPath`` rows.
 
 The offset keeps a disk robot of radius h safe even where the smoothing
 arc cuts inside an inflated corner, provided the arc's turning radius is r
@@ -51,47 +52,56 @@ class UnreachableConfigurationError(NoPathError):
     """Start or goal lies inside an inflated obstacle."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class ConvexPolygon:
     """Strictly convex polygon with counter-clockwise vertices.
 
-    The convexity check also fills ``xs`` and ``ys``, the vertex coordinates,
-    and ``box`` = (xmin, ymin, xmax, ymax). They are derived from ``vertices``
-    and take no part in ``==``, ``hash`` or ``repr``.
+    Held as ``xs`` and ``ys``, the vertex coordinates, which ``==`` and
+    ``hash`` compare, and ``box`` = (xmin, ymin, xmax, ymax). ``vertices``
+    builds the ``Point2`` tuple anew on every access, as ``Polyline.points``
+    does; the planner's kernels read the coordinates.
     """
 
-    vertices: tuple[Point2, ...]
-    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    box: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
+    box: tuple[float, float, float, float] = field(compare=False)
 
     def __init__(self, vertices: Sequence[Point2]):
         verts = tuple(vertices)
-        self._fill(verts, tuple([v.x for v in verts]), tuple([v.y for v in verts]))
+        self._fill(tuple([v.x for v in verts]), tuple([v.y for v in verts]))
 
     @classmethod
     def _from_coordinates(cls, xs: Sequence[float], ys: Sequence[float]) -> "ConvexPolygon":
-        return object.__new__(cls)._fill(tuple(map(Point2, xs, ys)), tuple(xs), tuple(ys))
+        for x, y in zip(xs, ys):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"non-finite coordinates ({x}, {y})")
+        return object.__new__(cls)._fill(tuple(xs), tuple(ys))
 
-    def _fill(self, verts, xs, ys) -> "ConvexPolygon":
-        n = len(verts)
+    def _fill(self, xs, ys) -> "ConvexPolygon":
+        n = len(xs)
         if n < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {n}")
+        pts = tuple(zip(xs, ys))
         for m in range(1 - n, 1):  # the turn at vertex m % n, from 1 round to 0
-            ex, ey = xs[m] - xs[m - 1], ys[m] - ys[m - 1]
-            if ex * (ys[m + 1] - ys[m]) - ey * (xs[m + 1] - xs[m]) <= 0.0:
+            if _turn(pts[m - 1], pts[m], pts[m + 1]) <= 0.0:
                 raise ValueError("vertices must be counter-clockwise and strictly convex "
                                  f"(violated at index {m % n})")
-        object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "box", (min(xs), min(ys), max(xs), max(ys)))
         return self
 
+    @property
+    def vertices(self) -> tuple[Point2, ...]:
+        return tuple(map(Point2, self.xs, self.ys))
+
+    def __repr__(self) -> str:
+        return f"ConvexPolygon(vertices={self.vertices!r})"
+
     @classmethod
     def from_points(cls, points: Iterable[Point2]) -> "ConvexPolygon":
         """Convex hull of arbitrary points (non-convex input is hulled)."""
-        return cls(convex_hull(points))
+        return object.__new__(cls)._fill(*zip(*_hull(points)))
 
     def interior_angles(self) -> list[float]:
         return [alpha for alpha, _, _, _ in _corners(self)]
@@ -99,6 +109,13 @@ class ConvexPolygon:
     def contains(self, p: Point2, tol: float = 0.0) -> bool:
         """Point-in-polygon test; positive tol shrinks toward the interior."""
         return _inside(self.xs, self.ys, p.x, p.y, tol)
+
+
+def _turn(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
+    """The cross product (a - o) x (b - a) of three (x, y) points: positive
+    where they turn left. A polygon is strictly convex where it is positive
+    at every vertex."""
+    return (a[0] - o[0]) * (b[1] - a[1]) - (a[1] - o[1]) * (b[0] - a[0])
 
 
 def _inside(xs, ys, px: float, py: float, tol: float = 0.0) -> bool:
@@ -112,7 +129,15 @@ def _inside(xs, ys, px: float, py: float, tol: float = 0.0) -> bool:
 
 
 def convex_hull(points: Iterable[Point2]) -> list[Point2]:
-    """Counter-clockwise convex hull (monotone chain, collinear points dropped)."""
+    """Counter-clockwise convex hull (monotone chain, collinear points
+    dropped). Each vertex of the hull turns left by ``ConvexPolygon``'s test:
+    vertices that do not, the joins of the two chains included, are dropped
+    round the hull until a full round drops none."""
+    return [Point2(x, y) for x, y in _hull(points)]
+
+
+def _hull(points: Iterable[Point2]) -> list[tuple[float, float]]:
+    """The vertices of ``convex_hull(points)`` as (x, y) tuples."""
     pts = sorted(set((p.x, p.y) for p in points))
     if len(pts) < 3:
         raise ValueError("convex hull needs at least 3 distinct points")
@@ -120,22 +145,20 @@ def convex_hull(points: Iterable[Point2]) -> list[Point2]:
     def half(seq):
         out: list[tuple[float, float]] = []
         for p in seq:
-            while len(out) >= 2:
-                ox, oy = out[-2]
-                ax, ay = out[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0.0:
-                    out.pop()
-                else:
-                    break
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0.0:
+                out.pop()
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise ValueError("points are collinear; no polygon hull exists")
-    return [Point2(x, y) for x, y in hull]
+    hull = half(pts)[:-1] + half(reversed(pts))[:-1]
+    while len(hull) >= 3:
+        for m in range(len(hull)):
+            if _turn(hull[m - 1], hull[m], hull[m + 1 - len(hull)]) <= 0.0:
+                del hull[m]
+                break
+        else:  # a full round dropped none
+            return hull
+    raise ValueError("points are collinear; no polygon hull exists")
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,11 +203,14 @@ class Scenario:
 
 @dataclass(frozen=True, slots=True)
 class VisibilityGraph:
-    """Nodes are inflated-obstacle vertices plus start and goal; ``weight(i, j)``
-    runs ``test`` (i < j: the edge length, inf where there is no edge) on the
-    pair's first request and keeps the answer in ``known``."""
+    """Nodes are inflated-obstacle vertices plus start and goal, held as the
+    coordinate tuples ``xs`` and ``ys``; ``nodes`` builds their ``Point2``
+    tuple anew on every access. ``weight(i, j)`` runs ``test`` (i < j: the
+    edge length, inf where there is no edge) on the pair's first request and
+    keeps the answer in ``known``."""
 
-    nodes: tuple[Point2, ...]
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
     start_index: int
     goal_index: int
     test: Callable[[int, int], float] = field(repr=False)
@@ -198,8 +224,12 @@ class VisibilityGraph:
         return w
 
     @property
+    def nodes(self) -> tuple[Point2, ...]:
+        return tuple(map(Point2, self.xs, self.ys))
+
+    @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
-        n = len(self.nodes)
+        n = len(self.xs)
         return tuple((i, j, w) for i in range(n) for j in range(i + 1, n)
                      if (w := self.weight(i, j)) < math.inf)
 
@@ -322,18 +352,14 @@ def build_visibility_graph(
             if poly.contains(p, tol=LENGTH_EPSILON):
                 raise UnreachableConfigurationError(f"{label} lies inside an inflated obstacle")
     b = scenario.bounds
-    nodes: list[Point2] = []
     hinges = []  # per node: x, y, offsets to its two polygon neighbours, its polygon's index
     for k, poly in enumerate(inflated):
         xs, ys = poly.xs, poly.ys
-        for i, v in enumerate(poly.vertices):
-            x, y = xs[i], ys[i]
+        for i, (x, y) in enumerate(zip(xs, ys)):
             if b.xmin <= x <= b.xmax and b.ymin <= y <= b.ymax:
-                nodes.append(v)
                 j = i + 1 - len(xs)  # the next vertex, counted from the end
                 hinges.append((x, y, xs[i - 1] - x, ys[i - 1] - y, xs[j] - x, ys[j] - y, k))
-    start_index, goal_index = len(nodes), len(nodes) + 1
-    nodes += (scenario.start, scenario.goal)
+    start_index, goal_index = len(hinges), len(hinges) + 1
     hinges += [(p.x, p.y, 0.0, 0.0, 0.0, 0.0, -1) for p in (scenario.start, scenario.goal)]
     blockers = [(poly.box, k, poly.xs, poly.ys) for k, poly in enumerate(inflated)]
 
@@ -356,7 +382,8 @@ def build_visibility_graph(
                 return math.inf
         return d
 
-    return VisibilityGraph(tuple(nodes), start_index, goal_index, test)
+    xs, ys, *_ = zip(*hinges)
+    return VisibilityGraph(xs, ys, start_index, goal_index, test)
 
 
 def shortest_polyline(graph: VisibilityGraph) -> Polyline:
@@ -364,11 +391,11 @@ def shortest_polyline(graph: VisibilityGraph) -> Polyline:
     heuristic; optimal on the graph weights. Expanding u asks for the weights
     of (u, v) in increasing v, so only pairs of expanded nodes are tested."""
     s, g = graph.start_index, graph.goal_index
-    nodes, weight = graph.nodes, graph.weight
-    goal_node = nodes[g]
+    xs, ys, weight = graph.xs, graph.ys, graph.weight
+    gx, gy = xs[g], ys[g]
     dist_to = {s: 0.0}
     parent: dict[int, int] = {}
-    heap = [(dist(nodes[s], goal_node), 0, s)]
+    heap = [(math.hypot(gx - xs[s], gy - ys[s]), 0, s)]
     counter = 1
     closed: set[int] = set()
     while heap:
@@ -379,11 +406,11 @@ def shortest_polyline(graph: VisibilityGraph) -> Polyline:
             break
         closed.add(u)
         du = dist_to[u]
-        for v in range(len(nodes)):
+        for v in range(len(xs)):
             if v != u and (nd := du + weight(u, v)) < dist_to.get(v, math.inf):
                 dist_to[v] = nd
                 parent[v] = u
-                heapq.heappush(heap, (nd + dist(nodes[v], goal_node), counter, v))
+                heapq.heappush(heap, (nd + math.hypot(gx - xs[v], gy - ys[v]), counter, v))
                 counter += 1
     if g not in dist_to:
         raise NoPathError("goal is unreachable in the visibility graph")
@@ -391,7 +418,7 @@ def shortest_polyline(graph: VisibilityGraph) -> Polyline:
     while order[-1] != s:
         order.append(parent[order[-1]])
     order.reverse()
-    return Polyline([nodes[i] for i in order])
+    return Polyline.from_array([(xs[i], ys[i]) for i in order])
 
 
 def _segment_into(ax: float, ay: float, bx: float, by: float, xs, ys) -> float:

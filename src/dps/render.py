@@ -84,7 +84,7 @@ def render_svg(path: SmoothPath, scenario: Optional[Scenario] = None) -> str:
     ]
     if scenario is not None:
         for poly in scenario.obstacles:
-            pts = " ".join(f"{_fmt(v.x)},{_fmt(v.y)}" for v in poly.vertices)
+            pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(poly.xs, poly.ys))
             lines.append(f'<polygon points="{pts}" fill="#b0b0b0" stroke="none"/>')
     lines.append(
         f'<path d="{_path_d(path)}" fill="none" stroke="#d03030" '

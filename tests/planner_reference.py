@@ -306,7 +306,8 @@ def all_pairs_visibility_graph(
             return math.inf
         return dist(a, b)
 
-    return VisibilityGraph(tuple(nodes), start_index, goal_index, test)
+    return VisibilityGraph(tuple(p.x for p in nodes), tuple(p.y for p in nodes),
+                           start_index, goal_index, test)
 
 
 def adjacency(graph: VisibilityGraph) -> list[list[tuple[int, float]]]:

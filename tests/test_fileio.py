@@ -371,6 +371,28 @@ def test_load_scenario_hulls_nonconvex():
     assert len(scenario.obstacles[0].vertices) == 4
 
 
+@pytest.mark.parametrize("points, vertices", [
+    ([[-790.9511861086222, 701.8257883916505], [-734.6261100131496, 637.2502669314947],
+      [-797.4572447532216, 709.284848525244]], None),
+    ([[-986.2658119715123, -961.0753131803352], [-903.7692125017576, -909.6441153820232],
+      [-963.2938872979651, -946.7538307278822], [-848.2011792975195, -875.001105544531],
+      [-1024.01137476268, -984.6071862319751]], 4),
+    ([[-536.998903841271, 7.452128380858767], [-521.746203533285, 15.079251297531195],
+      [-519.5431194469556, 16.180904957729382], [-538.2101161610229, 6.846460856131992]], 3),
+])
+def test_load_scenario_hulls_near_collinear_obstacles(points, vertices):
+    """Nearly collinear obstacles load as a polygon whose every vertex turns
+    left, or are refused as collinear; none fails the convexity check."""
+    doc = {"bounds": [-1100, -1100, 1100, 1100], "robot_radius": 0.2, "turning_radius": 0.5,
+           "start": [1000, 1000], "goal": [1050, 1050], "obstacles": [points]}
+    if vertices is None:
+        with pytest.raises(ValueError,
+                           match="^obstacle 0: points are collinear; no polygon hull exists$"):
+            load_scenario(io.StringIO(json.dumps(doc)))
+    else:
+        assert len(load_scenario(io.StringIO(json.dumps(doc))).obstacles[0].vertices) == vertices
+
+
 @pytest.mark.parametrize("key, value, name", [
     ("robot_radius", "0.2", "robot_radius"),
     ("turning_radius", True, "turning_radius"),

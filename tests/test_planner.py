@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 import random
@@ -225,6 +226,17 @@ class TestConvexPolygon:
                 twin = ConvexPolygon(q.vertices)
                 assert twin == q and hash(twin) == hash(q) and repr(twin) == repr(q)
                 assert twin != ConvexPolygon(q.vertices[1:] + q.vertices[:1])
+        obs = ConvexPolygon([P(8, 8), P(12, 8), P(12, 12), P(8, 12)])
+        sc = make_scenario([obs])
+        graph = build_visibility_graph(sc, [mitered_inflate(obs, 0.5)])
+        assert graph.nodes == tuple(map(P, graph.xs, graph.ys))
+        assert graph.nodes[graph.start_index] == sc.start
+        assert graph.nodes[graph.goal_index] == sc.goal
+        assert obs.vertices == obs.vertices and graph.nodes == graph.nodes
+        # Coordinates are the only stored representation.
+        assert [f.name for f in dataclasses.fields(ConvexPolygon)] == ["xs", "ys", "box"]
+        assert [f.name for f in dataclasses.fields(VisibilityGraph)] == [
+            "xs", "ys", "start_index", "goal_index", "test", "known"]
 
     def test_contains(self):
         assert SQUARE.contains(P(0.5, 0.5))
@@ -235,6 +247,33 @@ class TestConvexPolygon:
 def test_convex_hull_collinear_error():
     with pytest.raises(ValueError):
         convex_hull([P(0, 0), P(1, 1), P(2, 2)])
+
+
+def test_every_hull_is_a_polygon():
+    """Hulls of nearly collinear point sets (3-7 points along a random line,
+    each offset across it by at most 1e-13 to 1e-8, or not at all) pass
+    ``ConvexPolygon``'s convexity test, as ``from_points`` builds them, or
+    are refused as collinear."""
+    rng = random.Random(5)
+    hulls = 0
+    for _ in range(20000):
+        ox, oy = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        ux, uy = math.cos(theta), math.sin(theta)
+        eps = rng.choice((0.0, 1e-13, 1e-12, 1e-10, 1e-8))
+        pts = []
+        for _ in range(rng.randint(3, 7)):
+            t, o = rng.uniform(-100.0, 100.0), rng.uniform(-eps, eps)
+            pts.append(P(ox + t * ux - o * uy, oy + t * uy + o * ux))
+        try:
+            hull = convex_hull(pts)
+        except ValueError as err:
+            assert str(err) == "points are collinear; no polygon hull exists"
+            continue
+        assert ConvexPolygon(hull).vertices == tuple(hull)
+        assert ConvexPolygon.from_points(pts) == ConvexPolygon(hull)
+        hulls += 1
+    assert hulls > 10000
 
 
 class TestRequiredOffset:
@@ -274,6 +313,11 @@ class TestMiteredInflate:
         for v, w in zip(tri.vertices, out.vertices):
             # interior angle pi/3: miter distance O / sin(pi/6) = 2 O
             assert math.hypot(w.x - v.x, w.y - v.y) == pytest.approx(0.2, rel=1e-12)
+
+    def test_refuses_an_overflowing_vertex(self):
+        tri = ConvexPolygon([P(0, 0), P(2, 0), P(1, math.sqrt(3))])
+        with pytest.raises(ValueError, match=r"^non-finite coordinates \(1\.0, inf\)$"):
+            mitered_inflate(tri, 1e308)
 
     def test_tiny_offset_identity(self):
         tri = ConvexPolygon([P(0, 0), P(2, 0), P(1, math.sqrt(3))])
@@ -532,7 +576,7 @@ class TestShortestPolyline:
 
         def counting_build(scenario, inflated):
             graph = build(scenario, inflated)
-            graphs.append(VisibilityGraph(graph.nodes, graph.start_index, graph.goal_index,
+            graphs.append(VisibilityGraph(graph.xs, graph.ys, graph.start_index, graph.goal_index,
                                           lambda i, j: tested.append((i, j)) or graph.test(i, j)))
             return graphs[-1]
 

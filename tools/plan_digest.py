@@ -4,9 +4,10 @@ Draws the scenarios of the benchmark's plan_stream workload (2,000 per seed,
 ``perfbench.workloads.PlanStream.setup``), plans each one as the workload's
 op does, and prints a sha256 over the results with the counts by outcome.
 A planned scenario contributes its route, the path's ``kind`` and ``data``
-bytes, the clearance, the length, ``clearance_ok`` and the offsets; a
-refused one its error type and message. Two checkouts that print the same
-digest plan the same routes, bit for bit.
+bytes, the clearance, the length, ``clearance_ok``, the offsets and the
+inflated polygons' ``xs`` and ``ys``; a refused one its error type and
+message. Two checkouts that print the same digest plan the same routes, bit
+for bit.
 
     python3 tools/plan_digest.py                      # seeds 10-15
     python3 tools/plan_digest.py --src /path/to/other/checkout/src --seeds 10-15
@@ -69,6 +70,8 @@ def digest(seeds) -> dict:
                 sha.update(array.tobytes())
             sha.update(struct.pack("<2d?", out.clearance, out.length, out.clearance_ok))
             sha.update(struct.pack(f"<{len(out.offsets)}d", *out.offsets))
+            for poly in out.inflated:
+                sha.update(struct.pack(f"<{2 * len(poly.xs)}d", *poly.xs, *poly.ys))
         counts[kind] = counts.get(kind, 0) + 1
     return {"seeds": f"{min(seeds)}-{max(seeds)}", "scenarios": sum(counts.values()),
             "sha256": sha.hexdigest(), "counts": dict(sorted(counts.items()))}
