@@ -2,9 +2,9 @@
 build a visibility graph over the inflated vertices, run A* between the
 graph's start and goal nodes, smooth the resulting polyline, and certify
 clearance against the original obstacles. Graph edges lie on supporting
-lines of the polygon at each polygon-vertex end (the tangent graph) and are
-tested only when A* expands one of their nodes (lazy edge checking); the
-exact clearance search stops once a bounding-box lower bound reaches the
+lines of the polygon at each polygon-vertex end (the tangent graph), and A*
+tests a pair only when it pops a label over it (lazy A*); the exact
+clearance search stops once a bounding-box lower bound reaches the
 best distance found. All stages run on plain floats: polygons and the graph
 hold coordinate tuples and build ``Point2`` only when ``vertices`` or
 ``nodes`` is read, one pass over a polygon's edge vectors gives its angles,
@@ -206,8 +206,8 @@ class VisibilityGraph:
     """Nodes are inflated-obstacle vertices plus start and goal, held as the
     coordinate tuples ``xs`` and ``ys``; ``nodes`` builds their ``Point2``
     tuple anew on every access. ``weight(i, j)`` runs ``test`` (i < j: the
-    edge length, inf where there is no edge) on the pair's first request and
-    keeps the answer in ``known``."""
+    edge length, inf where there is no edge) on the pair's first request,
+    made by A* popping a label over it, and keeps the answer in ``known``."""
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
@@ -342,10 +342,10 @@ def build_visibility_graph(
 
     Travel is confined to the scenario bounds: inflated vertices pushed
     outside the box are unusable as waypoints, which is what lets a wall
-    spanning the bounds actually block the route. A pair is tested on its
-    first request. Edges lie on supporting lines of the polygon at each vertex
-    end, which leave it on one side, so only other polygons whose bounding box
-    overlaps the segment's are tested.
+    spanning the bounds actually block the route. A pair is tested when A*
+    pops a label over it. Edges lie on supporting lines of the polygon at each
+    vertex end, which leave it on one side, so only other polygons whose
+    bounding box overlaps the segment's are tested.
     """
     for poly in inflated:
         for label, p in (("start", scenario.start), ("goal", scenario.goal)):
@@ -387,38 +387,38 @@ def build_visibility_graph(
 
 
 def shortest_polyline(graph: VisibilityGraph) -> Polyline:
-    """A* from the graph's start node to its goal node with the straight-line
-    heuristic; optimal on the graph weights. Expanding u asks for the weights
-    of (u, v) in increasing v, so only pairs of expanded nodes are tested."""
-    s, g = graph.start_index, graph.goal_index
+    """Lazy A* from the graph's start node to its goal node with the
+    straight-line heuristic, optimal as each finite weight is its pair's
+    length. Expanding v pushes a label (f, g, order, w, v) for each open node
+    w at its exact cost g_v + |vw|; the pair is tested only when the label is
+    popped. A blocked label is dropped, and the first label of a node that
+    survives closes it. Equal f pops the smaller g, then the earlier push."""
+    s, t = graph.start_index, graph.goal_index
     xs, ys, weight = graph.xs, graph.ys, graph.weight
-    gx, gy = xs[g], ys[g]
-    dist_to = {s: 0.0}
-    parent: dict[int, int] = {}
-    heap = [(math.hypot(gx - xs[s], gy - ys[s]), 0, s)]
-    counter = 1
-    closed: set[int] = set()
+    h = [math.hypot(xs[t] - x, ys[t] - y) for x, y in zip(xs, ys)]
+    parent: dict[int, int] = {}  # closed node -> the node it was reached from
+    heap = [(h[s], 0.0, 0, s, s)]
+    pushed = 1
     while heap:
-        f, _, u = heapq.heappop(heap)
-        if u in closed:
+        _, g, _, v, u = heapq.heappop(heap)
+        if v in parent or (u != v and weight(u, v) == math.inf):
             continue
-        if u == g:
+        parent[v] = u
+        if v == t:
             break
-        closed.add(u)
-        du = dist_to[u]
-        for v in range(len(xs)):
-            if v != u and (nd := du + weight(u, v)) < dist_to.get(v, math.inf):
-                dist_to[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd + math.hypot(gx - xs[v], gy - ys[v]), counter, v))
-                counter += 1
-    if g not in dist_to:
+        vx, vy = xs[v], ys[v]
+        for w in range(len(xs)):
+            if w not in parent:
+                gw = g + math.hypot(xs[w] - vx, ys[w] - vy)
+                heapq.heappush(heap, (gw + h[w], gw, pushed, w, v))
+                pushed += 1
+    if t not in parent:
         raise NoPathError("goal is unreachable in the visibility graph")
-    order = [g]
-    while order[-1] != s:
-        order.append(parent[order[-1]])
-    order.reverse()
-    return Polyline.from_array([(xs[i], ys[i]) for i in order])
+    route = [t]
+    while route[-1] != s:
+        route.append(parent[route[-1]])
+    route.reverse()
+    return Polyline.from_array([(xs[i], ys[i]) for i in route])
 
 
 def _segment_into(ax: float, ay: float, bx: float, by: float, xs, ys) -> float:

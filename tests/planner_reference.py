@@ -8,14 +8,16 @@ tests can require the same routes and bit-identical clearances. The graph is
 a ``VisibilityGraph`` like the planner's, built around that edge test.
 ``eager_shortest_polyline`` is A* as it ran before edges were tested lazily:
 over ``adjacency(graph)``, the neighbour lists of every node, which test every
-pair before the search starts.
+pair before the search starts, with a decrease-key on each strictly shorter
+cost found.
 ``per_edge_arc_into`` rebuilds the arc's end points for every polygon edge,
 as the arc-to-polygon distance did before it built them once per polygon.
 
 The blocking test, the segment/arc distances and the inflation below work on
 ``Point2``, ``ArcSegment`` and ``ConvexPolygon`` objects, one validated
 object per intermediate point, as the planner did before it ran on plain
-floats; ``reference_plan`` chains them into the whole pipeline.
+floats; ``reference_plan`` chains them, with the eager search, into the
+whole pipeline.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from dps.planner import (
     UnreachableConfigurationError,
     VisibilityGraph,
     required_offset,
-    shortest_polyline,
 )
 from dps.smoother import Polyline, SmoothPath, smooth_polyline
 
@@ -370,13 +371,14 @@ def all_pairs_clearance(path: SmoothPath, obstacles: Sequence[ConvexPolygon]) ->
 
 def reference_plan(scenario: Scenario) -> PlanResult:
     """``plan()`` from the reference stages: object inflation, the all-pairs
-    graph, A*, smoothing, the all-pairs clearance and the segment-sum length."""
+    graph, the eager A*, smoothing, the all-pairs clearance and the
+    segment-sum length."""
     offsets, inflated = [], []
     for poly in scenario.obstacles:
         offsets.append(worst_offset(scenario, poly))
         inflated.append(mitered_inflate(poly, offsets[-1]))
     graph = all_pairs_visibility_graph(scenario, inflated)
-    polyline = shortest_polyline(graph)
+    polyline = eager_shortest_polyline(graph)
     path = smooth_polyline(polyline, scenario.turning_radius)
     c = all_pairs_clearance(path, scenario.obstacles)
     return PlanResult(

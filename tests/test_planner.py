@@ -161,12 +161,37 @@ def plan_outcome(planner_fn, scenario):
             res.clearance, res.length, res.clearance_ok)
 
 
-def route_or_error(build, scenario, inflated):
+def route_or_error(build, scenario, inflated, search=shortest_polyline):
+    """The route ``search`` finds on ``build(scenario, inflated)``, or the
+    type of the error either raises."""
     try:
-        graph = build(scenario, inflated)
-        return shortest_polyline(graph).points
+        return search(build(scenario, inflated)).points
     except NoPathError as err:  # UnreachableConfigurationError included
         return type(err)
+
+
+class LoggedGraph(VisibilityGraph):
+    """``graph``'s nodes and edge test, logging each pair that ``weight`` is
+    asked for in ``asked`` and each pair the edge test runs on in ``tested``."""
+
+    def __init__(self, graph: VisibilityGraph):
+        super().__init__(graph.xs, graph.ys, graph.start_index, graph.goal_index,
+                         lambda i, j: self.tested.append((i, j)) or graph.test(i, j))
+        object.__setattr__(self, "asked", [])
+        object.__setattr__(self, "tested", [])
+
+    def weight(self, i, j):
+        self.asked.append((i, j) if i < j else (j, i))
+        return super().weight(i, j)
+
+
+def logging_build(graphs):
+    """``build_visibility_graph``, appending each graph it builds to ``graphs``
+    as a ``LoggedGraph``."""
+    def build(scenario, inflated):
+        graphs.append(LoggedGraph(build_visibility_graph(scenario, inflated)))
+        return graphs[-1]
+    return build
 
 
 def dijkstra_reference(graph: VisibilityGraph, s: int, g: int):
@@ -545,17 +570,27 @@ class TestShortestPolyline:
     def test_tangent_graph_routes_match_all_pairs_graph(self):
         """The tangent graph keeps a subset of the all-pairs edges (same
         weights, same order) and A* returns the same route, or the same
-        error type, on 2,000 seeded scenarios of five families."""
+        error type, on 2,000 seeded scenarios of five families. On the
+        tangent graph the lazy A* asks for no pair twice, so tests none twice,
+        and returns the eager A*'s route."""
         rng = random.Random(4)
         outcomes = {}
         for k in range(2000):
             family = SCENARIO_FAMILIES[k % len(SCENARIO_FAMILIES)]
             sc = family(rng)
             inflated = inflate_obstacles(sc)
-            got = route_or_error(build_visibility_graph, sc, inflated)
+            graphs = []
+            got = route_or_error(logging_build(graphs), sc, inflated)
             assert got == route_or_error(all_pairs_visibility_graph, sc, inflated), (family, k)
+            if graphs:  # the start and goal lie outside every inflated obstacle
+                graph = graphs[0]
+                assert len(set(graph.asked)) == len(graph.asked) == len(graph.tested), (family, k)
+                try:
+                    assert eager_shortest_polyline(graph).points == got, (family, k)
+                except NoPathError:
+                    assert got is NoPathError, (family, k)
             if isinstance(got, tuple):
-                edges = build_visibility_graph(sc, inflated).edges
+                edges = graph.edges
                 kept = set(edges)
                 reference = all_pairs_visibility_graph(sc, inflated).edges
                 assert [e for e in reference if e in kept] == list(edges)
@@ -564,36 +599,29 @@ class TestShortestPolyline:
         for family in SCENARIO_FAMILIES:  # every family plans routes that bend
             assert outcomes.get((family.__name__, True), 0) >= 100, outcomes
 
-    def test_plan_tests_only_the_start_pairs_when_the_goal_is_in_sight(self, monkeypatch):
-        """A* expands the start and then pops the goal, so plan() tests the
-        start's N - 1 pairs and no other; the pairs it did not test are
-        tested when ``edges`` asks for them, which gives a fresh graph's tuple."""
+    def test_plan_tests_only_the_start_goal_pair_when_the_goal_is_in_sight(self, monkeypatch):
+        """A* expands the start and pops the goal's label first, so plan()
+        tests the one pair (start, goal), with at most one clip; the pairs it
+        did not test are tested when ``edges`` asks for them, which gives a
+        fresh graph's tuple."""
         squares = [ConvexPolygon([P(x, y), P(x + 2, y), P(x + 2, y + 2), P(x, y + 2)])
                    for x, y in ((3, 3), (8, 4), (13, 3), (5, 12), (12, 13))]
         sc = make_scenario(squares, h=0.3, r=0.4, start=P(1, 9.5), goal=P(19, 10.5))
-        graphs, tested, clips = [], [], []
-        build, blocked = planner.build_visibility_graph, planner._segment_blocked
-
-        def counting_build(scenario, inflated):
-            graph = build(scenario, inflated)
-            graphs.append(VisibilityGraph(graph.xs, graph.ys, graph.start_index, graph.goal_index,
-                                          lambda i, j: tested.append((i, j)) or graph.test(i, j)))
-            return graphs[-1]
-
-        monkeypatch.setattr(planner, "build_visibility_graph", counting_build)
+        graphs, clips = [], []
+        blocked = planner._segment_blocked
+        monkeypatch.setattr(planner, "build_visibility_graph", logging_build(graphs))
         monkeypatch.setattr(planner, "_segment_blocked",
                             lambda *args: clips.append(args) or blocked(*args))
         result = plan(sc)
         graph = graphs[0]
         n = len(graph.nodes)
         assert result.polyline.points == (sc.start, sc.goal)
-        assert sorted(tested) == [tuple(sorted((graph.start_index, v)))
-                                  for v in range(n) if v != graph.start_index]
-        assert 0 < len(clips) <= n - 1
+        assert graph.tested == [(graph.start_index, graph.goal_index)]
+        assert len(clips) <= 1
         searched_clips = len(clips)
         edges = graph.edges
-        assert len(tested) == n * (n - 1) // 2 and len(clips) > 3 * searched_clips
-        assert edges == build(sc, result.inflated).edges
+        assert len(graph.tested) == n * (n - 1) // 2 and len(clips) > 3 * searched_clips
+        assert edges == build_visibility_graph(sc, result.inflated).edges
         assert list(edges) == sorted(edges) and all(i < j for i, j, _ in edges)
         kept = set(edges)
         assert [e for e in all_pairs_visibility_graph(sc, result.inflated).edges
@@ -607,8 +635,9 @@ class TestShortestPolyline:
     def test_ties_break_as_the_eager_search(self):
         """Around one square, the routes left and right of it have equal
         length; the lazy search keeps the one the eager A* over
-        ``adjacency(graph)`` returns. So it does on integer-aligned squares,
-        whose routes often tie."""
+        ``adjacency(graph)`` returns. So it does where a route through a
+        collinear corner ties in float with the straight one, and on
+        integer-aligned squares, whose routes often tie."""
         obs = ConvexPolygon([P(8, 8), P(12, 8), P(12, 12), P(8, 12)])
         for start, goal in (((10, 2), (10, 18)), ((10, 18), (10, 2)), ((2, 10), (18, 10)),
                             ((18, 10), (2, 10))):
@@ -620,17 +649,24 @@ class TestShortestPolyline:
             mirrored = Polyline([swap(p) for p in route.points])
             assert len(route) == 4 and mirrored != route
             assert polyline_length(mirrored) == polyline_length(route)
+        # Random(4)'s integer-squares scenario 436: the routes with and without
+        # the collinear inflated corner (14.5, 14.5) have the same float length.
+        # Equal f popped by push order alone would return the one without it.
+        squares = [ConvexPolygon([P(x0, y0), P(x1, y0), P(x1, y1), P(x0, y1)])
+                   for x0, y0, x1, y1 in ((1, 9, 4, 12), (15, 11, 18, 14), (9, 3, 12, 6),
+                                          (12, 10, 13, 11), (2, 3, 3, 4))]
+        sc = make_scenario(squares, h=0.5, r=0.25, start=P(15, 17.5), goal=P(11, 2))
+        inflated = inflate_obstacles(sc)
+        route = (P(15, 17.5), P(14.5, 14.5), P(12.5, 2.5), P(11, 2))
+        for search in (shortest_polyline, eager_shortest_polyline):
+            assert route_or_error(build_visibility_graph, sc, inflated, search) == route
         rng = random.Random(8)
         for k in range(300):
             sc = integer_squares_scenario(rng)
             inflated = inflate_obstacles(sc)
-            outcomes = []
-            for search in (shortest_polyline, eager_shortest_polyline):
-                try:
-                    outcomes.append(search(build_visibility_graph(sc, inflated)).points)
-                except NoPathError as err:  # UnreachableConfigurationError included
-                    outcomes.append(type(err))
-            assert outcomes[0] == outcomes[1], k
+            assert (route_or_error(build_visibility_graph, sc, inflated)
+                    == route_or_error(build_visibility_graph, sc, inflated,
+                                      eager_shortest_polyline)), k
 
 
 class TestClearance:

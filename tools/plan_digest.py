@@ -21,7 +21,7 @@ unwrapped ``plan()`` timed apart), the best of ``--rounds`` rounds, and the
 mean edge-test counts per plan: node pairs tested, blocking clips
 (``_segment_blocked`` calls), pairs a clip blocked, and edges found.
 Supporting lines are the edges found plus the blocked pairs. A* tests the
-edges it reaches, so their cost is in its time.
+pairs whose labels it pops, so their cost is in its time.
 """
 
 from __future__ import annotations
