@@ -40,7 +40,7 @@ def load_polyline(source: Union[str, TextIO]) -> Polyline:
     including a non-finite coordinate, is named by its line number.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return load_polyline(fh)
     values = []
     for lineno, line in enumerate(source, start=1):
@@ -107,7 +107,7 @@ def load_scenario(source: Union[str, TextIO]) -> Scenario:
     radius must be a JSON number; a string or a boolean raises ``ValueError``.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return load_scenario(fh)
     doc = json.load(source, parse_int=float)
     if not isinstance(doc, dict):
@@ -166,7 +166,7 @@ def save_path(
 def load_path(source: Union[str, TextIO]) -> tuple[SmoothPath, dict]:
     """Read a path JSON file; returns the path and its metadata dict."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return load_path(fh)
     doc = json.load(source, parse_int=float)
     if not isinstance(doc, dict):

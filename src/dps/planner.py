@@ -67,25 +67,19 @@ class ConvexPolygon:
     box: tuple[float, float, float, float] = field(compare=False)
 
     def __init__(self, vertices: Sequence[Point2]):
-        verts = tuple(vertices)
-        self._fill(tuple([v.x for v in verts]), tuple([v.y for v in verts]))
-
-    @classmethod
-    def _from_coordinates(cls, xs: Sequence[float], ys: Sequence[float]) -> "ConvexPolygon":
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"non-finite coordinates ({x}, {y})")
-        return object.__new__(cls)._fill(tuple(xs), tuple(ys))
-
-    def _fill(self, xs, ys) -> "ConvexPolygon":
-        n = len(xs)
-        if n < 3:
+        pts = [(v.x, v.y) for v in vertices]
+        if (n := len(pts)) < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-        pts = tuple(zip(xs, ys))
-        for m in range(1 - n, 1):  # the turn at vertex m % n, from 1 round to 0
+        for m in range(1 - n, 1):  # vertex m % n, from 1 round to 0
             if _turn(pts[m - 1], pts[m], pts[m + 1]) <= 0.0:
                 raise ValueError("vertices must be counter-clockwise and strictly convex "
                                  f"(violated at index {m % n})")
+            if math.dist(pts[m], pts[m + 1]) <= LENGTH_EPSILON:
+                raise DegeneratePointsError(f"polygon vertices {m % n} and {(m + 1) % n} coincide")
+        self._fill(pts)
+
+    def _fill(self, pts: list[tuple[float, float]]) -> "ConvexPolygon":
+        xs, ys = zip(*pts)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "box", (min(xs), min(ys), max(xs), max(ys)))
@@ -100,8 +94,8 @@ class ConvexPolygon:
 
     @classmethod
     def from_points(cls, points: Iterable[Point2]) -> "ConvexPolygon":
-        """Convex hull of arbitrary points (non-convex input is hulled)."""
-        return object.__new__(cls)._fill(*zip(*_hull(points)))
+        """Convex hull of arbitrary points, without flat or coincident vertices."""
+        return object.__new__(cls)._fill(_keep(_hull(points)))
 
     def interior_angles(self) -> list[float]:
         return [alpha for alpha, _, _, _ in _corners(self)]
@@ -113,9 +107,30 @@ class ConvexPolygon:
 
 def _turn(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
     """The cross product (a - o) x (b - a) of three (x, y) points: positive
-    where they turn left. A polygon is strictly convex where it is positive
-    at every vertex."""
+    where they turn left."""
     return (a[0] - o[0]) * (b[1] - a[1]) - (a[1] - o[1]) * (b[0] - a[0])
+
+
+def _keep(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The vertex rule of every polygon the planner computes: refuse a
+    non-finite vertex of the ring ``pts``, then drop in place each vertex that
+    does not turn left by ``_turn`` or lies within LENGTH_EPSILON of the next,
+    re-testing only the two neighbours of a drop (0 before the last)."""
+    for x, y in pts:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinates ({x}, {y})")
+    m, wrapped = 0, False  # vertices before m pass; once wrapped, all but 0 and the last
+    while m < len(pts) and len(pts) >= 3:
+        a, b = pts[m], pts[m + 1 - len(pts)]
+        if _turn(pts[m - 1], a, b) > 0.0 and math.dist(a, b) > LENGTH_EPSILON:
+            m = len(pts) - 1 if wrapped and m == 0 else m + 1
+        else:
+            del pts[m]
+            wrapped |= m == len(pts)
+            m = 0 if wrapped else max(m - 1, 0)
+    if len(pts) < 3:
+        raise ValueError("points are collinear; no polygon hull exists")
+    return pts
 
 
 def _inside(xs, ys, px: float, py: float, tol: float = 0.0) -> bool:
@@ -129,15 +144,12 @@ def _inside(xs, ys, px: float, py: float, tol: float = 0.0) -> bool:
 
 
 def convex_hull(points: Iterable[Point2]) -> list[Point2]:
-    """Counter-clockwise convex hull (monotone chain, collinear points
-    dropped). Each vertex of the hull turns left by ``ConvexPolygon``'s test:
-    vertices that do not, the joins of the two chains included, are dropped
-    round the hull until a full round drops none."""
-    return [Point2(x, y) for x, y in _hull(points)]
+    """Counter-clockwise convex hull: the monotone chains, kept by ``_keep``."""
+    return [Point2(x, y) for x, y in _keep(_hull(points))]
 
 
 def _hull(points: Iterable[Point2]) -> list[tuple[float, float]]:
-    """The vertices of ``convex_hull(points)`` as (x, y) tuples."""
+    """The monotone chains of the points as one counter-clockwise (x, y) ring."""
     pts = sorted(set((p.x, p.y) for p in points))
     if len(pts) < 3:
         raise ValueError("convex hull needs at least 3 distinct points")
@@ -150,15 +162,7 @@ def _hull(points: Iterable[Point2]) -> list[tuple[float, float]]:
             out.append(p)
         return out
 
-    hull = half(pts)[:-1] + half(reversed(pts))[:-1]
-    while len(hull) >= 3:
-        for m in range(len(hull)):
-            if _turn(hull[m - 1], hull[m], hull[m + 1 - len(hull)]) <= 0.0:
-                del hull[m]
-                break
-        else:  # a full round dropped none
-            return hull
-    raise ValueError("points are collinear; no polygon hull exists")
+    return half(pts)[:-1] + half(reversed(pts))[:-1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,15 +268,13 @@ def _corners(poly: ConvexPolygon) -> list[tuple[float, float, float, float]]:
     normals and one plus their dot product."""
     xs, ys = poly.xs, poly.ys
     x1, y1 = xs[0], ys[0]
-    e1x, e1y = x1 - xs[-1], y1 - ys[-1]  # the edge into vertex 0; its length is checked last
+    e1x, e1y = x1 - xs[-1], y1 - ys[-1]  # the edge into vertex 0
     d1 = math.hypot(e1x, e1y)
     n1x, n1y = e1y / d1, -e1x / d1  # outward normals of a CCW polygon point right of each edge
     out = []
     for x2, y2 in zip(xs[1:] + xs[:1], ys[1:] + ys[:1]):
         e2x, e2y = x2 - x1, y2 - y1  # the edge out of it
         d2 = math.hypot(e2x, e2y)
-        if d2 <= LENGTH_EPSILON:
-            raise DegeneratePointsError("interior angle needs three pairwise distinct points")
         n2x, n2y = e2y / d2, -e2x / d2
         alpha = math.pi - math.atan2(abs(e1x * e2y - e1y * e2x), e1x * e2x + e1y * e2y)
         out.append((alpha, n1x + n2x, n1y + n2y, 1.0 + (n1x * n2x + n1y * n2y)))
@@ -291,11 +293,9 @@ def mitered_inflate(poly: ConvexPolygon, offset: float, corners: list | None = N
     """
     if not (offset > 0.0 and math.isfinite(offset)):
         raise ValueError(f"offset must be positive, got {offset}")
-    corners = _corners(poly) if corners is None else corners
-    return ConvexPolygon._from_coordinates(
-        [x + offset * mx / d for x, (_, mx, _, d) in zip(poly.xs, corners)],
-        [y + offset * my / d for y, (_, _, my, d) in zip(poly.ys, corners)],
-    )
+    pts = [(x + offset * mx / d, y + offset * my / d)
+           for x, y, (_, mx, my, d) in zip(poly.xs, poly.ys, corners or _corners(poly))]
+    return object.__new__(ConvexPolygon)._fill(_keep(pts))
 
 
 def _segment_blocked(ax: float, ay: float, bx: float, by: float, xs, ys) -> bool:

@@ -94,6 +94,17 @@ def test_plan_success_records_clearance(tmp_path):
     assert doc["min_clearance"] >= SCENARIO["robot_radius"] - 1e-9
 
 
+def test_plan_decimal_collinear_vertex(tmp_path):
+    """(9.95, 8.7) is the rounded midpoint of its two neighbours; the inflated
+    hull drops it where its miter vertex rounds flat, and the plan succeeds."""
+    sf = tmp_path / "scenario.json"
+    sf.write_text(json.dumps({**SCENARIO, "obstacles": [
+        [[7.4, 9.2], [9.95, 8.7], [12.5, 8.2], [11.8, 12.7], [7.8, 11.5]]]}))
+    out = tmp_path / "out.json"
+    assert main(["plan", str(sf), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["min_clearance"] >= SCENARIO["robot_radius"]
+
+
 def test_plan_blocked_exit_3(tmp_path, capsys):
     sf = tmp_path / "scenario.json"
     sf.write_text(json.dumps(BLOCKED_SCENARIO))

@@ -58,6 +58,34 @@ def test_load_polyline_names_the_line_of_a_non_finite_coordinate():
             load_polyline(io.StringIO(text))
 
 
+# A UTF-8 byte order mark, as spreadsheet "CSV UTF-8" exports write, is skipped
+# by each reader that opens a file by name.
+BOM = "\ufeff".encode()
+
+
+def test_load_polyline_skips_a_byte_order_mark(tmp_path):
+    for text in ("0,0\n4,0\n4,4\n", "x,y\n0,0\n4,0\n4,4\n"):
+        src = tmp_path / "in.csv"
+        src.write_bytes(BOM + text.encode())
+        assert load_polyline(str(src)).points == (P(0, 0), P(4, 0), P(4, 4))
+
+
+def test_load_scenario_skips_a_byte_order_mark(tmp_path):
+    doc = {"bounds": [0, 0, 20, 20], "robot_radius": 0.2, "turning_radius": 0.5,
+           "start": [1, 1], "goal": [19, 19], "obstacles": [[[8, 8], [12, 8], [12, 12], [8, 12]]]}
+    src = tmp_path / "scenario.json"
+    src.write_bytes(BOM + json.dumps(doc).encode())
+    assert load_scenario(str(src)) == load_scenario(io.StringIO(json.dumps(doc)))
+
+
+def test_load_path_skips_a_byte_order_mark(tmp_path):
+    path = smooth_polyline(random_polyline(10, 1.0, seed=3), 1.0)
+    src = tmp_path / "path.json"
+    save_path(path, str(src), total_length=1.5)
+    src.write_bytes(BOM + src.read_bytes())
+    assert load_path(str(src)) == (path, {"total_length": 1.5})
+
+
 def test_path_round_trip_exact(tmp_path):
     polyline = random_polyline(30, 1.0, seed=12)
     path = smooth_polyline(polyline, 1.0)

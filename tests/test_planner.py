@@ -4,10 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from dps import planner
-from dps.geom import (ArcSegment, Heading, LineSegment, Point2, arc_ends, dist, interior_angle,
-                      point_segment_distance)
+from dps.geom import (LENGTH_EPSILON, ArcSegment, DegeneratePointsError, Heading, LineSegment,
+                      Point2, arc_ends, dist, interior_angle, point_segment_distance)
 from dps.planner import (
     Bounds,
     ConvexPolygon,
@@ -20,6 +21,7 @@ from dps.planner import (
     _corners,
     _segment_blocked,
     _segment_into,
+    _worst_offset,
     build_visibility_graph,
     clearance,
     convex_hull,
@@ -229,6 +231,16 @@ class TestConvexPolygon:
         with pytest.raises(ValueError):
             ConvexPolygon([P(0, 0), P(1, 0)])
 
+    def test_names_the_vertices_of_a_short_edge(self):
+        # Every vertex turns left; the edge from vertex 0 to 1 is 1e-12 long.
+        verts = [P(5, 5), P(5 + 1e-12, 5 - 1e-13), P(7, 5), P(6, 6)]
+        with pytest.raises(DegeneratePointsError, match=r"^polygon vertices 0 and 1 coincide$"):
+            ConvexPolygon(verts)
+        with pytest.raises(DegeneratePointsError, match=r"^polygon vertices 2 and 3 coincide$"):
+            ConvexPolygon(verts[2:] + verts[:2])
+        with pytest.raises(DegeneratePointsError, match=r"^polygon vertices 3 and 0 coincide$"):
+            ConvexPolygon(verts[1:] + verts[:1])
+
     def test_from_points_hulls_nonconvex_input(self):
         poly = ConvexPolygon.from_points(
             [P(0, 0), P(2, 0), P(1, 0.2), P(2, 2), P(0, 2), P(1, 1)]
@@ -299,6 +311,121 @@ def test_every_hull_is_a_polygon():
         assert ConvexPolygon.from_points(pts) == ConvexPolygon(hull)
         hulls += 1
     assert hulls > 10000
+
+
+def drop_one_per_round(ring):
+    """The vertex rule written as rounds: each round drops the first vertex
+    that does not turn left or lies within LENGTH_EPSILON of the next, until a
+    round drops none; None when fewer than 3 vertices are left."""
+    ring = list(ring)
+    while len(ring) >= 3:
+        for m in range(len(ring)):
+            (ox, oy), (ax, ay), (bx, by) = ring[m - 1], ring[m], ring[(m + 1) % len(ring)]
+            if ((ax - ox) * (by - ay) - (ay - oy) * (bx - ax) <= 0.0
+                    or math.hypot(bx - ax, by - ay) <= LENGTH_EPSILON):
+                del ring[m]
+                break
+        else:
+            return ring
+    return None
+
+
+@st.composite
+def random_or_nearly_collinear_points(draw):
+    """3-12 points: uniform in a box, on a 5 x 5 integer grid (exact
+    collinear and repeated points), or along a random line, each moved across
+    it by at most 0, 1e-13, 1e-10 or 1e-8."""
+    n = draw(st.integers(3, 12))
+    coord = st.floats(-100.0, 100.0)
+    kind = draw(st.sampled_from(("box", "grid", "line")))
+    if kind != "line":
+        coord = coord if kind == "box" else st.integers(0, 4).map(float)
+        return [P(draw(coord), draw(coord)) for _ in range(n)]
+    ox, oy, theta = draw(coord), draw(coord), draw(st.floats(0.0, 2.0 * math.pi))
+    eps = draw(st.sampled_from((0.0, 1e-13, 1e-10, 1e-8)))
+    ux, uy = math.cos(theta), math.sin(theta)
+    pts = []
+    for _ in range(n):
+        t, o = draw(coord), draw(st.floats(-eps, eps))
+        pts.append(P(ox + t * ux - o * uy, oy + t * uy + o * ux))
+    return pts
+
+
+@given(random_or_nearly_collinear_points(), st.data())
+def test_vertex_rule_walk_matches_dropping_one_per_round(points, data):
+    """The one walk that keeps a computed polygon's vertices gives what
+    dropping the first failing vertex round after round gives, on the
+    monotone chains of a hull and on the points in any cyclic order."""
+    pts = [(p.x, p.y) for p in points]
+    assume(len(set(pts)) >= 3)
+    hull = planner._hull(points)
+    for ring in (hull, data.draw(st.permutations(pts))):
+        expected = drop_one_per_round(ring)
+        if expected is None:
+            with pytest.raises(ValueError, match="^points are collinear; no polygon hull exists$"):
+                planner._keep(list(ring))
+        else:
+            assert planner._keep(list(ring)) == expected
+    if (expected := drop_one_per_round(hull)) is not None:
+        assert convex_hull(points) == [P(x, y) for x, y in expected]
+        assert ConvexPolygon.from_points(points) == ConvexPolygon(convex_hull(points))
+
+
+def test_vertex_rule_tests_vertex_0_again_when_the_last_vertex_goes():
+    # (4, 1) goes first; then (3, 1) lies on the line from (2, 2) to (4, 0).
+    ring = [(3.0, 1.0), (4.0, 0.0), (4.0, 2.0), (2.0, 2.0), (4.0, 1.0)]
+    assert planner._keep(list(ring)) == drop_one_per_round(ring) == [(4, 0), (4, 2), (2, 2)]
+
+
+@st.composite
+def map_obstacle_points(draw):
+    """The corners of a map-like quadrilateral, each 1-3 from a centre in
+    [6, 14]^2, 9 to 81 degrees into its own quadrant and on a 0.1 grid, plus
+    up to 8 points that are the 0.01-rounded midpoint of two earlier ones
+    (decimal-collinear) or an earlier one moved by at most 1e-9
+    (near-duplicate)."""
+    cx, cy = draw(st.floats(6.0, 14.0)), draw(st.floats(6.0, 14.0))
+    pts = []
+    for k in range(4):
+        a, d = draw(st.floats(k + 0.1, k + 0.9)) * math.pi / 2, draw(st.floats(1.0, 3.0))
+        pts.append((round(cx + d * math.cos(a), 1), round(cy + d * math.sin(a), 1)))
+    for _ in range(draw(st.integers(0, 8))):
+        (ax, ay), (bx, by) = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        if draw(st.booleans()):
+            pts.append((round((ax + bx) / 2, 2), round((ay + by) / 2, 2)))
+        else:
+            step = st.floats(-LENGTH_EPSILON, LENGTH_EPSILON)
+            pts.append((ax + draw(step), ay + draw(step)))
+    return [P(x, y) for x, y in draw(st.permutations(pts))]
+
+
+@given(map_obstacle_points(), st.floats(0.1, 0.5), st.floats(1.0, 3.0))
+def test_every_map_obstacle_hull_inflates(points, h, k):
+    """Each hull inflates, for h in [0.1, 0.5] and r in [h, 3h], into a polygon
+    that ``ConvexPolygon`` accepts as given and that holds every hull vertex
+    at least the offset inside."""
+    poly = ConvexPolygon.from_points(points)
+    corners = _corners(poly)
+    offset = _worst_offset(h, k * h, [alpha for alpha, _, _, _ in corners])
+    out = mitered_inflate(poly, offset, corners)
+    assert ConvexPolygon(out.vertices) == out
+    assert all(out.contains(v, tol=offset * (1.0 - 1e-9)) for v in poly.vertices)
+
+
+@pytest.mark.xfail(strict=True, raises=(ValueError, ZeroDivisionError),
+                   reason="a sliver whose tips close to within rounding of 0 rad has no finite "
+                          "miter: _worst_offset refuses an angle of 0.0, and 1 + n1.n2 rounds to 0")
+@pytest.mark.parametrize("corners", [
+    [(2.4, 9.1), (4.2, 8.0), (6.0, 6.9)],  # tip angles 0.0
+    [(4.7, 7.7), (5.35, 7.85), (6.0, 8.0)],  # tip angles 4.4e-16
+])
+def test_decimal_collinear_sliver_inflates(corners):
+    """Three points on one line in decimal, whose rounding the hull keeps as a
+    triangle, do not inflate yet."""
+    poly = ConvexPolygon.from_points([P(x, y) for x, y in corners])
+    assert len(poly.xs) == 3
+    offset = _worst_offset(0.2, 0.5, poly.interior_angles())
+    mitered_inflate(poly, offset)
 
 
 class TestRequiredOffset:
@@ -410,6 +537,23 @@ def test_angle_rounding_to_pi_takes_the_limit_offset():
     others = [required_offset(0.2, 0.4, a) for k, a in enumerate(angles) if k != 1]
     assert result.offsets == (max(others),) and max(others) > 0.2
     assert result.inflated[0] == reference.mitered_inflate(poly, max(others))
+    assert result.clearance_ok and result.clearance >= 0.2
+
+
+@pytest.mark.parametrize("corners, kept", [
+    # (9.95, 8.7) is the 0.01-rounded midpoint of the edge from (7.4, 9.2) to
+    # (12.5, 8.2): the hull keeps it, and its miter vertex rounds flat.
+    ([(7.4, 9.2), (9.95, 8.7), (12.5, 8.2), (11.8, 12.7), (7.8, 11.5)], (5, 4)),
+    # The hull keeps the 1e-12 edge's end (5 + 1e-12, 5 - 1e-13) only.
+    ([(5, 5), (5 + 1e-12, 5 - 1e-13), (7, 5), (6, 6)], (3, 3)),
+])
+def test_flat_or_coincident_vertices_do_not_stop_a_plan(corners, kept):
+    """Obstacles that ``plan()`` refused with a ValueError or a
+    DegeneratePointsError about a polygon the planner had computed."""
+    poly = ConvexPolygon.from_points([P(x, y) for x, y in corners])
+    result = plan(make_scenario([poly], h=0.2, r=0.5))
+    assert (len(poly.xs), len(result.inflated[0].xs)) == kept
+    assert ConvexPolygon(result.inflated[0].vertices) == result.inflated[0]
     assert result.clearance_ok and result.clearance >= 0.2
 
 
