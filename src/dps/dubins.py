@@ -13,7 +13,11 @@ backend of math functions: ``_SCALAR`` on Python floats for one pose pair
 numpy arrays for the multipoint DP, which evaluates the pair costs of many
 consecutive pairs as one (pairs, S, S) block of at most ``_BLOCK_ELEMENTS``
 elements; heading sets of unequal size are padded to S by repeating their
-last heading, which changes no minimum.
+last heading, which changes no minimum; with one heading per point the DP is
+a running sum, added in pair order. Beyond a scaled distance d = |pq|/r of 4
+(the long-path case of Shkel & Lumelsky) no CCC word is optimal, so
+``dubins_shortest`` and each ``_pair_costs`` block whose pairs all have d > 4
+skip RLR and LRL; ``solve_word`` evaluates any word it is asked for.
 """
 
 from __future__ import annotations
@@ -123,6 +127,8 @@ _WORDS = {
     "RLR": (_rlr, False),
     "LRL": (_rlr, True),
 }
+# The CSC words of _WORDS, in WORD_ORDER: the only candidates when d > 4.
+_LONG_PATH_WORDS = {word: _WORDS[word] for word in WORD_ORDER if word in CSC_WORDS}
 
 
 def _bearing(p: Point2, q: Point2, r: float) -> tuple[float, float]:
@@ -143,6 +149,8 @@ def _scaled_problem(start: Pose, goal: Pose, r: float) -> tuple:
 def solve_word(word: str, start: Pose, goal: Pose, r: float) -> Optional[DubinsWord]:
     """Evaluate one maneuver class; None when it has no real solution."""
     check_turn_radius(r)
+    if word not in _WORDS:
+        raise ValueError(f"unknown Dubins word {word!r}; expected one of {', '.join(WORD_ORDER)}")
     formula, mirror = _WORDS[word]
     problem = _scaled_problem(start, goal, r)
     t, p, q, ok = formula(_SCALAR, *(_mirrored(*problem) if mirror else problem))
@@ -153,7 +161,8 @@ def solve_word(word: str, start: Pose, goal: Pose, r: float) -> Optional[DubinsW
 
 
 def dubins_shortest(start: Pose, goal: Pose, r: float) -> DubinsWord:
-    """Shortest of the six Dubins words, lengths unscaled by r.
+    """Shortest of the six Dubins words, lengths unscaled by r; only the
+    four CSC words are evaluated when the scaled distance exceeds 4.
 
     Ties within 1e-12 are broken by the fixed word order so differential
     tests stay deterministic.
@@ -161,16 +170,18 @@ def dubins_shortest(start: Pose, goal: Pose, r: float) -> DubinsWord:
     check_turn_radius(r)
     problem = _scaled_problem(start, goal, r)
     problems = (problem, _mirrored(*problem))  # indexed by the mirror flag
-    best: Optional[DubinsWord] = None
-    for word, (formula, mirror) in _WORDS.items():  # in WORD_ORDER
+    words = _LONG_PATH_WORDS if problem[2] > 4.0 else _WORDS
+    best = None
+    for word, (formula, mirror) in words.items():  # in WORD_ORDER
         t, p, q, ok = formula(_SCALAR, *problems[mirror])
         if not ok:
             continue
         total = (t + p + q) * r
-        if best is None or total < best.total - _TIE_EPSILON:
-            best = DubinsWord(word, (t * r, p * r, q * r), total)
+        if best is None or total < best[-1] - _TIE_EPSILON:
+            best = (word, t, p, q, total)
     assert best is not None  # LSL/RSR always admit a solution
-    return best
+    word, t, p, q, total = best
+    return DubinsWord(word, (t * r, p * r, q * r), total)
 
 
 def classify_j_type(start: Pose, goal: Pose, r: float) -> tuple[bool, DubinsWord]:
@@ -186,14 +197,14 @@ def classify_j_type(start: Pose, goal: Pose, r: float) -> tuple[bool, DubinsWord
 def _pair_costs(points: Sequence[Point2], sets: np.ndarray, r: float) -> np.ndarray:
     """(pairs, S, S) shortest Dubins lengths from (points[k], sets[k, i]) to
     (points[k + 1], sets[k + 1, j]) for every consecutive pair."""
-    theta, d = zip(*(_bearing(p, q, r) for p, q in zip(points, points[1:])))
-    theta = np.array(theta)[:, None]
-    alpha = np.mod(sets[:-1] - theta, TWO_PI)[:, :, None]
-    beta = np.mod(sets[1:] - theta, TWO_PI)[:, None, :]
-    args = _word_args(_ARRAY, alpha, beta, np.array(d)[:, None, None])
+    theta, d = map(np.array, zip(*(_bearing(p, q, r) for p, q in zip(points, points[1:]))))
+    alpha = np.mod(sets[:-1] - theta[:, None], TWO_PI)[:, :, None]
+    beta = np.mod(sets[1:] - theta[:, None], TWO_PI)[:, None, :]
+    args = _word_args(_ARRAY, alpha, beta, d[:, None, None])
     problems = (args, _mirrored(*args))  # indexed by the mirror flag
+    words = _LONG_PATH_WORDS if (d > 4.0).all() else _WORDS
     best = None
-    for formula, mirror in _WORDS.values():
+    for formula, mirror in words.values():
         t, pl, ql, ok = formula(_ARRAY, *problems[mirror])
         total = np.where(ok, t + pl + ql, np.inf)
         best = total if best is None else np.minimum(best, total)
@@ -237,7 +248,11 @@ def multipoint_bruteforce(
     cost_to = np.zeros(size)
     for lo in range(0, len(pts) - 1, per_block):
         hi = min(lo + per_block, len(pts) - 1)
-        for cost in _pair_costs(pts[lo:hi + 1], sets[lo:hi + 1], r):
+        costs = _pair_costs(pts[lo:hi + 1], sets[lo:hi + 1], r)
+        if size == 1:  # one heading per point: a sequential running sum
+            cost_to = np.add.accumulate(np.append(cost_to, costs))[-1:]
+            continue
+        for cost in costs:
             cost_to = (cost_to[:, None] + cost).min(axis=0)
     return float(np.min(cost_to))
 

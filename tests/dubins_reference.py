@@ -11,8 +11,9 @@ backend, so tests can hold the math backend of ``solve_word`` and
 ``SIX_WORDS`` holds one written-out formula per word, RSR, RSL and LRL
 included, as the solver had them before those three became mirror images of
 LSL, LSR and RLR. It has the shape of ``dubins._WORDS`` (no word mirrored),
-so the per-pair DP runs on either table. The formulas take the backends
-``SCALAR`` and ``ARRAY``, which add ``mod2pi`` to the solver's backends.
+so the per-pair DP and ``scalar_shortest`` run on either table. The formulas
+take the backends ``SCALAR`` and ``ARRAY``, which add ``mod2pi`` to the
+solver's backends. Neither reference skips the CCC words beyond d = 4.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dps.dubins import _ARRAY, _FULL_CIRCLE_SNAP, _SCALAR, _TIE_EPSILON, _WORDS, WORD_ORDER, _mirrored
+from dps.dubins import (_ARRAY, _FULL_CIRCLE_SNAP, _SCALAR, _TIE_EPSILON, _WORDS, WORD_ORDER, DubinsWord,
+                        _mirrored, _scaled_problem)
 from dps.geom import TWO_PI, Point2, Pose, check_turn_radius
 
 
@@ -197,5 +199,20 @@ def reference_shortest(start: Pose, goal: Pose, r: float) -> tuple[str, float]:
     for word, total in word_totals(start, goal, r).items():
         if total is not None and (best is None or total < best[1] - _TIE_EPSILON):
             best = (word, total)
+    assert best is not None
+    return best
+
+
+def scalar_shortest(start: Pose, goal: Pose, r: float, words=SIX_WORDS) -> DubinsWord:
+    """Shortest of all six words of the table ``words`` on the scalar backend,
+    from the solver's scaled problem and with its tie rule."""
+    problem = _scaled_problem(start, goal, r)
+    best = None
+    for word in WORD_ORDER:
+        formula, mirror = words[word]
+        t, p, q, ok = formula(SCALAR, *(_mirrored(*problem) if mirror else problem))
+        total = (t + p + q) * r
+        if ok and (best is None or total < best.total - _TIE_EPSILON):
+            best = DubinsWord(word, (t * r, p * r, q * r), total)
     assert best is not None
     return best

@@ -21,8 +21,8 @@ from dps.randgen import random_polyline
 from dps.smoother import extract_pieces, path_length, polyline_length, smooth_polyline, vertex_solutions
 
 from conftest import make_triplet, solve_triplet
-from dubins_reference import (ARRAY, SCALAR, SIX_WORDS, multipoint_per_pair, reference_shortest,
-                              word_totals)
+from dubins_reference import (ARRAY, SCALAR, SIX_WORDS, multipoint_per_pair, pair_cost,
+                              reference_shortest, scalar_shortest, word_totals)
 from dubins_search import dubins_search
 
 P = Point2
@@ -387,3 +387,108 @@ def test_word_value_contract():
     assert word.total == sum(word.lengths)
     assert set(WORD_ORDER) == CSC_WORDS | {"RLR", "LRL"}
     assert tuple(dubins._WORDS) == WORD_ORDER  # the solver's tie order
+
+
+def test_solve_word_refuses_an_unknown_word():
+    with pytest.raises(ValueError, match="'lsl'; expected one of LSL, RSR, LSR, RSL, RLR, LRL"):
+        solve_word("lsl", pose(0, 0, 0), pose(5, 0, 0), 1.0)
+
+
+# Scaled distances on both sides of the long-path threshold d = 4.
+_NEAR_FOUR = sorted({4.0, math.nextafter(4.0, math.inf), math.nextafter(4.0, -math.inf),
+                     *(4.0 * (1.0 + sign * 2.0 ** -k) for k in (1, 2, 3, 5, 8, 13, 21, 34, 52)
+                       for sign in (1.0, -1.0))})
+
+
+def _near_four_pairs():
+    """(d, start, goal, r) at each d of _NEAR_FOUR, with both headings near
+    pi/2 or 3pi/2, where CCC words are optimal just inside d = 4. The goal
+    lies on the x-axis d*r from the origin, so the solver reads d exactly;
+    the offsets never make the two headings' cosines equal or opposite."""
+    for i, d in enumerate(_NEAR_FOUR):
+        r = (1.0, 0.5, 2.0)[i % 3]
+        for scale in (0.5, 2.0):
+            step = scale * max(math.sqrt(abs(d - 4.0) / 4.0), 1e-8)
+            for base in (math.pi / 2, 3 * math.pi / 2):
+                for u in (-1.0, -0.55, -0.2, 0.1, 0.35, 0.7):
+                    for v in (-0.9, -0.4, -0.05, 0.25, 0.6, 0.95):
+                        yield d, pose(0, 0, base + u * step), pose(d * r, 0, base + v * step), r
+
+
+def test_long_path_pruning_bit_equal_to_six_formulas_near_four():
+    words_inside = set()
+    for d, start, goal, r in _near_four_pairs():
+        word = dubins_shortest(start, goal, r)
+        expected = scalar_shortest(start, goal, r, words=SIX_WORDS)
+        assert word.word == expected.word, d
+        assert struct.pack("<4d", *word.lengths, word.total) == \
+            struct.pack("<4d", *expected.lengths, expected.total), d
+        assert classify_j_type(start, goal, r)[1] == word
+        if d > 4.0:
+            assert word.word in CSC_WORDS
+        else:
+            words_inside.add(word.word)
+    # CCC words still win on this side of the threshold, down to one ulp below 4.
+    assert {"RLR", "LRL"} <= words_inside
+
+
+def test_short_pair_still_returns_an_optimal_ccc_word():
+    # d = 3.984375, both headings 0.02 rad off the normal of the line of travel.
+    start, goal = (0.0, 0.0, math.pi / 2 + 0.02), (3.984375, 0.0, math.pi / 2 - 0.02)
+    word = dubins_shortest(pose(*start), pose(*goal), 1.0)
+    assert word.word == "LRL"
+    assert word == scalar_shortest(pose(*start), pose(*goal), 1.0, words=SIX_WORDS)
+    assert abs(word.total - dubins_search(start, goal, 1.0)) <= 1e-6
+    csc = [solve_word(name, pose(*start), pose(*goal), 1.0) for name in CSC_WORDS]
+    assert word.total < min(w.total for w in csc if w is not None) - 1e-3
+
+
+def test_long_path_case_evaluates_no_ccc_formula(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("CCC formula evaluated")
+
+    monkeypatch.setitem(dubins._WORDS, "RLR", (refuse, False))
+    monkeypatch.setitem(dubins._WORDS, "LRL", (refuse, True))
+    above = math.nextafter(4.0, math.inf)
+    sets = np.zeros((3, 360))
+    dubins_shortest(pose(0, 0, 1.0), pose(above, 0, 2.0), 1.0)
+    dubins._pair_costs([P(0, 0), P(above, 0), P(0, 0)], sets, 1.0)
+    with pytest.raises(AssertionError, match="CCC formula evaluated"):
+        dubins_shortest(pose(0, 0, 1.0), pose(4.0, 0, 2.0), 1.0)
+    # One pair at d = 4 makes the whole block evaluate all six words.
+    with pytest.raises(AssertionError, match="CCC formula evaluated"):
+        dubins._pair_costs([P(0, 0), P(above, 0), P(above, 4.0)], sets, 1.0)
+
+
+@pytest.mark.parametrize("d", [3.984375, 4.0, math.nextafter(4.0, math.inf), 4.0 * (1.0 + 2.0 ** -30),
+                               4.0 * (1.0 + 2.0 ** -10), 4.5],
+                         ids=["4-2^-6", "4", "4+ulp", "4+2^-28", "4+2^-8", "4.5"])
+def test_blocks_near_four_bit_equal_to_six_formulas(d):
+    # At 360 headings a block holds one pair. Going back and forth along the
+    # x-axis keeps d exact and turns the line of travel by pi. Below d = 4
+    # CCC words are the minimum in some elements of each block.
+    r = 0.5
+    points = [P(0, 0), P(d * r, 0), P(0, 0)]
+    grid = np.arange(360) * (dubins.TWO_PI / 360)
+    for k in range(2):
+        block = dubins._pair_costs(points[k:k + 2], np.tile(grid, (2, 1)), r)[0]
+        expected = pair_cost(points[k], points[k + 1], grid, grid, r, words=SIX_WORDS)
+        assert block.tobytes() == expected.tobytes()
+    expected = multipoint_per_pair(points, r, 360, words=SIX_WORDS)
+    assert multipoint_bruteforce(points, r, 360) == expected
+
+
+@pytest.mark.parametrize("n, block_elements", [(2, 1 << 16), (1000, 1 << 16), (1000, 64)])
+def test_multipoint_singletons_bit_equal_to_per_pair_reference(n, block_elements, monkeypatch):
+    # Pinned headings make the DP a running sum; with 64-element blocks it
+    # carries the sum across 16 blocks. Points 0.1 to 12 apart put pairs on
+    # both sides of d = 4 in every block.
+    monkeypatch.setattr(dubins, "_BLOCK_ELEMENTS", block_elements)
+    rng = random.Random(n)
+    points = [P(0.0, 0.0)]
+    for _ in range(n - 1):
+        step, turn = rng.uniform(0.1, 12.0), rng.uniform(-math.pi, math.pi)
+        points.append(P(points[-1].x + step * math.cos(turn), points[-1].y + step * math.sin(turn)))
+    headings = [[rng.uniform(-math.pi, math.pi)] for _ in range(n)]
+    expected = multipoint_per_pair(points, 1.0, 4, headings=headings, words=SIX_WORDS)
+    assert multipoint_bruteforce(points, 1.0, 4, headings=headings) == expected
