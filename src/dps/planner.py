@@ -70,12 +70,9 @@ class ConvexPolygon:
         pts = [(v.x, v.y) for v in vertices]
         if (n := len(pts)) < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-        for m in range(1 - n, 1):  # vertex m % n, from 1 round to 0
-            if _turn(pts[m - 1], pts[m], pts[m + 1]) <= 0.0:
-                raise ValueError("vertices must be counter-clockwise and strictly convex "
-                                 f"(violated at index {m % n})")
-            if math.dist(pts[m], pts[m + 1]) <= LENGTH_EPSILON:
-                raise DegeneratePointsError(f"polygon vertices {m % n} and {(m + 1) % n} coincide")
+        for m in (*range(1, n), 0):
+            if err := _fault(pts, m):
+                raise err
         self._fill(pts)
 
     def _fill(self, pts: list[tuple[float, float]]) -> "ConvexPolygon":
@@ -111,26 +108,31 @@ def _turn(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]
     return (a[0] - o[0]) * (b[1] - a[1]) - (a[1] - o[1]) * (b[0] - a[0])
 
 
+def _fault(pts: list[tuple[float, float]], m: int) -> Exception | None:
+    """The vertex rule of every polygon: None where vertex m of the ring
+    ``pts`` turns strictly left by ``_turn`` and lies more than
+    LENGTH_EPSILON from the next, else the error for the first it breaks."""
+    a, b = pts[m], pts[k := (m + 1) % len(pts)]
+    if _turn(pts[m - 1], a, b) <= 0.0:
+        return ValueError("vertices must be counter-clockwise and strictly convex "
+                          f"(violated at index {m})")
+    if math.dist(a, b) <= LENGTH_EPSILON:
+        return DegeneratePointsError(f"polygon vertices {m} and {k} coincide")
+
+
 def _keep(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """The vertex rule of every polygon the planner computes: refuse a
-    non-finite vertex of the ring ``pts``, then drop in place each vertex that
-    does not turn left by ``_turn`` or lies within LENGTH_EPSILON of the next,
-    re-testing only the two neighbours of a drop (0 before the last)."""
+    """The vertices every polygon the planner computes keeps: refuse a
+    non-finite vertex of the ring ``pts``, then drop in place the first vertex
+    that breaks the vertex rule (``_fault``), round after round."""
     for x, y in pts:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite coordinates ({x}, {y})")
-    m, wrapped = 0, False  # vertices before m pass; once wrapped, all but 0 and the last
-    while m < len(pts) and len(pts) >= 3:
-        a, b = pts[m], pts[m + 1 - len(pts)]
-        if _turn(pts[m - 1], a, b) > 0.0 and math.dist(a, b) > LENGTH_EPSILON:
-            m = len(pts) - 1 if wrapped and m == 0 else m + 1
-        else:
-            del pts[m]
-            wrapped |= m == len(pts)
-            m = 0 if wrapped else max(m - 1, 0)
-    if len(pts) < 3:
-        raise ValueError("points are collinear; no polygon hull exists")
-    return pts
+    while len(pts) >= 3:
+        m = next((m for m in range(len(pts)) if _fault(pts, m)), None)
+        if m is None:
+            return pts
+        del pts[m]
+    raise ValueError("points are collinear; no polygon hull exists")
 
 
 def _inside(xs, ys, px: float, py: float, tol: float = 0.0) -> bool:

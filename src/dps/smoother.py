@@ -114,10 +114,10 @@ def _assemble_columns(x0, y0, xn, yn, *raws):
 
 
 # The two backends the pass runs on. ``map(f, *columns)`` applies a formula
-# written for one vertex to every row, ``map_n`` one with n outputs, and
-# ``each(v)`` passes a scalar to every row; ``isfinite`` works on a column,
-# ``find(column, value)`` gives the rows that hold ``value`` and ``quiet()``
-# silences float overflow, which Python floats never report. Formulas take
+# written for one vertex to every row, ``map_n`` one with n outputs,
+# ``each(v)`` passes a scalar to every row, ``find(column, value)`` gives
+# the rows that hold ``value`` and ``quiet()`` silences float overflow and
+# invalid values (inf - inf), which Python floats never report. Formulas take
 # the backend last and default to floats, so the float backend calls them
 # row by row without passing it.
 _FLOATS = SimpleNamespace(
@@ -125,8 +125,7 @@ _FLOATS = SimpleNamespace(
     where=lambda cond, a, b: a if cond else b, each=repeat,
     map=lambda f, *args: list(map(f, *args)),
     map_n=lambda n, f, *args: list(zip(*map(f, *args))) or [()] * n,
-    isfinite=partial(map, math.isfinite), all=all, columns=lambda xy: xy.T.tolist(),
-    tolist=lambda c: c, cat=lambda *c: list(chain(*c)),
+    all=all, columns=lambda xy: xy.T.tolist(), tolist=lambda c: c, cat=lambda *c: list(chain(*c)),
     find=lambda c, value: [i for i, v in enumerate(c) if v == value], assemble=_assemble_rows,
     quiet=nullcontext,
 )
@@ -134,10 +133,9 @@ _ARRAYS = SimpleNamespace(
     sqrt=np.sqrt, atan2=_atan2_rows, copysign=np.copysign, min=lambda *a: reduce(np.minimum, a),
     where=np.where, each=lambda v: v, map=lambda f, *args: f(*args, _ARRAYS),
     map_n=lambda n, f, *args: list(np.broadcast_arrays(*f(*args, _ARRAYS))),
-    isfinite=np.isfinite, all=np.all, columns=lambda xy: tuple(xy.T),
-    tolist=lambda c: c.tolist(), cat=lambda *c: np.concatenate(c),
-    find=lambda c, value: np.flatnonzero(c == value), assemble=_assemble_columns,
-    quiet=partial(np.errstate, over="ignore"),
+    all=np.all, columns=lambda xy: tuple(xy.T), tolist=lambda c: c.tolist(),
+    cat=lambda *c: np.concatenate(c), find=lambda c, value: np.flatnonzero(c == value),
+    assemble=_assemble_columns, quiet=partial(np.errstate, over="ignore", invalid="ignore"),
 )
 
 
@@ -161,7 +159,7 @@ def _distance(ax, ay, bx, by, m=_FLOATS):
 
 def _apart(ax, ay, bx, by, m=_FLOATS):
     d = _distance(ax, ay, bx, by, m)
-    return (d > LENGTH_EPSILON) & (d < math.inf)  # an overflowed distance is no gap
+    return (d > LENGTH_EPSILON) & (d < math.inf)  # an overflowed or non-finite distance is no gap
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,12 +191,11 @@ class Polyline:
             raise ValueError(f"polyline needs at least 2 points, got {len(xy)}")
         m = _backend(len(xy))
         x, y = m.columns(xy)
-        if not (m.all(m.isfinite(x)) and m.all(m.isfinite(y))):
-            bad = next(row for row in xy.tolist() if not all(map(math.isfinite, row)))
-            raise ValueError("non-finite coordinates ({}, {})".format(*bad))
-        with m.quiet():  # an overflowing distance is told apart below
+        with m.quiet():  # a non-finite point fails both its edges, as an overflow does
             apart = m.map(_apart, x[:-1], y[:-1], x[1:], y[1:])
-        if not m.all(apart):
+        if not m.all(apart):  # non-finite first, then overflow, then coincidence
+            if bad := next((row for row in xy.tolist() if not all(map(math.isfinite, row))), None):
+                raise ValueError("non-finite coordinates ({}, {})".format(*bad))
             i = int(m.find(apart, False)[0])
             if _distance(*xy[i].tolist(), *xy[i + 1].tolist()) > LENGTH_EPSILON:
                 raise ValueError(f"polyline points {i} and {i + 1}: their distance overflows a float")

@@ -377,6 +377,32 @@ def test_vertex_rule_tests_vertex_0_again_when_the_last_vertex_goes():
     assert planner._keep(list(ring)) == drop_one_per_round(ring) == [(4, 0), (4, 2), (2, 2)]
 
 
+@given(random_or_nearly_collinear_points(), st.data())
+def test_given_polygon_is_refused_where_the_vertex_rule_would_drop_a_vertex(points, data):
+    """``ConvexPolygon(vertices)`` accepts exactly the rings from which the
+    vertex rule drops nothing, and otherwise names the first vertex, from 1
+    round to 0, that does not turn left, or else whose next edge is short."""
+    ring = data.draw(st.permutations([(p.x, p.y) for p in points]))
+    n = len(ring)
+
+    def fault(m):
+        (ox, oy), (ax, ay), (bx, by) = ring[m - 1], ring[m], ring[(m + 1) % n]
+        if (ax - ox) * (by - ay) - (ay - oy) * (bx - ax) <= 0.0:
+            return ValueError, (r"^vertices must be counter-clockwise and strictly convex "
+                                rf"\(violated at index {m}\)$")
+        if math.hypot(bx - ax, by - ay) <= LENGTH_EPSILON:
+            return DegeneratePointsError, rf"^polygon vertices {m} and {(m + 1) % n} coincide$"
+        return None
+
+    faults = [f for m in (*range(1, n), 0) if (f := fault(m))]
+    assert (not faults) == (drop_one_per_round(ring) == ring)
+    if faults:
+        with pytest.raises(faults[0][0], match=faults[0][1]):
+            ConvexPolygon([P(x, y) for x, y in ring])
+    else:
+        assert ConvexPolygon([P(x, y) for x, y in ring]).xs == tuple(x for x, _ in ring)
+
+
 @st.composite
 def map_obstacle_points(draw):
     """The corners of a map-like quadrilateral, each 1-3 from a centre in

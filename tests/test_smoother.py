@@ -889,3 +889,23 @@ def test_polyline_from_array_refuses_like_points(n):
             Polyline([P(x, y) for x, y in few.tolist()])
     with pytest.raises(ValueError, match="n x 2"):
         Polyline.from_array(np.zeros((n, 3)))
+
+
+@pytest.mark.parametrize("n", [4, 44, 60])
+@pytest.mark.parametrize("bad", [(math.inf, math.inf), (math.nan, 0.0), (-math.inf, math.inf)])
+def test_polyline_names_a_non_finite_row_before_an_earlier_coincident_pair(n, bad):
+    """Points 0 and 1 coincide and the last two are both non-finite, so inf - inf
+    meets the array backend; the error still names the non-finite row, on both
+    backends, and numpy warns about nothing."""
+    import warnings
+
+    import numpy as np
+
+    xy = np.column_stack((np.arange(n, dtype=float), np.zeros(n)))
+    xy[1] = xy[0]
+    xy[n - 2:] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = re.escape("non-finite coordinates ({}, {})".format(*bad))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Polyline.from_array(xy)
