@@ -77,8 +77,6 @@ def _cmd_oracle_check(args) -> int:
         )
         if not match and piece.guaranteed:
             mismatches += 1
-    if not pieces:
-        print("no pieces: polyline smooths to a straight segment")
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 

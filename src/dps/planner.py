@@ -291,12 +291,16 @@ def mitered_inflate(poly: ConvexPolygon, offset: float, corners: list | None = N
     Each output vertex lies offset/sin(alpha/2) from its original vertex
     along the exterior bisector, so the original polygon keeps distance at
     least ``offset`` from the inflated boundary. ``corners`` is the
-    polygon's corner pass when the caller has already run it.
+    polygon's corner pass when the caller has already run it. A sliver tip,
+    where 1 + n1.n2 rounds to 0, has no finite miter and is refused.
     """
     if not (offset > 0.0 and math.isfinite(offset)):
         raise ValueError(f"offset must be positive, got {offset}")
-    pts = [(x + offset * mx / d, y + offset * my / d)
-           for x, y, (_, mx, my, d) in zip(poly.xs, poly.ys, corners or _corners(poly))]
+    pts = []
+    for i, (x, y, (_, mx, my, d)) in enumerate(zip(poly.xs, poly.ys, corners or _corners(poly))):
+        if d == 0.0:
+            raise ValueError(f"polygon vertex {i} ({x}, {y}) is too sharp to inflate")
+        pts.append((x + offset * mx / d, y + offset * my / d))
     return object.__new__(ConvexPolygon)._fill(_keep(pts))
 
 

@@ -21,7 +21,8 @@ exact reversal: no G1 arc of any radius turns back on itself.
 
 A ``Polyline`` holds one read-only n x 2 float64 array and a ``SmoothPath``
 plain rows in arrays; ``Point2`` and segment objects are built only on
-request. The pass is written once, as formulas for one vertex, over a
+request. One edge pass checks a polyline; a non-finite point fails both its
+edges, so only a failing polyline is searched for a non-finite row. The pass is written once, as formulas for one vertex, over a
 backend of math functions: ``_FLOATS`` runs them vertex by vertex on Python
 floats, ``_ARRAYS`` on numpy columns and places the path's rows by mask and
 cumsum index arithmetic. Polylines of fewer than ``_ARRAY_MIN_VERTICES``
@@ -699,29 +700,29 @@ def extract_pieces(p: Polyline, r: float) -> list[PathPiece]:
     """Split the smoothed result of ``p`` into per-vertex pieces whose
     lengths an independent Dubins solver can be asked to reproduce.
 
-    Each piece runs from the previous exit configuration to a vertex's exit
-    tangent configuration; the tail piece covers the final straight.
-    ``guaranteed`` carries the piece's 4r far-condition flag.
+    Each piece runs from the previous piece's ``end`` (the same ``Pose``) to
+    a vertex's exit tangent configuration; the tail piece covers the final
+    straight. ``guaranteed`` carries the piece's 4r far-condition flag.
     """
     tp, far = _feasible_pass(p, r)
     q1x, q1y, q2x, q2y, _, _, _, crs, dt, _, through = map(tp.m.tolist, tp.raws)
     xs, ys = tp.m.tolist(tp.x), tp.m.tolist(tp.y)
+    arcs = _FLOATS.find(through, False)  # vertex k + 1 carries an arc
+    x, y = xs[0], ys[0]
+    j = arcs[0] + 1 if arcs else -1  # the path leaves toward the first arc vertex or the end
+    start = Pose(Point2(x, y), Heading(math.atan2(ys[j] - y, xs[j] - x)))
     pieces: list[PathPiece] = []
-    x, y, heading = xs[0], ys[0], None
-    for k in _FLOATS.find(through, False):  # vertex j = k + 1 carries an arc
+    for k in arcs:
         j = k + 1
-        if heading is None:
-            heading = math.atan2(ys[j] - y, xs[j] - x)
-        exit_heading = math.atan2(ys[j + 1] - ys[j], xs[j + 1] - xs[j])
         length = math.hypot(q1x[k] - x, q1y[k] - y) + r * abs(math.atan2(crs[k], dt[k]))
-        end = Pose(Point2(q2x[k], q2y[k]), Heading(exit_heading))
-        pieces.append(PathPiece(Pose(Point2(x, y), Heading(heading)), end, length, far[k], j))
-        x, y, heading = q2x[k], q2y[k], exit_heading
+        exit_heading = Heading(math.atan2(ys[j + 1] - ys[j], xs[j + 1] - xs[j]))
+        end = Pose(Point2(q2x[k], q2y[k]), exit_heading)
+        pieces.append(PathPiece(start, end, length, far[k], j))
+        x, y, start = q2x[k], q2y[k], end
     tail = math.hypot(xs[-1] - x, ys[-1] - y)
     if tail > LENGTH_EPSILON:
-        along = Heading(math.atan2(ys[-1] - y, xs[-1] - x) if heading is None else heading)
-        pieces.append(PathPiece(Pose(Point2(x, y), along), Pose(Point2(xs[-1], ys[-1]), along),
-                                tail, True, None))
+        end = Pose(Point2(xs[-1], ys[-1]), start.heading)
+        pieces.append(PathPiece(start, end, tail, True, None))
     return pieces
 
 

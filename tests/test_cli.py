@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 import re
 
 import pytest
 
-from dps import dubins
+from dps import cli, dubins
 from dps.cli import ORACLE_REL_TOL, main
 from dps.fileio import load_polyline
 from dps.randgen import random_polyline
@@ -31,6 +32,18 @@ BLOCKED_SCENARIO = {
     "start": [1, 1],
     "goal": [19, 19],
     "obstacles": [[[-5, 9], [25, 9], [25, 11], [-5, 11]]],
+}
+
+# A plan_stream scenario (perfbench, seed 14) whose shortest route has a
+# vertex the smoother refuses.
+INFEASIBLE_ROUTE_SCENARIO = {
+    "bounds": [0, 0, 20, 20],
+    "robot_radius": 0.4775959401490586,
+    "turning_radius": 1.358156305627193,
+    "start": [7.746319406806772, 16.999385720679918],
+    "goal": [16.285397327195284, 9.052103333135381],
+    "obstacles": [[[9.79891385190218, 16.133127957290597], [12.701645848922738, 14.099984744412328],
+                   [12.817702313226114, 16.754177083440407], [12.777608373732285, 16.977148245584075]]],
 }
 
 
@@ -120,6 +133,25 @@ def test_plan_coincident_start_goal_exit_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_plan_decimal_collinear_sliver_exit_1(tmp_path, capsys):
+    """The three points lie on one line in decimal; their hull is a sliver whose
+    tip has 1 + n1.n2 = 0, which is refused by name, not divided by."""
+    sf = tmp_path / "scenario.json"
+    sf.write_text(json.dumps({**SCENARIO, "obstacles": [[[4.7, 7.7], [6.0, 8.0], [5.35, 7.85]]]}))
+    assert main(["plan", str(sf), "-o", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == "error: polygon vertex 0 (4.7, 7.7) is too sharp to inflate\n"
+
+
+def test_plan_infeasible_route_exit_2(tmp_path, capsys):
+    sf = tmp_path / "scenario.json"
+    sf.write_text(json.dumps(INFEASIBLE_ROUTE_SCENARIO))
+    out = tmp_path / "out.json"
+    assert main(["plan", str(sf), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("infeasible route: vertex 1: l = 0.984061 > min edge "
+                                       "0.524988 (short by 0.459)\n")
+    assert not out.exists()
+
+
 def test_plan_bad_file_exit_1(tmp_path):
     sf = tmp_path / "scenario.json"
     sf.write_text("{not json")
@@ -137,6 +169,36 @@ def test_oracle_check_two_point_vacuous(tmp_path, capsys):
     f = tmp_path / "two.csv"
     f.write_text("0,0\n5,5\n")
     assert main(["oracle-check", "-r", "1", str(f)]) == 0
+
+
+def test_oracle_check_two_points_print_their_one_straight_piece(tmp_path, capsys):
+    f = tmp_path / "two.csv"
+    f.write_text("0,0\n5,5\n")
+    assert main(["oracle-check", "-r", "1", str(f)]) == 0
+    assert capsys.readouterr().out == ("piece 0: dps=7.071067811865 oracle=7.071067811865 "
+                                       "word=LSL j_type=True ok\n")
+
+
+def test_oracle_check_infeasible_exit_2(tmp_path, capsys):
+    f = tmp_path / "in.csv"
+    f.write_text(INFEASIBLE_CSV)
+    assert main(["oracle-check", "-r", "1", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "infeasible: vertex 1: l = 1 > min edge 0.5 (short by 0.5)\n"
+    assert captured.out == ""
+
+
+def test_oracle_check_mismatch_exit_4(right_angle_csv, capsys, monkeypatch):
+    real = cli.classify_j_type
+
+    def longer(start, end, r):  # an oracle that reads every word 1e-6 longer
+        j_type, word = real(start, end, r)
+        return j_type, dataclasses.replace(word, total=word.total * (1.0 + 1e-6))
+
+    monkeypatch.setattr(cli, "classify_j_type", longer)
+    assert main(["oracle-check", "-r", "1", right_angle_csv]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(line.endswith(" MISMATCH") for line in lines)
 
 
 def test_oracle_check_far_violation_flagged_not_failed(tmp_path, capsys):

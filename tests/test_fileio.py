@@ -436,6 +436,19 @@ def test_load_scenario_takes_only_json_numbers(key, value, name):
         load_scenario(io.StringIO(json.dumps(doc)))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("bounds", [0, 0, 20], r"^bounds must be \[xmin, ymin, xmax, ymax\]$"),
+    ("start", [1, 1, 1], r"^start: expected \[x, y\], got \[1\.0, 1\.0, 1\.0\]$"),
+    ("obstacles", [[[8, 8], [12, 8, 0], [12, 12]]],
+     r"^obstacle 0: expected \[x, y\], got \[12\.0, 8\.0, 0\.0\]$"),
+])
+def test_load_scenario_refuses_a_wrong_count_of_numbers(key, value, message):
+    doc = {"bounds": [0, 0, 20, 20], "robot_radius": 0.2, "turning_radius": 0.5,
+           "start": [1, 1], "goal": [19, 19], "obstacles": [], key: value}
+    with pytest.raises(ValueError, match=message):
+        load_scenario(io.StringIO(json.dumps(doc)))
+
+
 def test_load_scenario_missing_key():
     with pytest.raises(ValueError):
         load_scenario(io.StringIO(json.dumps({"bounds": [0, 0, 1, 1]})))

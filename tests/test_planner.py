@@ -241,6 +241,10 @@ class TestConvexPolygon:
         with pytest.raises(DegeneratePointsError, match=r"^polygon vertices 3 and 0 coincide$"):
             ConvexPolygon(verts[1:] + verts[:1])
 
+    def test_from_points_refuses_two_distinct_points(self):
+        with pytest.raises(ValueError, match="^convex hull needs at least 3 distinct points$"):
+            ConvexPolygon.from_points([P(0, 0), P(1, 0), P(0, 0)])
+
     def test_from_points_hulls_nonconvex_input(self):
         poly = ConvexPolygon.from_points(
             [P(0, 0), P(2, 0), P(1, 0.2), P(2, 2), P(0, 2), P(1, 1)]
@@ -436,6 +440,17 @@ def test_every_map_obstacle_hull_inflates(points, h, k):
     out = mitered_inflate(poly, offset, corners)
     assert ConvexPolygon(out.vertices) == out
     assert all(out.contains(v, tol=offset * (1.0 - 1e-9)) for v in poly.vertices)
+
+
+def test_mitered_inflate_refuses_offset_0():
+    square = ConvexPolygon([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
+    with pytest.raises(ValueError, match=r"^offset must be positive, got 0\.0$"):
+        mitered_inflate(square, 0.0)
+
+
+def test_scenario_refuses_a_goal_outside_the_bounds():
+    with pytest.raises(ValueError, match="^goal must lie inside the bounds$"):
+        Scenario((), Bounds(0, 0, 20, 20), 0.2, 0.5, P(1, 1), P(20.5, 19))
 
 
 @pytest.mark.xfail(strict=True, raises=(ValueError, ZeroDivisionError),

@@ -727,6 +727,20 @@ def test_extract_pieces_lengths_sum_to_path_length(rng):
         assert all(p.guaranteed for p in pieces)
 
 
+def test_extract_pieces_start_each_piece_at_the_previous_end(rng):
+    """Each tangent configuration is built once: a piece starts at the very
+    ``Pose`` the piece before it ends at, and the tail keeps its heading."""
+    for n in (2, 3, 12, 60):
+        pieces = extract_pieces(random_polyline(n, 1.0, rng=rng), 1.0)
+        assert all(b.start is a.end for a, b in zip(pieces, pieces[1:]))
+        tail = pieces[-1]
+        assert tail.vertex is None and tail.end.heading is tail.start.heading
+    for xy in ([(0, 0), (1, 0), (2, 0)], [(0, 0), (0, 1)]):  # no arc: the tail alone
+        (tail,) = extract_pieces(Polyline([P(x, y) for x, y in xy]), 1.0)
+        assert tail.start.position == P(*xy[0]) and tail.end.position == P(*xy[-1])
+        assert tail.start.heading.theta == math.atan2(xy[-1][1], xy[-1][0])
+
+
 def test_extract_pieces_flags_far_violation():
     bend = Polyline([P(0, 0), P(3.0, 0), P(3.0, 3.0)])
     pieces = extract_pieces(bend, 1.0)
@@ -909,3 +923,8 @@ def test_polyline_names_a_non_finite_row_before_an_earlier_coincident_pair(n, ba
         message = re.escape("non-finite coordinates ({}, {})".format(*bad))
         with pytest.raises(ValueError, match=f"^{message}$"):
             Polyline.from_array(xy)
+
+
+def test_random_polyline_refuses_fewer_than_2_points():
+    with pytest.raises(ValueError, match="^need at least 2 points, got 1$"):
+        random_polyline(1)

@@ -14,8 +14,10 @@ digest give the same answers, bit for bit.
 
 ``--stages`` instead times the op's stages over one pass of the seed's
 polylines and prints the mean ms per op of each, the best of ``--rounds``
-rounds: all ``dubins_shortest`` calls, all ``classify_j_type`` calls, the
-pinned ``multipoint_bruteforce``, and the whole op timed apart; plus the
+rounds: ``extract_pieces``, all ``dubins_shortest`` calls, all
+``classify_j_type`` calls, the pinned DP (``pinned_configurations`` and
+``multipoint_bruteforce``), which add up to the op, and the whole op timed
+apart; plus the
 mean µs per ``dubins_shortest`` call, and how many pieces and pinned pairs
 there are and how many of each have a scaled distance above 4.
 """
@@ -71,25 +73,28 @@ def stages(seeds, rounds: int) -> dict:
         pieces = smoother.extract_pieces(polyline, R)
         work.append((polyline, pieces, pinned_configurations(pieces, R) if pieces else None))
     clock = time.perf_counter
-    best = dict.fromkeys(("dubins_shortest", "classify_j_type", "pinned_dp", "op"), math.inf)
+    stages = ("extract_pieces", "dubins_shortest", "classify_j_type", "pinned_dp", "op")
+    best = dict.fromkeys(stages, math.inf)
     for _ in range(rounds):
         sums = dict.fromkeys(best, 0.0)
-        for polyline, pieces, pinned in work:
-            t0 = clock()
+        for polyline, _, _ in work:
+            times = [clock()]
+            pieces = smoother.extract_pieces(polyline, R)
+            times.append(clock())
             for piece in pieces:
                 dubins.dubins_shortest(piece.start, piece.end, R)
-            t1 = clock()
+            times.append(clock())
             for piece in pieces:
                 dubins.classify_j_type(piece.start, piece.end, R)
-            t2 = clock()
-            if pinned:
-                dubins.multipoint_bruteforce(pinned[0], R, 4, headings=pinned[1])
-            t3 = clock()
+            times.append(clock())
+            if pieces:
+                points, headings = pinned_configurations(pieces, R)
+                dubins.multipoint_bruteforce(points, R, 4, headings=headings)
+            times.append(clock())
             op(polyline)
-            sums["dubins_shortest"] += t1 - t0
-            sums["classify_j_type"] += t2 - t1
-            sums["pinned_dp"] += t3 - t2
-            sums["op"] += clock() - t3
+            times.append(clock())
+            for stage, t0, t1 in zip(stages, times, times[1:]):
+                sums[stage] += t1 - t0
         best = {k: min(best[k], sums[k]) for k in best}
     # Scaled distances of the pieces' end points and of consecutive pinned points.
     pieces_d = [dist(p.start.position, p.end.position) / R for _, pieces, _ in work for p in pieces]
