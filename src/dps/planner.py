@@ -112,12 +112,12 @@ def _fault(pts: list[tuple[float, float]], m: int) -> Exception | None:
     """The vertex rule of every polygon: None where vertex m of the ring
     ``pts`` turns strictly left by ``_turn`` and lies more than
     LENGTH_EPSILON from the next, else the error for the first it breaks."""
-    a, b = pts[m], pts[k := (m + 1) % len(pts)]
+    a, b = pts[m], pts[m + 1 - len(pts)]
     if _turn(pts[m - 1], a, b) <= 0.0:
         return ValueError("vertices must be counter-clockwise and strictly convex "
                           f"(violated at index {m})")
     if math.dist(a, b) <= LENGTH_EPSILON:
-        return DegeneratePointsError(f"polygon vertices {m} and {k} coincide")
+        return DegeneratePointsError(f"polygon vertices {m} and {(m + 1) % len(pts)} coincide")
 
 
 def _keep(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -22,10 +22,11 @@ exact reversal: no G1 arc of any radius turns back on itself.
 A ``Polyline`` holds one read-only n x 2 float64 array and a ``SmoothPath``
 plain rows in arrays; ``Point2`` and segment objects are built only on
 request. One edge pass checks a polyline; a non-finite point fails both its
-edges, so only a failing polyline is searched for a non-finite row. The pass is written once, as formulas for one vertex, over a
-backend of math functions: ``_FLOATS`` runs them vertex by vertex on Python
-floats, ``_ARRAYS`` on numpy columns and places the path's rows by mask and
-cumsum index arithmetic. Polylines of fewer than ``_ARRAY_MIN_VERTICES``
+edges, so only a failing polyline is searched for a non-finite row. The
+pass is written once, as formulas for one vertex, over a backend of math
+functions: ``_FLOATS`` runs them vertex by vertex on Python floats,
+``_ARRAYS`` on numpy columns and places the path's rows by mask and cumsum
+index arithmetic. Polylines of fewer than ``_ARRAY_MIN_VERTICES``
 vertices take the float backend. Both backends use only correctly rounded
 operations (+ - * / and sqrt; a length is ``sqrt(x*x + y*y)``, not
 ``hypot``) and take both angles from ``math.atan2``, so the switch changes

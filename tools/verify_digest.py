@@ -15,11 +15,11 @@ digest give the same answers, bit for bit.
 ``--stages`` instead times the op's stages over one pass of the seed's
 polylines and prints the mean ms per op of each, the best of ``--rounds``
 rounds: ``extract_pieces``, all ``dubins_shortest`` calls, all
-``classify_j_type`` calls, the pinned DP (``pinned_configurations`` and
+``classify_j_type`` calls and the pinned DP (``pinned_configurations`` and
 ``multipoint_bruteforce``), which add up to the op, and the whole op timed
-apart; plus the
-mean µs per ``dubins_shortest`` call, and how many pieces and pinned pairs
-there are and how many of each have a scaled distance above 4.
+apart; plus the mean µs per ``dubins_shortest`` call, and how many pieces
+and pinned pairs there are and how many of each have a scaled distance
+above 4.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def stages(seeds, rounds: int) -> dict:
         pieces = smoother.extract_pieces(polyline, R)
         work.append((polyline, pieces, pinned_configurations(pieces, R) if pieces else None))
     clock = time.perf_counter
-    stages = ("extract_pieces", "dubins_shortest", "classify_j_type", "pinned_dp", "op")
-    best = dict.fromkeys(stages, math.inf)
+    names = ("extract_pieces", "dubins_shortest", "classify_j_type", "pinned_dp", "op")
+    best = dict.fromkeys(names, math.inf)
     for _ in range(rounds):
         sums = dict.fromkeys(best, 0.0)
         for polyline, _, _ in work:
@@ -93,8 +93,8 @@ def stages(seeds, rounds: int) -> dict:
             times.append(clock())
             op(polyline)
             times.append(clock())
-            for stage, t0, t1 in zip(stages, times, times[1:]):
-                sums[stage] += t1 - t0
+            for name, t0, t1 in zip(names, times, times[1:]):
+                sums[name] += t1 - t0
         best = {k: min(best[k], sums[k]) for k in best}
     # Scaled distances of the pieces' end points and of consecutive pinned points.
     pieces_d = [dist(p.start.position, p.end.position) / R for _, pieces, _ in work for p in pieces]
