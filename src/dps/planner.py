@@ -123,15 +123,21 @@ def _fault(pts: list[tuple[float, float]], m: int) -> Exception | None:
 def _keep(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """The vertices every polygon the planner computes keeps: refuse a
     non-finite vertex of the ring ``pts``, then drop in place the first vertex
-    that breaks the vertex rule (``_fault``), round after round."""
+    that breaks the vertex rule (``_fault``), round after round, each from
+    the dropped vertex's predecessor: the rule changes only at its neighbours."""
     for x, y in pts:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite coordinates ({x}, {y})")
+    m, wrapped = 0, False  # wrapped: the last vertex went, so all but 0 and the last have passed
     while len(pts) >= 3:
-        m = next((m for m in range(len(pts)) if _fault(pts, m)), None)
-        if m is None:
+        if _fault(pts, m):
+            del pts[m]
+            wrapped |= m == len(pts)
+            m = 0 if wrapped else max(m - 1, 0)
+        elif m == len(pts) - 1:
             return pts
-        del pts[m]
+        else:
+            m = len(pts) - 1 if wrapped else m + 1
     raise ValueError("points are collinear; no polygon hull exists")
 
 

@@ -12,12 +12,15 @@ computed once, from the unit directions u1, u2 of its two edges, so no
 product of two lengths can overflow: as ``l = r|u1 x u2| / (1 + u1.u2)``,
 and where u1.u2 < 0, whose sum would cancel on a sharp turn, as
 ``l = r(1 - u1.u2) / |u1 x u2|``.
+That pass is one record, ``_Pass``: per edge its length, unit direction and
+verdict |p_j p_k| >= l_j + l_k, per vertex its tangent length and solve.
 Smoothing, the per-vertex, per-edge and 4r far predicates, ``vertex_solutions``,
 ``extract_pieces`` and the report a ``FeasibilityError`` carries all read
-their numbers from that pass, so they accept and refuse the same inputs,
-also on the boundary |p_j p_k| = l_j + l_k; the three-point sub-problem is
-``vertex_solutions`` on a three-point polyline. Neither mode smooths an
-exact reversal: no G1 arc of any radius turns back on itself.
+it, so they accept and refuse the same inputs, also on the boundary
+|p_j p_k| = l_j + l_k; the three-point sub-problem is ``vertex_solutions`` on
+a three-point polyline. A feasible polyline smooths to the pass's own path
+in both modes; best-effort clamps only a polyline with a failing edge.
+Neither mode smooths an exact reversal: no G1 arc turns back on itself.
 
 A ``Polyline`` holds one read-only n x 2 float64 array and a ``SmoothPath``
 plain rows in arrays; ``Point2`` and segment objects are built only on
@@ -436,16 +439,21 @@ _RAW_FIELDS = 11
 
 
 class _Pass(NamedTuple):
-    """The numbers every predicate and every assembly reads: the backend,
-    the coordinate columns, the edge lengths |p_e p_e+1|, the tangent length
-    per vertex (0 at the endpoints and at pass-through vertices, inf at an
-    exact reversal) and the ``_solve_raw`` columns of the interior vertices."""
+    """The one record every predicate, every refusal and every assembly
+    reads: the backend, the coordinate columns, per edge e its length
+    |p_e p_e+1|, its unit direction (ux, uy) and its verdict ``holds`` (the
+    edge condition), the tangent length per vertex (0 at the endpoints and
+    at pass-through vertices, inf at an exact reversal) and the
+    ``_solve_raw`` columns of the interior vertices."""
 
     m: SimpleNamespace
     x: Sequence[float]
     y: Sequence[float]
     edges: Sequence[float]
+    ux: Sequence[float]
+    uy: Sequence[float]
     ls: Sequence[float]
+    holds: Sequence[bool]
     raws: list
 
 
@@ -464,7 +472,8 @@ def _tangent_pass(p: Polyline, r: float) -> _Pass:
     edges, ux, uy = m.map_n(3, _edge, x[:-1], y[:-1], x[1:], y[1:])  # each edge measured once
     raws = m.map_n(_RAW_FIELDS, _solve_raw, x[1:-1], y[1:-1], ux[:-1], uy[:-1], ux[1:], uy[1:],
                    m.each(r))
-    return _Pass(m, x, y, edges, m.cat([0.0], raws[6], [0.0]), raws)
+    ls = m.cat([0.0], raws[6], [0.0])
+    return _Pass(m, x, y, edges, ux, uy, ls, m.map(_holds, edges, ls[:-1], ls[1:]), raws)
 
 
 def _triplet(q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, radius, xm, ym) -> TripletSolution:
@@ -492,28 +501,23 @@ def _far(ax, ay, qx, qy, through, r, m=_FLOATS):
 def _existence(tp: _Pass) -> FeasibilityReport:
     m, edges, ls = tp.m, tp.edges, tp.ls
     return FeasibilityReport((True, *m.tolist(m.map(_fits, ls[1:-1], edges[:-1], edges[1:])), True),
-                             tuple(m.tolist(m.map(_holds, edges, ls[:-1], ls[1:]))))
+                             tuple(m.tolist(tp.holds)))
 
 
-def _report(p: Polyline, r: float):
-    """Tangent pass and report of a polyline; the far flags (edge (p_j, p_k)
-    passes when the exit tangent point after p_k lies at least 4r from p_j)
-    only when the existence flags all hold."""
-    tp = _tangent_pass(p, r)
-    report = _existence(tp)
-    if report.feasible:
-        m, x, y, raws = tp.m, tp.x, tp.y, tp.raws
-        with m.quiet():  # a far distance that overflows is inf, which passes
-            far = m.map(_far, x[:-2], y[:-2], raws[2], raws[3], raws[10], raws[9])
-        report = FeasibilityReport(report.local_ok, report.global_ok, (*m.tolist(far), True))
-    return tp, report
+def _far_flags(tp: _Pass) -> tuple[bool, ...]:
+    """Far flags of a feasible pass: edge (p_j, p_k) passes when the exit
+    tangent point after p_k lies at least 4r from p_j."""
+    m, x, y, raws = tp.m, tp.x, tp.y, tp.raws
+    with m.quiet():  # a far distance that overflows is inf, which passes
+        far = m.map(_far, x[:-2], y[:-2], raws[2], raws[3], raws[10], raws[9])
+    return (*m.tolist(far), True)
 
 
-def _infeasible(tp: _Pass, report: FeasibilityReport, vertex: Optional[int] = None):
+def _infeasible(tp: _Pass, vertex: Optional[int] = None):
     """Refusal naming ``vertex``, else the first vertex whose tangent length
     overruns an incident edge, else the first edge too short for its two
-    tangent lengths, with the numbers of the tangent pass."""
-    edges, ls = tp.edges, tp.ls
+    tangent lengths, with the numbers and the report of the tangent pass."""
+    edges, ls, report = tp.edges, tp.ls, _existence(tp)
     if vertex is None and report.local_violations:
         vertex = report.local_violations[0]
     if vertex is not None:
@@ -539,28 +543,23 @@ def check_far_condition(p: Polyline, r: float) -> tuple[bool, ...]:
     at least 4r from p_j. Pass-through and endpoint vertices carry no arc
     and pass trivially. Raises FeasibilityError when tangent points are not
     computable."""
-    return _feasible_pass(p, r)[1]
+    return _far_flags(_solves(p, r, "strict")[0])
 
 
 def feasibility_report(p: Polyline, r: float) -> FeasibilityReport:
     """Full report: local and global existence plus the 4r far condition
     (far flags omitted when existence already fails)."""
-    return _report(p, r)[1]
+    tp = _tangent_pass(p, r)
+    report = _existence(tp)
+    if report.feasible:
+        report = FeasibilityReport(report.local_ok, report.global_ok, _far_flags(tp))
+    return report
 
 
-def _feasible_pass(p: Polyline, r: float) -> tuple[_Pass, tuple[bool, ...]]:
-    """Tangent pass and far flags of a feasible polyline."""
-    tp, report = _report(p, r)
-    if not report.feasible:
-        raise _infeasible(tp, report)
-    return tp, report.far_ok
-
-
-def _share(edge, l0, l1, m=_FLOATS):
+def _share(edge, l0, l1, holds, m=_FLOATS):
     """Factor that scales both tangent lengths of an edge down to what it
     holds, split in proportion to them; 1 on an edge that holds both."""
-    contested = edge < l0 + l1
-    return m.where(contested, edge / m.where(contested, l0 + l1, 1.0), 1.0)
+    return m.where(holds, 1.0, edge / m.where(holds, 1.0, l0 + l1))
 
 
 def _clamped_radius(l, share0, share1, e0, e1, r, m=_FLOATS):
@@ -577,27 +576,27 @@ def _clamp(tp: _Pass) -> list:
     """Best-effort solves: a tangent length that its edges cannot hold is cut
     to what they can (a contested edge is split in proportion to its two
     tangent lengths) and the arc radius shrinks with it to keep tangency."""
-    m, x, y, edges, ls, raws = tp
-    share = m.map(_share, edges, ls[:-1], ls[1:])
+    m, x, y, edges, ux, uy, ls, holds, raws = tp
+    share = m.map(_share, edges, ls[:-1], ls[1:], holds)
     radius = m.map(_clamped_radius, ls[1:-1], share[:-1], share[1:], edges[:-1], edges[1:], raws[9])
-    _, ux, uy = m.map_n(3, _edge, x[:-1], y[:-1], x[1:], y[1:])
     return m.map_n(_RAW_FIELDS, _solve_raw, x[1:-1], y[1:-1], ux[:-1], uy[:-1], ux[1:], uy[1:],
                    radius)
 
 
 def _solves(p: Polyline, r: float, mode: str) -> tuple[_Pass, list]:
-    """Tangent pass (it checks the radius first) and the mode's solve columns."""
-    tp = _tangent_pass(p, r)
+    """Tangent pass and the mode's solve columns: the pass's own where every
+    edge holds, in both modes. Strict refuses a polyline with a failing edge;
+    best-effort clamps it, unless it holds an exact reversal."""
     if mode not in ("strict", "best-effort"):
+        check_turn_radius(r)  # a bad radius is named before a bad mode
         raise ValueError(f"unknown smoothing mode {mode!r}")
-    m = tp.m
-    if mode == "strict":
-        if not m.all(m.map(_holds, tp.edges, tp.ls[:-1], tp.ls[1:])):
-            raise _infeasible(tp, _existence(tp))
+    tp = _tangent_pass(p, r)
+    if tp.m.all(tp.holds):
         return tp, tp.raws
-    reversals = m.find(tp.ls, math.inf)  # no arc of any radius turns back on itself
-    if len(reversals):
-        raise _infeasible(tp, _existence(tp), int(reversals[0]))
+    if mode == "strict":
+        raise _infeasible(tp)
+    if len(reversals := tp.m.find(tp.ls, math.inf)):
+        raise _infeasible(tp, int(reversals[0]))
     return tp, _clamp(tp)
 
 
@@ -615,24 +614,18 @@ def _start_angle(q1x, q1y, cx, cy, m=_FLOATS):
     return m.where(start == -math.pi, math.pi, start)
 
 
-def _assemble_raw(tp: _Pass, raws: list) -> SmoothPath:
-    """The path of lines and arcs through the tangent points of the arc
-    vertices: a line leads into each arc unless it would be empty, and a
-    last line runs to the end point."""
-    x0, y0, xn, yn = float(tp.x[0]), float(tp.y[0]), float(tp.x[-1]), float(tp.y[-1])
-    kind, data = tp.m.assemble(x0, y0, xn, yn, *raws)
-    return SmoothPath._from_columns(kind, data, Point2(x0, y0), Point2(xn, yn))
-
-
 def smooth_polyline(p: Polyline, r: float, mode: str = "strict") -> SmoothPath:
     """Smooth a polyline into the shortest G1 path of lines and radius-r arcs.
 
     The default "strict" mode refuses infeasible input with a
     FeasibilityError carrying the per-vertex/per-edge report; "best-effort"
-    clamps tangent lengths instead and shrinks arc radii below r where
-    needed, trading the curvature guarantee for totality.
+    clamps the tangent lengths of a failing edge instead, shrinking arc radii
+    below r there, and so trades the curvature guarantee for totality.
     """
-    return _assemble_raw(*_solves(p, r, mode))
+    tp, raws = _solves(p, r, mode)
+    x0, y0, xn, yn = float(tp.x[0]), float(tp.y[0]), float(tp.x[-1]), float(tp.y[-1])
+    kind, data = tp.m.assemble(x0, y0, xn, yn, *raws)  # a line into each arc unless it is empty
+    return SmoothPath._from_columns(kind, data, Point2(x0, y0), Point2(xn, yn))
 
 
 def smooth_polyline_batch(p: Polyline, r: float, parallelism_hint: Optional[int] = None) -> SmoothPath:
@@ -705,7 +698,8 @@ def extract_pieces(p: Polyline, r: float) -> list[PathPiece]:
     a vertex's exit tangent configuration; the tail piece covers the final
     straight. ``guaranteed`` carries the piece's 4r far-condition flag.
     """
-    tp, far = _feasible_pass(p, r)
+    tp = _solves(p, r, "strict")[0]
+    far = _far_flags(tp)
     q1x, q1y, q2x, q2y, _, _, _, crs, dt, _, through = map(tp.m.tolist, tp.raws)
     xs, ys = tp.m.tolist(tp.x), tp.m.tolist(tp.y)
     arcs = _FLOATS.find(through, False)  # vertex k + 1 carries an arc

@@ -381,6 +381,43 @@ def test_vertex_rule_tests_vertex_0_again_when_the_last_vertex_goes():
     assert planner._keep(list(ring)) == drop_one_per_round(ring) == [(4, 0), (4, 2), (2, 2)]
 
 
+def test_vertex_rule_walk_tests_each_vertex_a_bounded_number_of_times(monkeypatch):
+    """The walk resumes after a drop instead of starting again at vertex 0:
+    at most 3 tests per vertex, on a 1,000-gon whose last 250 vertices each
+    have a point 5e-10 further along the tangent, and on one whose ring ends
+    in 250 points that each turn right into vertex 0 once the points after
+    them have gone, so that the last vertex goes 250 times."""
+    n, radius = 1000, 1000.0
+    gon = [(radius * math.cos(2 * math.pi * k / n), radius * math.sin(2 * math.pi * k / n))
+           for k in range(n)]
+    tangents = []
+    for k, (x, y) in enumerate(gon):
+        tangents.append((x, y))
+        if k >= n - 250:
+            tangents.append((x - 5e-10 * y / radius, y + 5e-10 * x / radius))
+    (ax, ay), (bx, by) = gon[-1], gon[0]
+    length = math.hypot(bx - ax, by - ay)
+    ex, ey = (bx - ax) / length, (by - ay) / length
+    dent = []  # an arc of radius 1 from gon[-1] into the polygon, heading 30 to 120 degrees
+    for j in range(1, 251):
+        t = math.radians(30.0 + 90.0 * j / 250)
+        s, h = math.sin(t) - 0.5, math.sqrt(3) / 2 - math.cos(t)  # along and left of the edge
+        dent.append((ax + s * ex - h * ey, ay + s * ey + h * ex))
+    calls = []
+
+    def counted(pts, m, fault=planner._fault):
+        calls.append(m)
+        return fault(pts, m)
+
+    monkeypatch.setattr(planner, "_fault", counted)
+    for ring in (tangents, gon + dent):
+        calls.clear()
+        kept = planner._keep(list(ring))
+        assert len(calls) <= 3 * len(ring)
+        assert kept == drop_one_per_round(ring) and len(kept) == n
+    assert kept == gon
+
+
 @given(random_or_nearly_collinear_points(), st.data())
 def test_given_polygon_is_refused_where_the_vertex_rule_would_drop_a_vertex(points, data):
     """``ConvexPolygon(vertices)`` accepts exactly the rings from which the

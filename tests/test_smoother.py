@@ -620,6 +620,23 @@ def test_unknown_mode_rejected():
         smooth_polyline(Polyline(RIGHT_ANGLE), 1.0, mode="fast")
 
 
+def test_unknown_mode_is_refused_before_the_tangent_pass(monkeypatch):
+    from dps import smoother
+
+    def no_pass(p, r):
+        raise AssertionError("the tangent pass ran")
+
+    monkeypatch.setattr(smoother, "_tangent_pass", no_pass)
+    with pytest.raises(ValueError, match="^unknown smoothing mode 'fast'$"):
+        smooth_polyline(random_polyline(200, 1.0, seed=3), 1.0, mode="fast")
+
+
+def test_bad_radius_is_named_before_a_bad_mode():
+    for r in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^turning radius must be positive and finite"):
+            smooth_polyline(Polyline(RIGHT_ANGLE), r, mode="fast")
+
+
 def test_length_never_exceeds_polyline(rng):
     for _ in range(200):
         polyline = random_polyline(rng.randint(3, 20), 1.0, rng=rng)
@@ -835,6 +852,12 @@ def test_backends_give_the_same_bits(monkeypatch):
             monkeypatch.setattr(smoother, "_backend", lambda n, backend=backend: backend)
             answers.append([_outcomes(polyline, r, mode) for mode in ("strict", "best-effort")])
         assert answers[0] == answers[1], polyline
+        for strict, best_effort in answers:
+            if not isinstance(strict[0][0], str):  # strict smooths it: best-effort gives its rows
+                assert best_effort[0][:2] == strict[0][:2], polyline
+            for outcome in (*strict, *best_effort):
+                if isinstance(outcome, tuple) and outcome and isinstance(outcome[0], str):
+                    assert outcome[2] == strict[3], polyline  # check_global_existence
         if polyline in reversals:  # refused in both modes, on both backends
             for modes in answers:
                 for smoothed, *_ in modes:
