@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
-from .bench import CSV_HEADER, run_bench
-from .dubins import classify_j_type
+from .dubins import classify_j_type, multipoint_bruteforce
 from .fileio import load_path, load_polyline, load_scenario, save_path
 from .planner import NoPathError, plan
+from .randgen import random_polyline
 from .render import render_svg
 from .smoother import FeasibilityError, extract_pieces, path_length, smooth_polyline
 
@@ -81,9 +82,27 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    row = run_bench(args.n, args.repeats, args.seed, args.samples)
-    print(CSV_HEADER)
-    print(row.csv())
+    """One CSV row for a random polyline of ``-n`` points (turning radius 1,
+    edges 1-10 long): the mean wall time of strict smoothing over
+    ``--repeats`` runs after one warm-up, the smoothed length, the
+    sampled-heading multipoint length through the vertices and their ratio."""
+    if args.n < 3:
+        raise ValueError(f"benchmark needs at least 3 points, got {args.n}")
+    if args.repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    polyline = random_polyline(args.n, r=1.0, seed=args.seed)
+    # The reference first: it refuses a bad sample count before any timing.
+    mpdp_length = multipoint_bruteforce(polyline.points, 1.0, args.samples)
+    dps_length = path_length(smooth_polyline(polyline, 1.0))
+    smooth_polyline(polyline, 1.0)  # warm-up
+    total = 0.0
+    for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        smooth_polyline(polyline, 1.0)
+        total += time.perf_counter() - t0
+    print("n,seq_time_s,dps_length,mpdp_p_length,ratio")
+    print(f"{args.n},{total / args.repeats!r},{dps_length!r},{mpdp_length!r},"
+          f"{mpdp_length / dps_length!r}")
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from itertools import chain
 from typing import Optional, TextIO, Union
 
@@ -37,12 +38,15 @@ def load_polyline(source: Union[str, TextIO]) -> Polyline:
 
     A first line neither of whose fields parses as a number (e.g. ``x,y``)
     is a header and skipped; blank lines are ignored. A refused record,
-    including a non-finite coordinate, is named by its line number.
+    including a non-finite coordinate, is named by its line number. The
+    coordinates are collected as C doubles, and the polyline holds that
+    buffer itself, uncopied.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8-sig") as fh:
             return load_polyline(fh)
-    values = []
+    values = array("d")
+    append = values.append
     for lineno, line in enumerate(source, start=1):
         parts = line.split(",")
         if len(parts) != 2:
@@ -59,8 +63,9 @@ def load_polyline(source: Union[str, TextIO]) -> Polyline:
             raise ValueError(f"line {lineno}: cannot parse {line.strip()!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"line {lineno}: non-finite coordinates ({x}, {y})")
-        values += (x, y)
-    return Polyline.from_array(np.array(values).reshape(-1, 2))
+        append(x)
+        append(y)
+    return object.__new__(Polyline)._fill(np.frombuffer(values).reshape(-1, 2))
 
 
 def _parses(text: str) -> bool:

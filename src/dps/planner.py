@@ -533,7 +533,8 @@ def clearance(path: SmoothPath, obstacles: Sequence[ConvexPolygon]) -> float:
 @dataclass(frozen=True, slots=True)
 class PlanResult:
     """Smoothed plan plus the clearance certificate against the original
-    obstacles."""
+    obstacles; ``clearance_ok`` (clearance >= h) holds on every plan that
+    ``plan`` returns."""
 
     path: SmoothPath
     polyline: Polyline
@@ -548,7 +549,9 @@ def plan(scenario: Scenario) -> PlanResult:
     """Full pipeline: per-obstacle mitered inflation by the worst-vertex
     offset, visibility graph, A*, smoothing, and clearance certification
     against the original obstacles (inf with none). A route the smoother
-    refuses raises its ``FeasibilityError`` unchanged."""
+    refuses raises its ``FeasibilityError`` unchanged, and a path that fails
+    the certificate raises ``NoPathError`` naming the obstacle that sets its
+    clearance."""
     h, r = scenario.robot_radius, scenario.turning_radius
     offsets, inflated = [], []
     for poly in scenario.obstacles:
@@ -559,6 +562,11 @@ def plan(scenario: Scenario) -> PlanResult:
     polyline = shortest_polyline(graph)
     path = smooth_polyline(polyline, r)
     c = clearance(path, scenario.obstacles)
+    if not c >= h:
+        obstacles = scenario.obstacles
+        k = min(range(len(obstacles)), key=lambda i: clearance(path, obstacles[i:i + 1]))
+        raise NoPathError(f"path clearance {c:.6g} to obstacle {k} < robot radius {h:.6g} "
+                          f"(short by {h - c:.3g})")
     return PlanResult(
         path=path,
         polyline=polyline,

@@ -20,7 +20,8 @@ it, so they accept and refuse the same inputs, also on the boundary
 |p_j p_k| = l_j + l_k; the three-point sub-problem is ``vertex_solutions`` on
 a three-point polyline. A feasible polyline smooths to the pass's own path
 in both modes; best-effort clamps only a polyline with a failing edge.
-Neither mode smooths an exact reversal: no G1 arc turns back on itself.
+Neither mode smooths an exact reversal, since no G1 arc turns back on
+itself, nor a vertex whose tangent length overflows a float.
 
 A ``Polyline`` holds one read-only n x 2 float64 array and a ``SmoothPath``
 plain rows in arrays; ``Point2`` and segment objects are built only on
@@ -79,7 +80,8 @@ def _atan2_rows(y, x):
     return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), np.float64, len(y))
 
 
-def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, radius, through):
+def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, radius, through,
+                   reversal):
     """Path rows in travel order from (x, y) to (xn, yn): a line into each
     arc vertex's arc unless it would be empty, the arc, and a last line."""
     kinds, values = [], []
@@ -410,13 +412,15 @@ def _solve_raw(xm, ym, u1x, u1y, u2x, u2y, r, m=_FLOATS):
     direction u1 and left along u2, on floats or, with ``m = _ARRAYS``, on
     columns of such vertices.
 
-    Returns (q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, r, through): the entry
-    and exit tangent points, the arc center, the tangent length, the cross
-    and dot products of the edge directions, whose ``atan2`` is the signed
-    turn angle (positive = left), the radius and whether the vertex carries
-    no arc, which has l = 0: a collinear pass-through, or radius 0 (an arc
-    that best-effort clamping drops). An exact reversal has l = inf so the
-    edge check rejects it. Only l is meaningful on those kinds of vertex.
+    Returns (q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, r, through, reversal):
+    the entry and exit tangent points, the arc center, the tangent length,
+    the cross and dot products of the edge directions, whose ``atan2`` is the
+    signed turn angle (positive = left), the radius, whether the vertex
+    carries no arc, which has l = 0: a collinear pass-through, or radius 0 (an
+    arc that best-effort clamping drops), and whether it is an exact reversal
+    (a zero denominator). A reversal has l = inf so the edge check rejects it;
+    so has a tangent length that overflows. Only l is meaningful on those
+    kinds of vertex.
     """
     crs = u1x * u2y - u1y * u2x
     dt = u1x * u2x + u1y * u2y
@@ -432,10 +436,10 @@ def _solve_raw(xm, ym, u1x, u1y, u2x, u2y, r, m=_FLOATS):
     q1y = ym - fit * u1y
     side = m.copysign(r, crs)  # the center lies left of a left turn (atan2 keeps the sign)
     return (q1x, q1y, xm + fit * u2x, ym + fit * u2y, q1x - side * u1y, q1y + side * u1x, l, crs,
-            dt, r, through)
+            dt, r, through, reversal)
 
 
-_RAW_FIELDS = 11
+_RAW_FIELDS = 12
 
 
 class _Pass(NamedTuple):
@@ -443,8 +447,8 @@ class _Pass(NamedTuple):
     reads: the backend, the coordinate columns, per edge e its length
     |p_e p_e+1|, its unit direction (ux, uy) and its verdict ``holds`` (the
     edge condition), the tangent length per vertex (0 at the endpoints and
-    at pass-through vertices, inf at an exact reversal) and the
-    ``_solve_raw`` columns of the interior vertices."""
+    at pass-through vertices, inf at an exact reversal or an overflow) and
+    the ``_solve_raw`` columns of the interior vertices."""
 
     m: SimpleNamespace
     x: Sequence[float]
@@ -470,8 +474,9 @@ def _tangent_pass(p: Polyline, r: float) -> _Pass:
     m = _backend(len(p.xy))
     x, y = m.columns(p.xy)
     edges, ux, uy = m.map_n(3, _edge, x[:-1], y[:-1], x[1:], y[1:])  # each edge measured once
-    raws = m.map_n(_RAW_FIELDS, _solve_raw, x[1:-1], y[1:-1], ux[:-1], uy[:-1], ux[1:], uy[1:],
-                   m.each(r))
+    with m.quiet():  # a tangent length that overflows is inf, which the edge check refuses
+        raws = m.map_n(_RAW_FIELDS, _solve_raw, x[1:-1], y[1:-1], ux[:-1], uy[:-1], ux[1:], uy[1:],
+                       m.each(r))
     ls = m.cat([0.0], raws[6], [0.0])
     return _Pass(m, x, y, edges, ux, uy, ls, m.map(_holds, edges, ls[:-1], ls[1:]), raws)
 
@@ -516,7 +521,9 @@ def _far_flags(tp: _Pass) -> tuple[bool, ...]:
 def _infeasible(tp: _Pass, vertex: Optional[int] = None):
     """Refusal naming ``vertex``, else the first vertex whose tangent length
     overruns an incident edge, else the first edge too short for its two
-    tangent lengths, with the numbers and the report of the tangent pass."""
+    tangent lengths, with the numbers and the report of the tangent pass. An
+    infinite tangent length is named an exact reversal where ``_solve_raw``
+    found one, else an overflow."""
     edges, ls, report = tp.edges, tp.ls, _existence(tp)
     if vertex is None and report.local_violations:
         vertex = report.local_violations[0]
@@ -527,7 +534,12 @@ def _infeasible(tp: _Pass, vertex: Optional[int] = None):
         e = report.global_violations[0]
         edge, need = float(edges[e]), float(ls[e] + ls[e + 1])
         reason = f"edge {e}: |p{e} p{e + 1}| = {edge:.6g} < l{e} + l{e + 1} = {need:.6g}"
-    short = "exact reversal" if need == math.inf else f"short by {need - edge:.3g}"
+    if need < math.inf:
+        short = f"short by {need - edge:.3g}"
+    elif vertex is not None and tp.raws[11][vertex - 1]:
+        short = "exact reversal"
+    else:
+        short = "tangent length overflows a float"
     return FeasibilityError(f"{reason} ({short})", report)
 
 
@@ -586,7 +598,8 @@ def _clamp(tp: _Pass) -> list:
 def _solves(p: Polyline, r: float, mode: str) -> tuple[_Pass, list]:
     """Tangent pass and the mode's solve columns: the pass's own where every
     edge holds, in both modes. Strict refuses a polyline with a failing edge;
-    best-effort clamps it, unless it holds an exact reversal."""
+    best-effort clamps it, unless a tangent length is infinite: an exact
+    reversal, or an overflow, whose share of its edges would be nan."""
     if mode not in ("strict", "best-effort"):
         check_turn_radius(r)  # a bad radius is named before a bad mode
         raise ValueError(f"unknown smoothing mode {mode!r}")
@@ -604,7 +617,7 @@ def vertex_solutions(p: Polyline, r: float) -> list[Optional[TripletSolution]]:
     """Triplet solution per interior vertex (None = pass-through) of the
     strict smoothing; refuses what strict ``smooth_polyline`` refuses."""
     tp, raws = _solves(p, r, "strict")
-    *cols, through = map(tp.m.tolist, raws)
+    *cols, through, _ = map(tp.m.tolist, raws)
     x, y = tp.m.tolist(tp.x[1:-1]), tp.m.tolist(tp.y[1:-1])
     return [None if t else _triplet(*row, xm, ym) for *row, t, xm, ym in zip(*cols, through, x, y)]
 
@@ -700,7 +713,7 @@ def extract_pieces(p: Polyline, r: float) -> list[PathPiece]:
     """
     tp = _solves(p, r, "strict")[0]
     far = _far_flags(tp)
-    q1x, q1y, q2x, q2y, _, _, _, crs, dt, _, through = map(tp.m.tolist, tp.raws)
+    q1x, q1y, q2x, q2y, _, _, _, crs, dt, _, through, _ = map(tp.m.tolist, tp.raws)
     xs, ys = tp.m.tolist(tp.x), tp.m.tolist(tp.y)
     arcs = _FLOATS.find(through, False)  # vertex k + 1 carries an arc
     x, y = xs[0], ys[0]

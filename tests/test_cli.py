@@ -124,6 +124,20 @@ def test_plan_blocked_exit_3(tmp_path, capsys):
     assert main(["plan", str(sf), "-o", str(tmp_path / "out.json")]) == 3
 
 
+def test_plan_failing_certificate_exit_3(tmp_path, capsys):
+    """The straight route passes a sliver 0.1414 from it, under h = 0.2: no
+    path file is written."""
+    sf = tmp_path / "scenario.json"
+    sf.write_text(json.dumps({"bounds": [-10, -10, 30, 30], "robot_radius": 0.2,
+                              "turning_radius": 0.5, "start": [-5, 15], "goal": [15, -5],
+                              "obstacles": [[[9.6, 4.4], [9.7, 0.5], [9.65, 2.45]]]}))
+    out = tmp_path / "out.json"
+    assert main(["plan", str(sf), "-o", str(out)]) == 3
+    assert capsys.readouterr().err == ("no path: path clearance 0.141421 to obstacle 0 < robot "
+                                       "radius 0.2 (short by 0.0586)\n")
+    assert not out.exists()
+
+
 def test_plan_coincident_start_goal_exit_1(tmp_path, capsys):
     sf = tmp_path / "scenario.json"
     sf.write_text(json.dumps({**SCENARIO, "start": [1, 1], "goal": [1, 1]}))

@@ -381,6 +381,26 @@ def test_reversal_with_rounded_denominator_is_refused():
     assert validate(smooth_polyline(sharp, 1e-5), 1e-5).ok
 
 
+def test_overflowed_tangent_length_is_no_reversal():
+    # The turn is about 179.94 degrees, so l = r(1 - u1.u2)/|u1 x u2| is about
+    # 2000 r, which overflows at r = 1e306; only a zero denominator is a
+    # reversal. Best-effort refuses too: l = inf has no share of its edges.
+    overflow = [(0, 0), (1, 0), (0, 0.001)]
+    long_overflow = [(i, 0) for i in range(48)] + [(46, 0.001)]  # the array backend
+    modes = (smooth_polyline, partial(smooth_polyline, mode="best-effort"), vertex_solutions)
+    for points, vertex in ((overflow, 1), (long_overflow, 47)):
+        for fn in modes:
+            with pytest.raises(FeasibilityError) as exc:
+                fn(Polyline.from_array(points), 1e306)
+            assert str(exc.value) == (f"vertex {vertex}: l = inf > min edge 1 "
+                                      "(tangent length overflows a float)")
+    reversal = Polyline.from_array([(0, 0), (1, 0), (0.5, 0)])
+    for fn in modes:
+        with pytest.raises(FeasibilityError) as exc:
+            fn(reversal, 1.0)
+        assert str(exc.value) == "vertex 1: l = inf > min edge 0.5 (exact reversal)"
+
+
 def _sharp_turn(rng, deficit, r):
     """Four points at coordinates up to 1e7 whose vertex 1 turns by
     pi - deficit, on edges long enough for strict smoothing."""

@@ -1,18 +1,22 @@
-"""Stage times and peak memory of long-polyline smoothing by size.
+"""Stage times and peak memory of the long-polyline pipeline by size.
 
-For each size, a fresh interpreter loads a random feasible polyline from
-CSV (``load_polyline``), reports on it (``feasibility_report``) and smooths
-it (``smooth_polyline``), and prints one JSON line: the median time of each
-stage and the peak RSS (``ru_maxrss``) above the interpreter's baseline
-after each stage. ``--crossover`` instead times smoothing plus a report
-per backend of the tangent pass at small sizes.
+For each size, a fresh interpreter runs the benchmark's long_route stages on
+a random feasible polyline: it loads it from CSV (``load_polyline``),
+reports on it (``feasibility_report``), smooths it (``smooth_polyline``),
+checks the path (``validate``), measures it (``path_length``), writes it as
+path JSON (``save_path``), reads it back (``load_path``, which must give
+the same bits) and draws it (``render_svg``). It prints one JSON line: the
+median time of each stage and the peak RSS (``ru_maxrss``) above the
+interpreter's baseline after each stage. ``--crossover`` instead times
+smoothing plus a report per backend of the tangent pass at small sizes.
 
     python3 tools/size_sweep.py 1000 10000 100000 1000000
     python3 tools/size_sweep.py --src /path/to/other/checkout/src 1000 10000
     python3 tools/size_sweep.py --crossover
 
 The CSV files are written once per size to ``--workdir`` (default: the
-system temporary directory) with ``random_polyline(n, 1.0, seed=n)``.
+system temporary directory) with ``random_polyline(n, 1.0, seed=n)``; the
+path JSON goes beside its CSV and is removed once read.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ def _rss_mib() -> float:
 
 def measure(csv: str, n: int) -> dict:
     """Stage medians and peak RSS for one size, in this process."""
-    from dps import fileio, smoother
+    from dps import fileio, render, smoother
 
     base = _rss_mib()
     repeats = 5 if n <= 100_000 else 3
@@ -75,7 +79,18 @@ def measure(csv: str, n: int) -> dict:
 
     polyline = timed("load_polyline", lambda: fileio.load_polyline(csv))
     out["feasible"] = timed("feasibility_report", lambda: smoother.feasibility_report(polyline, 1.0)).feasible
-    out["segments"] = len(timed("smooth_polyline", lambda: smoother.smooth_polyline(polyline, 1.0)).kind)
+    path = timed("smooth_polyline", lambda: smoother.smooth_polyline(polyline, 1.0))
+    out["segments"] = len(path.kind)
+    out["valid"] = timed("validate", lambda: smoother.validate(path, 1.0)).ok
+    length = timed("path_length", lambda: smoother.path_length(path))
+    path_json = os.path.splitext(csv)[0] + "_path.json"
+    timed("save_path", lambda: fileio.save_path(path, path_json, total_length=length))
+    loaded, meta = timed("load_path", lambda: fileio.load_path(path_json))
+    os.remove(path_json)
+    if (loaded.kind.tobytes(), loaded.data.tobytes(), meta["total_length"]) != (
+            path.kind.tobytes(), path.data.tobytes(), length):
+        raise SystemExit(f"n = {n}: save_path -> load_path did not round-trip bit-exactly")
+    out["svg_bytes"] = len(timed("render_svg", lambda: render.render_svg(loaded)))
     return out
 
 
