@@ -14,7 +14,7 @@ import time
 
 from .dubins import classify_j_type, multipoint_bruteforce
 from .fileio import load_path, load_polyline, load_scenario, save_path
-from .planner import NoPathError, plan
+from .planner import NoPathError, plan, require_clearance
 from .randgen import random_polyline
 from .render import render_svg
 from .smoother import FeasibilityError, extract_pieces, path_length, smooth_polyline
@@ -47,7 +47,7 @@ def _cmd_smooth(args) -> int:
 def _cmd_plan(args) -> int:
     scenario = load_scenario(args.scenario)
     try:
-        result = plan(scenario)
+        result = require_clearance(scenario, plan(scenario))
     except NoPathError as err:
         print(f"no path: {err}", file=sys.stderr)
         return EXIT_NO_PATH

@@ -39,8 +39,7 @@ def load_polyline(source: Union[str, TextIO]) -> Polyline:
     A first line neither of whose fields parses as a number (e.g. ``x,y``)
     is a header and skipped; blank lines are ignored. A refused record,
     including a non-finite coordinate, is named by its line number. The
-    coordinates are collected as C doubles, and the polyline holds that
-    buffer itself, uncopied.
+    coordinates are collected as C doubles, which the polyline copies once.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8-sig") as fh:
@@ -65,7 +64,7 @@ def load_polyline(source: Union[str, TextIO]) -> Polyline:
             raise ValueError(f"line {lineno}: non-finite coordinates ({x}, {y})")
         append(x)
         append(y)
-    return object.__new__(Polyline)._fill(np.frombuffer(values).reshape(-1, 2))
+    return Polyline.from_array(np.frombuffer(values).reshape(-1, 2))
 
 
 def _parses(text: str) -> bool:

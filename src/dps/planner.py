@@ -533,8 +533,7 @@ def clearance(path: SmoothPath, obstacles: Sequence[ConvexPolygon]) -> float:
 @dataclass(frozen=True, slots=True)
 class PlanResult:
     """Smoothed plan plus the clearance certificate against the original
-    obstacles; ``clearance_ok`` (clearance >= h) holds on every plan that
-    ``plan`` returns."""
+    obstacles."""
 
     path: SmoothPath
     polyline: Polyline
@@ -549,9 +548,9 @@ def plan(scenario: Scenario) -> PlanResult:
     """Full pipeline: per-obstacle mitered inflation by the worst-vertex
     offset, visibility graph, A*, smoothing, and clearance certification
     against the original obstacles (inf with none). A route the smoother
-    refuses raises its ``FeasibilityError`` unchanged, and a path that fails
-    the certificate raises ``NoPathError`` naming the obstacle that sets its
-    clearance."""
+    refuses raises its ``FeasibilityError`` unchanged; a failing certificate
+    is returned (``clearance_ok`` false), and ``require_clearance`` refuses
+    it."""
     h, r = scenario.robot_radius, scenario.turning_radius
     offsets, inflated = [], []
     for poly in scenario.obstacles:
@@ -562,11 +561,6 @@ def plan(scenario: Scenario) -> PlanResult:
     polyline = shortest_polyline(graph)
     path = smooth_polyline(polyline, r)
     c = clearance(path, scenario.obstacles)
-    if not c >= h:
-        obstacles = scenario.obstacles
-        k = min(range(len(obstacles)), key=lambda i: clearance(path, obstacles[i:i + 1]))
-        raise NoPathError(f"path clearance {c:.6g} to obstacle {k} < robot radius {h:.6g} "
-                          f"(short by {h - c:.3g})")
     return PlanResult(
         path=path,
         polyline=polyline,
@@ -576,3 +570,15 @@ def plan(scenario: Scenario) -> PlanResult:
         clearance_ok=c >= h,
         length=path_length(path),
     )
+
+
+def require_clearance(scenario: Scenario, result: PlanResult) -> PlanResult:
+    """``result`` if its certificate holds, else ``NoPathError`` naming the
+    obstacle nearest the path (the first at that distance) and the
+    shortfall; searched only for a failing certificate."""
+    if result.clearance_ok:
+        return result
+    c, h, obstacles = result.clearance, scenario.robot_radius, scenario.obstacles
+    k = min(range(len(obstacles)), key=lambda i: clearance(result.path, obstacles[i:i + 1]))
+    raise NoPathError(f"path clearance {c:.6g} to obstacle {k} < robot radius {h:.6g} "
+                      f"(short by {h - c:.3g})")

@@ -80,8 +80,7 @@ def _atan2_rows(y, x):
     return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), np.float64, len(y))
 
 
-def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, radius, through,
-                   reversal):
+def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, radius, through):
     """Path rows in travel order from (x, y) to (xn, yn): a line into each
     arc vertex's arc unless it would be empty, the arc, and a last line."""
     kinds, values = [], []
@@ -412,15 +411,15 @@ def _solve_raw(xm, ym, u1x, u1y, u2x, u2y, r, m=_FLOATS):
     direction u1 and left along u2, on floats or, with ``m = _ARRAYS``, on
     columns of such vertices.
 
-    Returns (q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, r, through, reversal):
-    the entry and exit tangent points, the arc center, the tangent length,
-    the cross and dot products of the edge directions, whose ``atan2`` is the
-    signed turn angle (positive = left), the radius, whether the vertex
-    carries no arc, which has l = 0: a collinear pass-through, or radius 0 (an
-    arc that best-effort clamping drops), and whether it is an exact reversal
-    (a zero denominator). A reversal has l = inf so the edge check rejects it;
-    so has a tangent length that overflows. Only l is meaningful on those
-    kinds of vertex.
+    Returns (q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, r, through): the entry
+    and exit tangent points, the arc center, the tangent length, the cross
+    and dot products of the edge directions, whose ``atan2`` is the signed
+    turn angle (positive = left), the radius and whether the vertex carries
+    no arc, which has l = 0: a collinear pass-through, or radius 0 (an arc
+    that best-effort clamping drops). An exact reversal (crs == 0 and
+    dt < 0, the one zero denominator) has l = inf so the edge check rejects
+    it; so has a tangent length that overflows. Only l is meaningful on
+    those kinds of vertex.
     """
     crs = u1x * u2y - u1y * u2x
     dt = u1x * u2x + u1y * u2y
@@ -436,10 +435,10 @@ def _solve_raw(xm, ym, u1x, u1y, u2x, u2y, r, m=_FLOATS):
     q1y = ym - fit * u1y
     side = m.copysign(r, crs)  # the center lies left of a left turn (atan2 keeps the sign)
     return (q1x, q1y, xm + fit * u2x, ym + fit * u2y, q1x - side * u1y, q1y + side * u1x, l, crs,
-            dt, r, through, reversal)
+            dt, r, through)
 
 
-_RAW_FIELDS = 12
+_RAW_FIELDS = 11
 
 
 class _Pass(NamedTuple):
@@ -522,8 +521,8 @@ def _infeasible(tp: _Pass, vertex: Optional[int] = None):
     """Refusal naming ``vertex``, else the first vertex whose tangent length
     overruns an incident edge, else the first edge too short for its two
     tangent lengths, with the numbers and the report of the tangent pass. An
-    infinite tangent length is named an exact reversal where ``_solve_raw``
-    found one, else an overflow."""
+    infinite tangent length is named an exact reversal where the edge
+    directions are opposite (crs == 0, dt < 0), else an overflow."""
     edges, ls, report = tp.edges, tp.ls, _existence(tp)
     if vertex is None and report.local_violations:
         vertex = report.local_violations[0]
@@ -536,7 +535,7 @@ def _infeasible(tp: _Pass, vertex: Optional[int] = None):
         reason = f"edge {e}: |p{e} p{e + 1}| = {edge:.6g} < l{e} + l{e + 1} = {need:.6g}"
     if need < math.inf:
         short = f"short by {need - edge:.3g}"
-    elif vertex is not None and tp.raws[11][vertex - 1]:
+    elif vertex is not None and tp.raws[7][vertex - 1] == 0.0 and tp.raws[8][vertex - 1] < 0.0:
         short = "exact reversal"
     else:
         short = "tangent length overflows a float"
@@ -617,7 +616,7 @@ def vertex_solutions(p: Polyline, r: float) -> list[Optional[TripletSolution]]:
     """Triplet solution per interior vertex (None = pass-through) of the
     strict smoothing; refuses what strict ``smooth_polyline`` refuses."""
     tp, raws = _solves(p, r, "strict")
-    *cols, through, _ = map(tp.m.tolist, raws)
+    *cols, through = map(tp.m.tolist, raws)
     x, y = tp.m.tolist(tp.x[1:-1]), tp.m.tolist(tp.y[1:-1])
     return [None if t else _triplet(*row, xm, ym) for *row, t, xm, ym in zip(*cols, through, x, y)]
 
@@ -713,7 +712,7 @@ def extract_pieces(p: Polyline, r: float) -> list[PathPiece]:
     """
     tp = _solves(p, r, "strict")[0]
     far = _far_flags(tp)
-    q1x, q1y, q2x, q2y, _, _, _, crs, dt, _, through, _ = map(tp.m.tolist, tp.raws)
+    q1x, q1y, q2x, q2y, _, _, _, crs, dt, _, through = map(tp.m.tolist, tp.raws)
     xs, ys = tp.m.tolist(tp.x), tp.m.tolist(tp.y)
     arcs = _FLOATS.find(through, False)  # vertex k + 1 carries an arc
     x, y = xs[0], ys[0]

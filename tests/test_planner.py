@@ -27,6 +27,7 @@ from dps.planner import (
     convex_hull,
     mitered_inflate,
     plan,
+    require_clearance,
     required_offset,
     shortest_polyline,
 )
@@ -1058,20 +1059,25 @@ class TestPlan:
         with pytest.raises(NoPathError):
             plan(make_scenario([wall]))
 
-    def test_failing_certificate_raises(self):
+    def test_failing_certificate_is_refused_by_name(self):
         """A sliver whose rounded miters do not contain it is planned straight
-        past, 0.1414 from it; plan() refuses that path rather than return it
-        with clearance_ok false, as the reference does."""
+        past, 0.1414 from it: plan() returns the failing certificate, as the
+        reference does, and require_clearance refuses it by obstacle."""
         sliver = ConvexPolygon.from_points([P(9.6, 4.4), P(9.7, 0.5), P(9.65, 2.45)])
         sc = Scenario((sliver,), Bounds(-10, -10, 30, 30), 0.2, 0.5, P(-5, 15), P(15, -5))
+        result = plan(sc)
+        assert result == reference_plan(sc) and not result.clearance_ok
         message = "path clearance 0.141421 to obstacle 0 < robot radius 0.2 (short by 0.0586)"
-        for fn in (plan, reference_plan):
-            with pytest.raises(NoPathError) as exc:
-                fn(sc)
-            assert type(exc.value) is NoPathError and str(exc.value) == message
+        with pytest.raises(NoPathError) as exc:
+            require_clearance(sc, result)
+        assert type(exc.value) is NoPathError and str(exc.value) == message
         far = ConvexPolygon([P(25, 25), P(26, 25), P(26, 26)])
+        swapped = dataclasses.replace(sc, obstacles=(far, sliver))
         with pytest.raises(NoPathError, match=" to obstacle 1 < "):
-            plan(dataclasses.replace(sc, obstacles=(far, sliver)))
+            require_clearance(swapped, plan(swapped))
+        passing = dataclasses.replace(sc, robot_radius=0.1)
+        kept = plan(passing)
+        assert kept.clearance_ok and require_clearance(passing, kept) is kept
 
     def test_narrow_corridor_blocked(self):
         left = ConvexPolygon([P(0.001, 9), P(9.8, 9), P(9.8, 11), P(0.001, 11)])
