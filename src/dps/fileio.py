@@ -1,7 +1,8 @@
 """Text file formats: polyline CSV, scenario JSON, and path JSON.
 
-Floats are written with ``repr`` precision (up to 17 significant digits),
-so every file round-trips back to bit-identical doubles.
+Floats are written as their shortest round-trip digits in ``repr``'s
+notation, block by block, so every file round-trips back to bit-identical
+doubles and path files keep the bytes that earlier versions wrote.
 
 A polyline CSV is read straight into the ``Polyline`` coordinate array; a
 record that does not parse or has a non-finite coordinate is named by its
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from array import array
 from itertools import chain
 from typing import Optional, TextIO, Union
@@ -32,7 +34,7 @@ from .planner import Bounds, ConvexPolygon, Scenario
 from .smoother import ARC, LINE, Polyline, SmoothPath, first_bad_row
 
 
-def load_polyline(source: Union[str, TextIO]) -> Polyline:
+def load_polyline(source: Union[str, os.PathLike, TextIO]) -> Polyline:
     """Read a polyline from CSV with one ``x,y`` record per line, straight
     into the polyline's coordinate array.
 
@@ -41,7 +43,7 @@ def load_polyline(source: Union[str, TextIO]) -> Polyline:
     including a non-finite coordinate, is named by its line number. The
     coordinates are collected as C doubles, which the polyline copies once.
     """
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8-sig") as fh:
             return load_polyline(fh)
     values = array("d")
@@ -102,7 +104,7 @@ def _named(name: str, convert, value):
         raise ValueError(f"{name}: {err}") from None
 
 
-def load_scenario(source: Union[str, TextIO]) -> Scenario:
+def load_scenario(source: Union[str, os.PathLike, TextIO]) -> Scenario:
     """Read a planning scenario from JSON.
 
     Required keys: ``bounds`` ([xmin, ymin, xmax, ymax]), ``robot_radius``,
@@ -110,7 +112,7 @@ def load_scenario(source: Union[str, TextIO]) -> Scenario:
     lists; non-convex vertex lists are convex-hulled). Every coordinate and
     radius must be a JSON number; a string or a boolean raises ``ValueError``.
     """
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8-sig") as fh:
             return load_scenario(fh)
     doc = json.load(source, parse_int=float)
@@ -138,6 +140,8 @@ def load_scenario(source: Union[str, TextIO]) -> Scenario:
 # row; "%.0s" prints nothing for the fifth value of a line row.
 _LINE = '{"type": "line", "a": [%s, %s], "b": [%s, %s]}%.0s'
 _ARC = '{"type": "arc", "center": [%s, %s], "radius": %s, "start_angle": %s, "sweep": %s}'
+# Rows per block of save_path's text, which bounds its temporaries.
+_BLOCK = 1024
 
 
 # The types json.load(..., parse_int=float) gives JSON numbers; null reads as
@@ -147,29 +151,39 @@ _NUMBERS = {float, type(None)}
 
 def save_path(
     path: SmoothPath,
-    dest: Union[str, TextIO],
+    dest: Union[str, os.PathLike, TextIO],
     total_length: Optional[float] = None,
     min_clearance: Optional[float] = None,
 ) -> None:
     """Write a smooth path as JSON, one segment record per line, plus
     trailing metadata."""
-    if isinstance(dest, str):
+    if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", encoding="utf-8") as fh:
             save_path(path, fh, total_length, min_clearance)
         return
-    # Column values are finite floats, so str() (the shortest round-trip
-    # repr) is valid JSON for every one. One template formats all rows.
-    template = ",\n".join([_ARC if kind == ARC else _LINE for kind in path.kind.tolist()])
-    dest.writelines(('{"segments": [\n', template % tuple(path.data.ravel().tolist()), "\n]"))
+    import orjson  # here, so that a process writing no path maps none of its 0.3 MiB
+    # Column values are finite floats. orjson writes the shortest round-trip
+    # digits as repr does, in its own notation only below 1e-4 and from 1e16
+    # (0.00001 for 1e-05, 1e16 for 1e+16), where repr rewrites the token.
+    dest.write('{"segments": [\n')
+    for lo in range(0, len(path.kind), _BLOCK):
+        values = path.data[lo:lo + _BLOCK].ravel().tolist()
+        text = orjson.dumps(values).decode()
+        tokens = text[1:-1].split(",")
+        if "e" in text or "0.0000" in text:
+            tokens = [repr(v) if "e" in t or "0.0000" in t else t for t, v in zip(tokens, values)]
+        template = ",\n".join([_ARC if k == ARC else _LINE for k in path.kind[lo:lo + _BLOCK].tolist()])
+        dest.write((",\n" if lo else "") + template % tuple(tokens))
+    dest.write("\n]")
     for key, value in (("total_length", total_length), ("min_clearance", min_clearance)):
         if value is not None:
             dest.write(f',\n"{key}": {json.dumps(value)}')
     dest.write("}\n")
 
 
-def load_path(source: Union[str, TextIO]) -> tuple[SmoothPath, dict]:
+def load_path(source: Union[str, os.PathLike, TextIO]) -> tuple[SmoothPath, dict]:
     """Read a path JSON file; returns the path and its metadata dict."""
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8-sig") as fh:
             return load_path(fh)
     doc = json.load(source, parse_int=float)

@@ -5,9 +5,10 @@ import re
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dps.geom import ArcSegment, Heading, LineSegment, Point2, arc_endpoint
-from dps.fileio import load_path, load_polyline, load_scenario, save_path
+from dps.geom import LENGTH_EPSILON, ArcSegment, Heading, LineSegment, Point2, arc_endpoint
+from dps.fileio import _BLOCK, load_path, load_polyline, load_scenario, save_path
 from dps.randgen import random_polyline
 from dps.render import render_svg
 from dps.smoother import SmoothPath, smooth_polyline
@@ -368,6 +369,52 @@ def test_file_and_svg_match_segment_reference():
         loaded, _ = load_path(io.StringIO(buf.getvalue()))
         assert loaded.segments == path.segments
     assert render_svg(_full_circle_path()).count(" A ") == 4  # full circles in halves
+
+
+def _signed(magnitudes):
+    return st.builds(lambda m, negative: -m if negative else m, magnitudes, st.booleans())
+
+
+# Magnitudes on both sides of where orjson's notation leaves repr's: 1e-4 and
+# 1e16, subnormals, and zero (signed, so -0.0 too).
+_SMALL = st.one_of(st.just(0.0), st.floats(5e-324, 2.2250738585072014e-308),
+                   st.floats(1e-5, 1e-4, exclude_max=True), st.floats(1e-4, 1e-3))
+_LARGE = st.one_of(st.floats(1e15, 1e16, exclude_max=True), st.floats(1e16, 1e300))
+_COORD = _signed(st.one_of(_SMALL, _LARGE))
+_ANGLE = _signed(_SMALL)
+_LINES = st.tuples(_COORD, _COORD, _COORD, _COORD).filter(
+    lambda v: math.hypot(v[2] - v[0], v[3] - v[1]) > LENGTH_EPSILON
+).map(lambda v: LineSegment(P(v[0], v[1]), P(v[2], v[3])))
+_ARCS = st.builds(lambda x, y, radius, start, sweep: ArcSegment(P(x, y), radius, Heading(start), sweep),
+                  _COORD, _COORD, st.one_of(_SMALL, _LARGE).filter(bool), _ANGLE, _ANGLE)
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(_LINES, _ARCS), min_size=1, max_size=6), _ARCS, _COORD)
+def test_file_text_matches_repr_reference_at_notation_edges(rows, last, total_length):
+    # The first block ends in an arc, so its last token is a sweep; every
+    # value the file prints is drawn from the notation edges.
+    segments = [rows[i % len(rows)] for i in range(_BLOCK - 1)] + [last] + rows
+    path = SmoothPath(segments, P(0.0, 0.0), P(0.0, 0.0))
+    buf = io.StringIO()
+    save_path(path, buf, total_length=total_length)
+    # as lines, so that a failure names the first differing record at once
+    assert buf.getvalue().split("\n") == _reference_file(path, total_length=total_length).split("\n")
+
+
+def test_file_functions_take_a_path_object(tmp_path):
+    csv, scenario, out = tmp_path / "in.csv", tmp_path / "scenario.json", tmp_path / "path.json"
+    csv.write_text("x,y\n0,0\n4,0\n4,4\n", encoding="utf-8")
+    polyline = load_polyline(csv)
+    assert polyline.points == (P(0, 0), P(4, 0), P(4, 4))
+    path = smooth_polyline(polyline, 1.0)
+    save_path(path, out, total_length=2.5)
+    assert out.read_text(encoding="utf-8") == _reference_file(path, total_length=2.5)
+    assert load_path(out) == (path, {"total_length": 2.5})
+    doc = {"bounds": [0, 0, 20, 20], "robot_radius": 0.2, "turning_radius": 0.5,
+           "start": [1, 1], "goal": [19, 19], "obstacles": [[[8, 8], [12, 8], [12, 12], [8, 12]]]}
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_scenario(scenario) == load_scenario(io.StringIO(json.dumps(doc)))
 
 
 def test_load_scenario():
