@@ -8,8 +8,13 @@ A polyline CSV is read straight into the ``Polyline`` coordinate array; a
 record that does not parse or has a non-finite coordinate is named by its
 line. A path JSON file holds ``{"segments": [``, one segment record per
 line, ``]`` and one line per metadata key. Metadata goes through ``json``
-(an infinite clearance reads ``Infinity``). Any layout of the document
-loads. Paths are written from and read into ``SmoothPath`` columns.
+(an infinite clearance reads ``Infinity``). Paths are written from and read
+into ``SmoothPath`` columns, ``_BLOCK`` records at a time both ways: the
+reader parses each block of record lines with orjson (with ``json`` where
+orjson refuses it or reads an integer), so it holds one block's records
+besides the columns. Any other layout of the document loads whole through
+``json.load``, which also raises every error, so a bad file is named as if
+it had been read whole.
 
 The JSON readers take every number as a float (``parse_int=float``: ``-0``
 reads as -0.0, an integer beyond the float range as inf) and refuse strings
@@ -24,7 +29,8 @@ import json
 import math
 import os
 from array import array
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -140,8 +146,12 @@ def load_scenario(source: Union[str, os.PathLike, TextIO]) -> Scenario:
 # row; "%.0s" prints nothing for the fifth value of a line row.
 _LINE = '{"type": "line", "a": [%s, %s], "b": [%s, %s]}%.0s'
 _ARC = '{"type": "arc", "center": [%s, %s], "radius": %s, "start_angle": %s, "sweep": %s}'
-# Rows per block of save_path's text, which bounds its temporaries.
+# Rows per block of save_path's text and of load_path's reading, which
+# bounds their temporaries.
 _BLOCK = 1024
+# The first line of save_path's layout, and the whitespace JSON allows.
+_HEADER = '{"segments": [\n'
+_SPACE = " \t\n\r"
 
 
 # The types json.load(..., parse_int=float) gives JSON numbers; null reads as
@@ -165,7 +175,7 @@ def save_path(
     # Column values are finite floats. orjson writes the shortest round-trip
     # digits as repr does, in its own notation only below 1e-4 and from 1e16
     # (0.00001 for 1e-05, 1e16 for 1e+16), where repr rewrites the token.
-    dest.write('{"segments": [\n')
+    dest.write(_HEADER)
     for lo in range(0, len(path.kind), _BLOCK):
         values = path.data[lo:lo + _BLOCK].ravel().tolist()
         text = orjson.dumps(values).decode()
@@ -182,10 +192,35 @@ def save_path(
 
 
 def load_path(source: Union[str, os.PathLike, TextIO]) -> tuple[SmoothPath, dict]:
-    """Read a path JSON file; returns the path and its metadata dict."""
+    """Read a path JSON file; returns the path and its metadata dict.
+
+    A document in save_path's layout is read ``_BLOCK`` records at a time
+    (``_read_blocks``). Any other document, a stream that cannot seek, and
+    any file in which the block reader meets something it does not take,
+    such as a bad record, is read whole by ``json.load``, which then also
+    names the error."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8-sig") as fh:
             return load_path(fh)
+    try:
+        origin = source.tell() if source.seekable() else None
+    except OSError:  # a text file that is being iterated cannot tell
+        origin = None
+    read = None if origin is None else _read_blocks(source)
+    if read is None and origin is not None:
+        source.seek(origin)
+    kind, data, meta = read or _read_whole(source)
+    # Start angles as Heading keeps them, normalized to (-pi, pi].
+    angle = data[:, 3]
+    for i in np.flatnonzero((kind == ARC) & ((angle <= -math.pi) | (angle > math.pi))).tolist():
+        data[i, 3] = normalize_angle(data[i, 3])
+    first, last = data[0].tolist(), data[-1].tolist()
+    start = first[:2] if kind[0] == LINE else arc_ends(*first)[:2]
+    end = last[2:4] if kind[-1] == LINE else arc_ends(*last)[2:]
+    return SmoothPath._from_columns(kind, data, Point2(*start), Point2(*end)), meta
+
+
+def _read_whole(source: TextIO) -> tuple[np.ndarray, np.ndarray, dict]:
     doc = json.load(source, parse_int=float)
     if not isinstance(doc, dict):
         raise ValueError(f"path file must be a JSON object, got {type(doc).__name__}")
@@ -194,6 +229,60 @@ def load_path(source: Union[str, os.PathLike, TextIO]) -> tuple[SmoothPath, dict
         raise ValueError("path file has no segments")
     if not isinstance(records, list):
         raise ValueError(f"path file segments must be a list, got {records!r}")
+    return (*_columns(records), {k: v for k, v in doc.items() if k != "segments"})
+
+
+def _read_blocks(source: TextIO) -> Optional[tuple[np.ndarray, np.ndarray, dict]]:
+    """The columns and metadata of a document in save_path's layout, or
+    None where ``json.load`` might read the document otherwise.
+
+    Each block of record lines is parsed as one JSON list by orjson, or by
+    json where orjson refuses it or gives a number that is not a float (an
+    integer, or -0 as 0), and its rows are copied out before the next block
+    is read. The metadata after the list goes through json."""
+    if source.readline() != _HEADER:
+        return None
+    import orjson  # here, as in save_path
+
+    parsers = (orjson.loads, partial(json.loads, parse_int=float))
+    kinds, values = array("b"), array("d")
+    want, closed = True, ""  # want: a record comes next, the first or one after a comma
+    while not closed:
+        lines = list(islice(source, _BLOCK))
+        # The records run to the first line that starts with "]", which closes the list.
+        body, closed, rest = ("\n" + "".join(lines)).partition("\n]")
+        body = body.rstrip(_SPACE)
+        more = body.endswith(",")
+        body = body[:-1] if more else body
+        filled = bool(body.strip(_SPACE))
+        if filled != want or (more and closed) or not (closed or len(lines) == _BLOCK):
+            return None  # a missing or trailing comma, no records, or no "]"
+        if filled:
+            for parse in parsers:
+                try:
+                    kind, data = _columns(parse(f"[{body}]"))
+                    break
+                except ValueError:  # JSONDecodeError included
+                    pass
+            else:
+                return None
+            kinds.frombytes(kind)
+            values.frombytes(data.tobytes())
+        want = more
+    tail = rest + source.read()
+    if "segments" in tail or "\\" in tail:  # no key may spell "segments" again
+        return None
+    try:
+        meta = json.loads('{"segments": []' + tail, parse_int=float)
+    except ValueError:
+        return None
+    del meta["segments"]
+    return np.frombuffer(kinds, np.int8), np.frombuffer(values).reshape(-1, 5), meta
+
+
+def _columns(records: list) -> tuple[np.ndarray, np.ndarray]:
+    """The kind and data columns of segment records as a JSON reader gives
+    them; a ``ValueError`` names the first record that holds no segment."""
     # Each record gives two pairs and a sweep: a line a, b and 0, an arc its
     # center, (radius, start_angle) and its sweep.
     kinds, pairs, sweeps = [], [], []
@@ -226,15 +315,7 @@ def load_path(source: Union[str, os.PathLike, TextIO]) -> tuple[SmoothPath, dict
                         else "center and numbers for radius, start_angle and sweep")
                 raise ValueError(f"segment {i}: expected [x, y] {what}, got {records[i]!r}")
     data = np.column_stack((np.array(flat, np.float64).reshape(-1, 4), np.array(sweeps, np.float64)))
-    kind = np.array(kinds)
+    kind = np.array(kinds, np.int8)
     if (bad := first_bad_row(kind, data)) is not None:
         raise ValueError("segment {}: {}: {!r}".format(*bad, records[bad[0]]))
-    # Start angles as Heading keeps them, normalized to (-pi, pi].
-    angle = data[:, 3]
-    for i in np.flatnonzero((kind == ARC) & ((angle <= -math.pi) | (angle > math.pi))).tolist():
-        data[i, 3] = normalize_angle(data[i, 3])
-    first, last = data[0].tolist(), data[-1].tolist()
-    start = first[:2] if kinds[0] == LINE else arc_ends(*first)[:2]
-    end = last[2:4] if kinds[-1] == LINE else arc_ends(*last)[2:]
-    meta = {k: v for k, v in doc.items() if k != "segments"}
-    return SmoothPath._from_columns(kinds, data, Point2(*start), Point2(*end)), meta
+    return kind, data

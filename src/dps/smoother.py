@@ -406,6 +406,22 @@ def deviation_bound(alpha: float, r: float) -> float:
     return r * (1.0 / math.sin(0.5 * alpha) - 1.0)
 
 
+def _half_turn(crs, dt, m=_FLOATS):
+    """tan(turn / 2) as (num, den), from the cross and dot products of the
+    unit edge directions: |u1 x u2| / (1 + u1.u2), or (1 - u1.u2) / |u1 x u2|
+    where u1.u2 < 0 and 1 + u1.u2 would cancel. den is 0 only at an exact
+    reversal."""
+    acrs = abs(crs)
+    obtuse = dt < 0.0
+    return m.where(obtuse, 1.0 - dt, acrs), m.where(obtuse, acrs, 1.0 + dt)
+
+
+def _reversed(crs, dt, m=_FLOATS):
+    """Whether edge directions with these cross and dot products are
+    opposite: an exact reversal, which no arc of any radius smooths."""
+    return (crs == 0.0) & (dt < 0.0)
+
+
 def _solve_raw(xm, ym, u1x, u1y, u2x, u2y, r, m=_FLOATS):
     """Tangent solve at vertex p_m = (xm, ym), entered along the unit
     direction u1 and left along u2, on floats or, with ``m = _ARRAYS``, on
@@ -423,11 +439,8 @@ def _solve_raw(xm, ym, u1x, u1y, u2x, u2y, r, m=_FLOATS):
     """
     crs = u1x * u2y - u1y * u2x
     dt = u1x * u2x + u1y * u2y
-    acrs = abs(crs)
-    through = ((acrs <= COLLINEAR_EPSILON) & (dt > 0.0)) | (r == 0.0)
-    obtuse = dt < 0.0  # where 1 + u1.u2 cancels, l = r(1 - u1.u2) / |u1 x u2|
-    num = m.where(obtuse, 1.0 - dt, acrs)
-    den = m.where(obtuse, acrs, 1.0 + dt)
+    through = ((abs(crs) <= COLLINEAR_EPSILON) & (dt > 0.0)) | (r == 0.0)
+    num, den = _half_turn(crs, dt, m)
     reversal = den == 0.0
     fit = r * (num / (den + reversal))  # tan(turn / 2) times r; divides by 1 at a reversal
     l = m.where(through, 0.0, m.where(reversal, math.inf, fit))
@@ -535,7 +548,7 @@ def _infeasible(tp: _Pass, vertex: Optional[int] = None):
         reason = f"edge {e}: |p{e} p{e + 1}| = {edge:.6g} < l{e} + l{e + 1} = {need:.6g}"
     if need < math.inf:
         short = f"short by {need - edge:.3g}"
-    elif vertex is not None and tp.raws[7][vertex - 1] == 0.0 and tp.raws[8][vertex - 1] < 0.0:
+    elif vertex is not None and _reversed(tp.raws[7][vertex - 1], tp.raws[8][vertex - 1]):
         short = "exact reversal"
     else:
         short = "tangent length overflows a float"
@@ -573,13 +586,19 @@ def _share(edge, l0, l1, holds, m=_FLOATS):
     return m.where(holds, 1.0, edge / m.where(holds, 1.0, l0 + l1))
 
 
-def _clamped_radius(l, share0, share1, e0, e1, r, m=_FLOATS):
+def _clamped_radius(l0, l, l1, share0, share1, e0, e1, crs, dt, r, m=_FLOATS):
     """Radius that keeps the arc tangent at the tangent length its edges
     allow (a pass-through vertex, l = 0, keeps r); 0 where that radius
-    vanishes and the arc is dropped."""
-    fit = m.min(l * share0, l * share1, e0, e1)
+    vanishes and the arc is dropped. A tangent length that overflowed (inf,
+    at a vertex that is no reversal) takes the whole of each edge it shares,
+    or half of one whose other end overflowed too, and its radius comes from
+    the turn, fit / tan(turn / 2), as r / l would be nan."""
+    over = l == math.inf
+    edge_fit = m.min(m.where(l0 == math.inf, 0.5 * e0, e0), m.where(l1 == math.inf, 0.5 * e1, e1))
+    fit = m.where(over, edge_fit, m.min(l * share0, l * share1, e0, e1))
     clamped = fit < l
-    r_eff = r * fit / m.where(clamped, l, 1.0)
+    num, den = _half_turn(crs, dt, m)
+    r_eff = m.where(over, fit * den / m.where(over, num, 1.0), r * fit / m.where(clamped, l, 1.0))
     return m.where(clamped, m.where(r_eff <= LENGTH_EPSILON, 0.0, r_eff), r)
 
 
@@ -589,7 +608,9 @@ def _clamp(tp: _Pass) -> list:
     tangent lengths) and the arc radius shrinks with it to keep tangency."""
     m, x, y, edges, ux, uy, ls, holds, raws = tp
     share = m.map(_share, edges, ls[:-1], ls[1:], holds)
-    radius = m.map(_clamped_radius, ls[1:-1], share[:-1], share[1:], edges[:-1], edges[1:], raws[9])
+    with m.quiet():  # an overflowed l times its share is nan, and is not used
+        radius = m.map(_clamped_radius, ls[:-2], ls[1:-1], ls[2:], share[:-1], share[1:], edges[:-1],
+                       edges[1:], raws[7], raws[8], raws[9])
     return m.map_n(_RAW_FIELDS, _solve_raw, x[1:-1], y[1:-1], ux[:-1], uy[:-1], ux[1:], uy[1:],
                    radius)
 
@@ -597,8 +618,7 @@ def _clamp(tp: _Pass) -> list:
 def _solves(p: Polyline, r: float, mode: str) -> tuple[_Pass, list]:
     """Tangent pass and the mode's solve columns: the pass's own where every
     edge holds, in both modes. Strict refuses a polyline with a failing edge;
-    best-effort clamps it, unless a tangent length is infinite: an exact
-    reversal, or an overflow, whose share of its edges would be nan."""
+    best-effort clamps it, unless a vertex is an exact reversal."""
     if mode not in ("strict", "best-effort"):
         check_turn_radius(r)  # a bad radius is named before a bad mode
         raise ValueError(f"unknown smoothing mode {mode!r}")
@@ -607,8 +627,8 @@ def _solves(p: Polyline, r: float, mode: str) -> tuple[_Pass, list]:
         return tp, tp.raws
     if mode == "strict":
         raise _infeasible(tp)
-    if len(reversals := tp.m.find(tp.ls, math.inf)):
-        raise _infeasible(tp, int(reversals[0]))
+    if len(reversals := tp.m.find(tp.m.map(_reversed, tp.raws[7], tp.raws[8]), True)):
+        raise _infeasible(tp, int(reversals[0]) + 1)
     return tp, _clamp(tp)
 
 

@@ -4,9 +4,11 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dps import fileio
 from dps.geom import LENGTH_EPSILON, ArcSegment, Heading, LineSegment, Point2, arc_endpoint
 from dps.fileio import _BLOCK, load_path, load_polyline, load_scenario, save_path
 from dps.randgen import random_polyline
@@ -195,6 +197,112 @@ def test_path_document_matches_indented_writer():
         loaded, old_meta = load_path(old_file)
         assert _float_bits(loaded) == _float_bits(path)
         assert old_meta == {k: v for k, v in meta.items() if v is not None}
+
+
+class _Unseekable(io.StringIO):
+    """A text stream that cannot seek, as a pipe."""
+
+    def seekable(self):
+        return False
+
+
+def _outcome(source):
+    """What load_path gives for a source: the path's column bytes, its ends
+    and the metadata, or the error's type and text."""
+    try:
+        path, meta = load_path(source)
+    except ValueError as err:
+        return type(err), str(err)
+    return path.kind.tobytes(), path.data.tobytes(), path.start_point, path.end_point, meta
+
+
+def _writer_lines(segments, **meta):
+    """save_path's text for a smoothed random path of ``segments`` rows, as
+    lines: the header, one record per line, then "]" and the metadata."""
+    path = smooth_polyline(random_polyline(1200, 1.0, seed=4), 1.0)
+    buf = io.StringIO()
+    save_path(SmoothPath(path.segments[:segments], path.start_point, path.end_point), buf, **meta)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+# Lines replaced in a file of 2,397 records, by index: a record in the second
+# block, so that an error names a global index, the last line of the first
+# block, the last record or the last line of metadata; None cuts the file.
+_AT = _BLOCK + 5
+_LINE_REC = '{"type": "line", "a": [%s, %s], "b": [%s, %s]},\n'
+_ARC_REC = '{"type": "arc", "center": [%s, %s], "radius": %s, "start_angle": %s, "sweep": %s},\n'
+_EDITS = {
+    "int": (1 + _AT, _LINE_REC % (3, 0, -4, 7)),
+    "minus zero": (1 + _AT, _ARC_REC % (1.5, "-0", 2, "-0", -0.5)),
+    "beyond u64": (1 + _AT, _LINE_REC % (18446744073709551617, 0.0, 1.0, 0.0)),
+    "1e400": (1 + _AT, _ARC_REC % (1.5, 0.5, "1e400", 0.5, 1.0)),
+    "5,000 digits": (1 + _AT, _LINE_REC % ("7" * 5000, 0.0, 1.0, 0.0)),
+    "null": (1 + _AT, _ARC_REC % (1.5, 0.5, 1.0, 0.5, "null")),
+    "NaN": (1 + _AT, _LINE_REC % ("NaN", 0.0, 1.0, 0.0)),
+    "string": (1 + _AT, _LINE_REC % ('"3.0"', 0.0, 1.0, 0.0)),
+    "unknown type": (1 + _AT, '{"type": "spline"},\n'),
+    "zero radius": (1 + _AT, _ARC_REC % (1.5, 0.5, 0.0, 0.5, 1.0)),
+    "blank line": (1 + _AT, _LINE_REC % (3.0, 0.0, 4.0, 0.0) + "\n"),
+    "split record": (1 + _AT, (_LINE_REC % (3.0, 0.0, 4.0, 0.0)).replace(' "b"', '\n"b"')),
+    "split across blocks": (_BLOCK, (_LINE_REC % (3.0, 0.0, 4.0, 0.0)).replace(' "b"', '\n"b"')),
+    "missing comma": (_BLOCK, (_LINE_REC % (3.0, 0.0, 4.0, 0.0)).replace("},", "}")),
+    "trailing comma": (2397, _LINE_REC % (3.0, 0.0, 4.0, 0.0)),
+    "segments in metadata": (-1, '"min_clearance": Infinity, "segments": [{"type": "spline"}]}\n'),
+    "escaped segments in metadata": (-1, '"min_clearance": Infinity, "\\u0073egments": [{"type": "spline"}]}\n'),
+    "no closing bracket": (1 + 2397, None),  # the file ends after the last record
+    "broken later": (1 + 5, _ARC_REC % (1.5, 0.5, 0.0, 0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("edit", list(_EDITS))
+def test_load_path_matches_json_reference(edit):
+    """The block reader gives the path bytes, metadata and error text that
+    json.load(..., parse_int=float) of the whole document gives through the
+    same checks, as it does for a stream that cannot seek."""
+    lines = _writer_lines(2397, total_length=2.5, min_clearance=math.inf)
+    at, record = _EDITS[edit]
+    if record is None:
+        del lines[at:]
+    else:
+        lines[at] = record
+    if edit == "broken later":  # a bad record in block 1, broken JSON in block 3
+        lines[1 + 2 * _BLOCK + 9] = lines[1 + 2 * _BLOCK + 9][:-3] + "\n"
+    text = "".join(lines)
+    got, reference = _outcome(io.StringIO(text)), _outcome(_Unseekable(text))
+    assert got == reference
+    blockwise = fileio._read_blocks(io.StringIO(text)) is not None
+    assert blockwise == (edit in ("int", "minus zero", "beyond u64", "blank line", "split record"))
+    if blockwise or edit == "split across blocks":
+        assert len(got[0]) == 2397 and got[4] == {"total_length": 2.5, "min_clearance": math.inf}
+    elif edit in ("missing comma", "trailing comma", "no closing bracket", "broken later"):
+        assert got[0] is json.JSONDecodeError
+    else:
+        index = 0 if edit.endswith("segments in metadata") else _AT
+        assert got[0] is ValueError and got[1].startswith(f"segment {index}: ")
+    if edit == "minus zero":  # -0 reads as -0.0, not as orjson's integer 0
+        row = np.frombuffer(got[1]).reshape(-1, 5)[_AT]
+        assert row.tolist() == [1.5, 0.0, 2.0, 0.0, -0.5] and np.signbit(row).tolist()[:4] == [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("segments", [_BLOCK, _BLOCK + 1, 2397])
+def test_load_path_reads_blocks_of_every_fill(segments, tmp_path):
+    """Exactly one block, one record past it, and a partial last block: a
+    file by name, with and without a byte order mark, and a stream that
+    cannot seek all read as the json reference does."""
+    text = "".join(_writer_lines(segments, total_length=1.25, min_clearance=math.inf))
+    reference = _outcome(_Unseekable(text))
+    assert len(reference[0]) == segments and reference[4] == {"total_length": 1.25, "min_clearance": math.inf}
+    assert fileio._read_blocks(io.StringIO(text)) is not None
+    src = tmp_path / "path.json"
+    for prefix in (b"", BOM):
+        src.write_bytes(prefix + text.encode())
+        assert _outcome(str(src)) == reference
+    # the stream is read from where it stands, and a BOM inside it is an error, as for json.load
+    stream = io.StringIO("ignored" + text)
+    stream.seek(len("ignored"))
+    assert _outcome(stream) == reference
+    assert _outcome(io.StringIO("\ufeff" + text)) == _outcome(_Unseekable("\ufeff" + text))
+    assert _outcome(io.StringIO("\ufeff" + text))[0] is json.JSONDecodeError
 
 
 def test_path_with_numpy_coordinates_is_valid_json():

@@ -381,24 +381,43 @@ def test_reversal_with_rounded_denominator_is_refused():
     assert validate(smooth_polyline(sharp, 1e-5), 1e-5).ok
 
 
-def test_overflowed_tangent_length_is_no_reversal():
+def test_overflowed_tangent_length_is_no_reversal(monkeypatch):
     # The turn is about 179.94 degrees, so l = r(1 - u1.u2)/|u1 x u2| is about
     # 2000 r, which overflows at r = 1e306; only a zero denominator is a
-    # reversal. Best-effort refuses too: l = inf has no share of its edges.
+    # reversal. Strict refuses; best-effort gives the overflowed vertex each
+    # edge it shares, or half of one shared with another overflowed vertex,
+    # and a path that is G1 and chained at its smallest radius, on both
+    # backends.
+    from dps import smoother
+
     overflow = [(0, 0), (1, 0), (0, 0.001)]
-    long_overflow = [(i, 0) for i in range(48)] + [(46, 0.001)]  # the array backend
-    modes = (smooth_polyline, partial(smooth_polyline, mode="best-effort"), vertex_solutions)
+    long_overflow = [(i, 0) for i in range(48)] + [(46, 0.001)]
     for points, vertex in ((overflow, 1), (long_overflow, 47)):
-        for fn in modes:
+        for fn in (smooth_polyline, vertex_solutions):
             with pytest.raises(FeasibilityError) as exc:
                 fn(Polyline.from_array(points), 1e306)
             assert str(exc.value) == (f"vertex {vertex}: l = inf > min edge 1 "
                                       "(tangent length overflows a float)")
+    for points, fits in ((overflow, [1.0]), (long_overflow, [1.0]), (overflow + [(1, 0.002)], [0.5, 0.5])):
+        paths = []
+        for backend in (smoother._FLOATS, smoother._ARRAYS):
+            monkeypatch.setattr(smoother, "_backend", lambda n, backend=backend: backend)
+            paths.append(smooth_polyline(Polyline.from_array(points), 1e306, mode="best-effort"))
+        assert paths[0] == paths[1]
+        arcs = paths[0].data[paths[0].kind == ARC].tolist()
+        assert validate(paths[0], min(arc[2] for arc in arcs)).ok
+        # each arc's tangent length r tan(turn / 2) is its share of the edges
+        assert [r * math.tan(0.5 * abs(sweep)) for _, _, r, _, sweep in arcs] == pytest.approx(fits, rel=1e-6)
+    monkeypatch.undo()
+    modes = (smooth_polyline, partial(smooth_polyline, mode="best-effort"), vertex_solutions)
     reversal = Polyline.from_array([(0, 0), (1, 0), (0.5, 0)])
     for fn in modes:
         with pytest.raises(FeasibilityError) as exc:
             fn(reversal, 1.0)
         assert str(exc.value) == "vertex 1: l = inf > min edge 0.5 (exact reversal)"
+    # best-effort names a reversal behind two overflowed vertices
+    with pytest.raises(FeasibilityError, match=r"^vertex 3: l = inf > min edge 4 \(exact reversal\)$"):
+        smooth_polyline(Polyline.from_array(overflow + [(5, 0.001), (1, 0.001)]), 1e306, mode="best-effort")
 
 
 def _sharp_turn(rng, deficit, r):

@@ -6,9 +6,13 @@ reports on it (``feasibility_report``), smooths it (``smooth_polyline``),
 checks the path (``validate``), measures it (``path_length``), writes it as
 path JSON (``save_path``), reads it back (``load_path``, which must give
 the same bits) and draws it (``render_svg``). It prints one JSON line: the
-median time of each stage and the peak RSS (``ru_maxrss``) above the
-interpreter's baseline after each stage. ``--crossover`` instead times
-smoothing plus a report per backend of the tangent pass at small sizes.
+median time of each stage, the peak RSS (VmHWM) above the interpreter's
+baseline after each stage and, from one more untimed call per stage made
+after all of those, the stage's peak allocation under ``tracemalloc``
+(``traced_peak_<stage>_mib``). VmHWM only rises, so it cannot see a stage
+whose transient stays below an earlier stage's peak; the traced peak can.
+``--crossover`` instead times smoothing plus a report per backend of the
+tangent pass at small sizes.
 
     python3 tools/size_sweep.py 1000 10000 100000 1000000
     python3 tools/size_sweep.py --src /path/to/other/checkout/src 1000 10000
@@ -32,6 +36,7 @@ import sys
 import tempfile
 import time
 import timeit
+import tracemalloc
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -66,7 +71,10 @@ def measure(csv: str, n: int) -> dict:
     repeats = 5 if n <= 100_000 else 3
     out = {"n": n, "repeats": repeats, "baseline_rss_mib": round(base, 1)}
 
+    stages = []
+
     def timed(stage, call):
+        stages.append((stage, call))
         times = []
         for _ in range(repeats):
             gc.collect()
@@ -86,11 +94,18 @@ def measure(csv: str, n: int) -> dict:
     path_json = os.path.splitext(csv)[0] + "_path.json"
     timed("save_path", lambda: fileio.save_path(path, path_json, total_length=length))
     loaded, meta = timed("load_path", lambda: fileio.load_path(path_json))
-    os.remove(path_json)
     if (loaded.kind.tobytes(), loaded.data.tobytes(), meta["total_length"]) != (
             path.kind.tobytes(), path.data.tobytes(), length):
         raise SystemExit(f"n = {n}: save_path -> load_path did not round-trip bit-exactly")
     out["svg_bytes"] = len(timed("render_svg", lambda: render.render_svg(loaded)))
+    # Traced last, so that tracemalloc's own memory raises no VmHWM above.
+    for stage, call in stages:
+        gc.collect()
+        tracemalloc.start()
+        call()
+        out[f"traced_peak_{stage}_mib"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 1)
+        tracemalloc.stop()
+    os.remove(path_json)
     return out
 
 
