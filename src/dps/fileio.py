@@ -10,11 +10,11 @@ line. A path JSON file holds ``{"segments": [``, one segment record per
 line, ``]`` and one line per metadata key. Metadata goes through ``json``
 (an infinite clearance reads ``Infinity``). Paths are written from and read
 into ``SmoothPath`` columns, ``_BLOCK`` records at a time both ways: the
-reader parses each block of record lines with orjson (with ``json`` where
-orjson refuses it or reads an integer), so it holds one block's records
-besides the columns. Any other layout of the document loads whole through
-``json.load``, which also raises every error, so a bad file is named as if
-it had been read whole.
+reader parses each block of record lines with orjson, so it holds one
+block's records besides the columns. Any other layout of the document, and
+a block that orjson refuses or reads an integer from (``-0`` included),
+loads whole through ``json.load``, which also raises every error, so a bad
+file is named as if it had been read whole.
 
 The JSON readers take every number as a float (``parse_int=float``: ``-0``
 reads as -0.0, an integer beyond the float range as inf) and refuse strings
@@ -29,7 +29,6 @@ import json
 import math
 import os
 from array import array
-from functools import partial
 from itertools import chain, islice
 from typing import Optional, TextIO, Union
 
@@ -236,15 +235,14 @@ def _read_blocks(source: TextIO) -> Optional[tuple[np.ndarray, np.ndarray, dict]
     """The columns and metadata of a document in save_path's layout, or
     None where ``json.load`` might read the document otherwise.
 
-    Each block of record lines is parsed as one JSON list by orjson, or by
-    json where orjson refuses it or gives a number that is not a float (an
-    integer, or -0 as 0), and its rows are copied out before the next block
-    is read. The metadata after the list goes through json."""
+    Each block of record lines is parsed as one JSON list by orjson and its
+    rows are copied out before the next block is read; a block that orjson
+    refuses, or that holds a number orjson reads as an integer (-0 as 0
+    too), gives None. The metadata after the list goes through json."""
     if source.readline() != _HEADER:
         return None
     import orjson  # here, as in save_path
 
-    parsers = (orjson.loads, partial(json.loads, parse_int=float))
     kinds, values = array("b"), array("d")
     want, closed = True, ""  # want: a record comes next, the first or one after a comma
     while not closed:
@@ -258,13 +256,9 @@ def _read_blocks(source: TextIO) -> Optional[tuple[np.ndarray, np.ndarray, dict]
         if filled != want or (more and closed) or not (closed or len(lines) == _BLOCK):
             return None  # a missing or trailing comma, no records, or no "]"
         if filled:
-            for parse in parsers:
-                try:
-                    kind, data = _columns(parse(f"[{body}]"))
-                    break
-                except ValueError:  # JSONDecodeError included
-                    pass
-            else:
+            try:
+                kind, data = _columns(orjson.loads(f"[{body}]"))
+            except ValueError:  # orjson's JSONDecodeError included
                 return None
             kinds.frombytes(kind)
             values.frombytes(data.tobytes())

@@ -580,24 +580,28 @@ def feasibility_report(p: Polyline, r: float) -> FeasibilityReport:
     return report
 
 
-def _share(edge, l0, l1, holds, m=_FLOATS):
-    """Factor that scales both tangent lengths of an edge down to what it
-    holds, split in proportion to them; 1 on an edge that holds both."""
-    return m.where(holds, 1.0, edge / m.where(holds, 1.0, l0 + l1))
+def _parts(edge, l0, l1, n0, d0, n1, d1, holds, m=_FLOATS):
+    """The lengths of an edge that its two tangent lengths may take: their
+    own where the edge holds both, else the edge split in proportion to
+    them. Where one overflowed (inf), the proportion is that of the two ends'
+    tan(turn / 2) = n / d, in which r cancels, so a finite end keeps its
+    share; an end with l = 0 takes none."""
+    share = m.where(holds, 1.0, edge / m.where(holds, 1.0, l0 + l1))
+    over = (l0 == math.inf) | (l1 == math.inf)
+    w0 = m.where(l0 == 0.0, 0.0, n0 * d1)  # t0 : t1 = n0 d1 : n1 d0
+    w1 = m.where(l1 == 0.0, 0.0, n1 * d0)
+    w = m.where(over, w0 + w1, 1.0)
+    return m.where(over, edge * (w0 / w), l0 * share), m.where(over, edge * (w1 / w), l1 * share)
 
 
-def _clamped_radius(l0, l, l1, share0, share1, e0, e1, crs, dt, r, m=_FLOATS):
+def _clamped_radius(l, part0, part1, e0, e1, num, den, r, m=_FLOATS):
     """Radius that keeps the arc tangent at the tangent length its edges
     allow (a pass-through vertex, l = 0, keeps r); 0 where that radius
-    vanishes and the arc is dropped. A tangent length that overflowed (inf,
-    at a vertex that is no reversal) takes the whole of each edge it shares,
-    or half of one whose other end overflowed too, and its radius comes from
-    the turn, fit / tan(turn / 2), as r / l would be nan."""
-    over = l == math.inf
-    edge_fit = m.min(m.where(l0 == math.inf, 0.5 * e0, e0), m.where(l1 == math.inf, 0.5 * e1, e1))
-    fit = m.where(over, edge_fit, m.min(l * share0, l * share1, e0, e1))
+    vanishes and the arc is dropped. Where l overflowed, the radius is that
+    length over tan(turn / 2) = num / den, as r / l would be nan."""
+    fit = m.min(part0, part1, e0, e1)
     clamped = fit < l
-    num, den = _half_turn(crs, dt, m)
+    over = l == math.inf
     r_eff = m.where(over, fit * den / m.where(over, num, 1.0), r * fit / m.where(clamped, l, 1.0))
     return m.where(clamped, m.where(r_eff <= LENGTH_EPSILON, 0.0, r_eff), r)
 
@@ -607,10 +611,13 @@ def _clamp(tp: _Pass) -> list:
     to what they can (a contested edge is split in proportion to its two
     tangent lengths) and the arc radius shrinks with it to keep tangency."""
     m, x, y, edges, ux, uy, ls, holds, raws = tp
-    share = m.map(_share, edges, ls[:-1], ls[1:], holds)
+    num, den = m.map_n(2, _half_turn, raws[7], raws[8])
+    ns, ds = m.cat([0.0], num, [0.0]), m.cat([1.0], den, [1.0])  # the endpoints take no part
     with m.quiet():  # an overflowed l times its share is nan, and is not used
-        radius = m.map(_clamped_radius, ls[:-2], ls[1:-1], ls[2:], share[:-1], share[1:], edges[:-1],
-                       edges[1:], raws[7], raws[8], raws[9])
+        part0, part1 = m.map_n(2, _parts, edges, ls[:-1], ls[1:], ns[:-1], ds[:-1], ns[1:], ds[1:],
+                               holds)
+        radius = m.map(_clamped_radius, ls[1:-1], part1[:-1], part0[1:], edges[:-1], edges[1:], num,
+                       den, raws[9])
     return m.map_n(_RAW_FIELDS, _solve_raw, x[1:-1], y[1:-1], ux[:-1], uy[:-1], ux[1:], uy[1:],
                    radius)
 

@@ -270,9 +270,11 @@ def test_load_path_matches_json_reference(edit):
     text = "".join(lines)
     got, reference = _outcome(io.StringIO(text)), _outcome(_Unseekable(text))
     assert got == reference
+    # orjson reads an integer token as an int (-0 as 0), so that block is read whole by
+    # json; an integer beyond u64 it reads as the float json gives
     blockwise = fileio._read_blocks(io.StringIO(text)) is not None
-    assert blockwise == (edit in ("int", "minus zero", "beyond u64", "blank line", "split record"))
-    if blockwise or edit == "split across blocks":
+    assert blockwise == (edit in ("beyond u64", "blank line", "split record"))
+    if blockwise or edit in ("int", "minus zero", "beyond u64", "split across blocks"):
         assert len(got[0]) == 2397 and got[4] == {"total_length": 2.5, "min_clearance": math.inf}
     elif edit in ("missing comma", "trailing comma", "no closing bracket", "broken later"):
         assert got[0] is json.JSONDecodeError

@@ -385,9 +385,10 @@ def test_overflowed_tangent_length_is_no_reversal(monkeypatch):
     # The turn is about 179.94 degrees, so l = r(1 - u1.u2)/|u1 x u2| is about
     # 2000 r, which overflows at r = 1e306; only a zero denominator is a
     # reversal. Strict refuses; best-effort gives the overflowed vertex each
-    # edge it shares, or half of one shared with another overflowed vertex,
-    # and a path that is G1 and chained at its smallest radius, on both
-    # backends.
+    # edge it shares with an endpoint, splits an edge between two turning
+    # vertices as their tan(turn / 2) (about 2000 : 1000, or 2000 : 1 next to
+    # a right angle), and gives a path that is G1 and chained at its smallest
+    # radius, on both backends.
     from dps import smoother
 
     overflow = [(0, 0), (1, 0), (0, 0.001)]
@@ -398,7 +399,9 @@ def test_overflowed_tangent_length_is_no_reversal(monkeypatch):
                 fn(Polyline.from_array(points), 1e306)
             assert str(exc.value) == (f"vertex {vertex}: l = inf > min edge 1 "
                                       "(tangent length overflows a float)")
-    for points, fits in ((overflow, [1.0]), (long_overflow, [1.0]), (overflow + [(1, 0.002)], [0.5, 0.5])):
+    for points, fits in ((overflow, [1.0]), (long_overflow, [1.0]),
+                         (overflow + [(1, 0.002)], [0.6666671, 0.3333334]),
+                         (overflow + [(0, 5)], [0.9995012, 0.0004992510])):
         paths = []
         for backend in (smoother._FLOATS, smoother._ARRAYS):
             monkeypatch.setattr(smoother, "_backend", lambda n, backend=backend: backend)
