@@ -145,8 +145,8 @@ def load_scenario(source: Union[str, os.PathLike, TextIO]) -> Scenario:
 # row; "%.0s" prints nothing for the fifth value of a line row.
 _LINE = '{"type": "line", "a": [%s, %s], "b": [%s, %s]}%.0s'
 _ARC = '{"type": "arc", "center": [%s, %s], "radius": %s, "start_angle": %s, "sweep": %s}'
-# Rows per block of save_path's text and of load_path's reading, which
-# bounds their temporaries.
+# Rows per block of save_path's text, of load_path's reading and of
+# render's path commands, which bounds their temporaries.
 _BLOCK = 1024
 # The first line of save_path's layout, and the whitespace JSON allows.
 _HEADER = '{"segments": [\n'

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .fileio import _BLOCK
 from .geom import TWO_PI, arc_ends
 from .planner import Scenario
 from .smoother import ARC, LINE, SmoothPath
@@ -27,24 +28,26 @@ def _fmt(x: float) -> str:
 
 def _path_d(path: SmoothPath) -> str:
     """The path as SVG commands from its start point, formatted by one
-    template over all values.
+    template per ``_BLOCK`` rows, so only a block's values are held at once.
     An arc is an ``A`` command to its end point; a full circle, which
     degenerates in that command, is drawn as two halves."""
-    kinds, rows = path.kind.tolist(), path.data.tolist()
-    commands, values = ["M %.10g %.10g"], [path.start_point.x, path.start_point.y]
-    for kind, row in zip(kinds, rows):
-        if kind == LINE:
-            commands.append("L %.10g %.10g")
-            values += row[2:4]
-            continue
-        cx, cy, radius, start, sweep = row
-        halves = [(start, sweep)] if abs(sweep) < _FULL else [
-            (start, 0.5 * sweep), (start + 0.5 * sweep, 0.5 * sweep)]
-        for a0, ds in halves:
-            commands.append("A %.10g %.10g 0 %d %d %.10g %.10g")
-            values += (radius, radius, abs(ds) > math.pi, ds > 0,
-                       *arc_ends(cx, cy, radius, a0, ds)[2:])
-    return " ".join(commands) % tuple(values)
+    parts = ["M %.10g %.10g" % (path.start_point.x, path.start_point.y)]
+    for lo in range(0, len(path.kind), _BLOCK):
+        commands, values = [], []
+        for kind, row in zip(path.kind[lo:lo + _BLOCK].tolist(), path.data[lo:lo + _BLOCK].tolist()):
+            if kind == LINE:
+                commands.append("L %.10g %.10g")
+                values += row[2:4]
+                continue
+            cx, cy, radius, start, sweep = row
+            halves = [(start, sweep)] if abs(sweep) < _FULL else [
+                (start, 0.5 * sweep), (start + 0.5 * sweep, 0.5 * sweep)]
+            for a0, ds in halves:
+                commands.append("A %.10g %.10g 0 %d %d %.10g %.10g")
+                values += (radius, radius, abs(ds) > math.pi, ds > 0,
+                           *arc_ends(cx, cy, radius, a0, ds)[2:])
+        parts.append(" ".join(commands) % tuple(values))
+    return " ".join(parts)
 
 
 def render_svg(path: SmoothPath, scenario: Optional[Scenario] = None) -> str:

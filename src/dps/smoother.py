@@ -70,7 +70,8 @@ Segment = Union[LineSegment, ArcSegment]
 # Vertex count from which the tangent pass runs on numpy columns instead of
 # Python floats: smoothing plus a feasibility report takes equally long on
 # both at 40-48 vertices on a 2-vCPU x86-64 VM (BENCH_pr9_long_route.json,
-# "backend_crossover_us").
+# "backend_crossover_us"; `tools/size_sweep.py --crossover` still reads
+# floats/arrays 194.7/204.8 us at 40 vertices and 229.4/208.9 us at 48).
 _ARRAY_MIN_VERTICES = 44
 
 
@@ -88,13 +89,13 @@ def _assemble_rows(x, y, xn, yn, q1x, q1y, q2x, q2y, cx, cy, l, crs, dt, radius,
                                                        through):
         if skip:
             continue
-        if _apart(x, y, ax, ay):
+        if _line(x, y, ax, ay):
             kinds.append(LINE)
             values += (x, y, ax, ay, 0.0)
         kinds.append(ARC)
         values += (ox, oy, rad, _start_angle(ax, ay, ox, oy), _FLOATS.atan2(c, d))
         x, y = bx, by
-    if _apart(x, y, xn, yn) or not kinds:
+    if _line(x, y, xn, yn) or not kinds:
         kinds.append(LINE)
         values += (x, y, xn, yn, 0.0)
     return kinds, values
@@ -105,9 +106,9 @@ def _assemble_columns(x0, y0, xn, yn, *raws):
     - 1, where ``line`` flags a line into the arc, and that line just before."""
     q1x, q1y, q2x, q2y, cx, cy, _, crs, dt, radius = (c[~raws[10]] for c in raws[:10])
     x, y = np.concatenate(([x0], q2x)), np.concatenate(([y0], q2y))  # where lines start
-    line = _apart(x[:-1], y[:-1], q1x, q1y, _ARRAYS)
+    line = _line(x[:-1], y[:-1], q1x, q1y, _ARRAYS)
     arc_at = np.cumsum(1 + line) - 1
-    tail = _apart(x[-1], y[-1], xn, yn) or not len(arc_at)
+    tail = _line(x[-1], y[-1], xn, yn) or not len(arc_at)
     kind = np.full(len(arc_at) + line.sum() + tail, LINE, np.int8)
     data = np.zeros((len(kind), 5))
     kind[arc_at] = ARC
@@ -163,9 +164,15 @@ def _distance(ax, ay, bx, by, m=_FLOATS):
     return m.sqrt(dx * dx + dy * dy)
 
 
-def _apart(ax, ay, bx, by, m=_FLOATS):
+def _apart(ax, ay, bx, by, m=_FLOATS, noise=0.0):
     d = _distance(ax, ay, bx, by, m)
-    return (d > LENGTH_EPSILON) & (d < math.inf)  # an overflowed or non-finite distance is no gap
+    return (d > LENGTH_EPSILON) & (d > noise) & (d < math.inf)  # an overflowed distance is no gap
+
+
+def _line(ax, ay, bx, by, m=_FLOATS):
+    """Whether a path line joins a to b: they lie further apart than 16 ulps
+    of their coordinates too, below which its heading is rounding noise."""
+    return _apart(ax, ay, bx, by, m, 16 * 2.0**-52 * (abs(ax) + abs(ay) + abs(bx) + abs(by)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -416,12 +423,6 @@ def _half_turn(crs, dt, m=_FLOATS):
     return m.where(obtuse, 1.0 - dt, acrs), m.where(obtuse, acrs, 1.0 + dt)
 
 
-def _reversed(crs, dt, m=_FLOATS):
-    """Whether edge directions with these cross and dot products are
-    opposite: an exact reversal, which no arc of any radius smooths."""
-    return (crs == 0.0) & (dt < 0.0)
-
-
 def _solve_raw(xm, ym, u1x, u1y, u2x, u2y, r, m=_FLOATS):
     """Tangent solve at vertex p_m = (xm, ym), entered along the unit
     direction u1 and left along u2, on floats or, with ``m = _ARRAYS``, on
@@ -548,7 +549,7 @@ def _infeasible(tp: _Pass, vertex: Optional[int] = None):
         reason = f"edge {e}: |p{e} p{e + 1}| = {edge:.6g} < l{e} + l{e + 1} = {need:.6g}"
     if need < math.inf:
         short = f"short by {need - edge:.3g}"
-    elif vertex is not None and _reversed(tp.raws[7][vertex - 1], tp.raws[8][vertex - 1]):
+    elif vertex is not None and _half_turn(tp.raws[7][vertex - 1], tp.raws[8][vertex - 1])[1] == 0.0:
         short = "exact reversal"
     else:
         short = "tangent length overflows a float"
@@ -582,42 +583,34 @@ def feasibility_report(p: Polyline, r: float) -> FeasibilityReport:
 
 def _parts(edge, l0, l1, n0, d0, n1, d1, holds, m=_FLOATS):
     """The lengths of an edge that its two tangent lengths may take: their
-    own where the edge holds both, else the edge split in proportion to
-    them. Where one overflowed (inf), the proportion is that of the two ends'
-    tan(turn / 2) = n / d, in which r cancels, so a finite end keeps its
-    share; an end with l = 0 takes none."""
-    share = m.where(holds, 1.0, edge / m.where(holds, 1.0, l0 + l1))
-    over = (l0 == math.inf) | (l1 == math.inf)
+    own where the edge holds both, else the edge split in the ratio of the
+    two ends' tan(turn / 2) = n / d, in which r cancels, so an overflowed end
+    splits as a finite one does; an end with l = 0 takes none."""
     w0 = m.where(l0 == 0.0, 0.0, n0 * d1)  # t0 : t1 = n0 d1 : n1 d0
     w1 = m.where(l1 == 0.0, 0.0, n1 * d0)
-    w = m.where(over, w0 + w1, 1.0)
-    return m.where(over, edge * (w0 / w), l0 * share), m.where(over, edge * (w1 / w), l1 * share)
+    w = m.where(holds, 1.0, w0 + w1)
+    return m.where(holds, l0, edge * (w0 / w)), m.where(holds, l1, edge * (w1 / w))
 
 
-def _clamped_radius(l, part0, part1, e0, e1, num, den, r, m=_FLOATS):
-    """Radius that keeps the arc tangent at the tangent length its edges
-    allow (a pass-through vertex, l = 0, keeps r); 0 where that radius
-    vanishes and the arc is dropped. Where l overflowed, the radius is that
-    length over tan(turn / 2) = num / den, as r / l would be nan."""
-    fit = m.min(part0, part1, e0, e1)
+def _clamped_radius(l, part0, part1, num, den, r, m=_FLOATS):
+    """Radius whose tangent length is the smaller part its edges allow, that
+    part over tan(turn / 2) = num / den (a vertex whose parts hold l, such as
+    a pass-through vertex, keeps r); 0 where that radius vanishes and the arc
+    is dropped."""
+    fit = m.min(part0, part1)
     clamped = fit < l
-    over = l == math.inf
-    r_eff = m.where(over, fit * den / m.where(over, num, 1.0), r * fit / m.where(clamped, l, 1.0))
+    r_eff = fit * den / m.where(clamped, num, 1.0)
     return m.where(clamped, m.where(r_eff <= LENGTH_EPSILON, 0.0, r_eff), r)
 
 
-def _clamp(tp: _Pass) -> list:
+def _clamp(tp: _Pass, num, den) -> list:
     """Best-effort solves: a tangent length that its edges cannot hold is cut
-    to what they can (a contested edge is split in proportion to its two
-    tangent lengths) and the arc radius shrinks with it to keep tangency."""
+    to what they can (a contested edge is split in the ratio of its two ends'
+    tan(turn / 2)) and the arc radius shrinks with it to keep tangency."""
     m, x, y, edges, ux, uy, ls, holds, raws = tp
-    num, den = m.map_n(2, _half_turn, raws[7], raws[8])
     ns, ds = m.cat([0.0], num, [0.0]), m.cat([1.0], den, [1.0])  # the endpoints take no part
-    with m.quiet():  # an overflowed l times its share is nan, and is not used
-        part0, part1 = m.map_n(2, _parts, edges, ls[:-1], ls[1:], ns[:-1], ds[:-1], ns[1:], ds[1:],
-                               holds)
-        radius = m.map(_clamped_radius, ls[1:-1], part1[:-1], part0[1:], edges[:-1], edges[1:], num,
-                       den, raws[9])
+    part0, part1 = m.map_n(2, _parts, edges, ls[:-1], ls[1:], ns[:-1], ds[:-1], ns[1:], ds[1:], holds)
+    radius = m.map(_clamped_radius, ls[1:-1], part1[:-1], part0[1:], num, den, raws[9])
     return m.map_n(_RAW_FIELDS, _solve_raw, x[1:-1], y[1:-1], ux[:-1], uy[:-1], ux[1:], uy[1:],
                    radius)
 
@@ -634,9 +627,10 @@ def _solves(p: Polyline, r: float, mode: str) -> tuple[_Pass, list]:
         return tp, tp.raws
     if mode == "strict":
         raise _infeasible(tp)
-    if len(reversals := tp.m.find(tp.m.map(_reversed, tp.raws[7], tp.raws[8]), True)):
+    num, den = tp.m.map_n(2, _half_turn, tp.raws[7], tp.raws[8])
+    if len(reversals := tp.m.find(den, 0.0)):
         raise _infeasible(tp, int(reversals[0]) + 1)
-    return tp, _clamp(tp)
+    return tp, _clamp(tp, num, den)
 
 
 def vertex_solutions(p: Polyline, r: float) -> list[Optional[TripletSolution]]:
@@ -658,8 +652,10 @@ def smooth_polyline(p: Polyline, r: float, mode: str = "strict") -> SmoothPath:
 
     The default "strict" mode refuses infeasible input with a
     FeasibilityError carrying the per-vertex/per-edge report; "best-effort"
-    clamps the tangent lengths of a failing edge instead, shrinking arc radii
-    below r there, and so trades the curvature guarantee for totality.
+    instead splits each edge that cannot hold its two tangent lengths in the
+    ratio of its ends' tan(turn / 2), shrinks the arc radius of a vertex
+    whose tangent length overruns its part to fit, and so trades the
+    curvature guarantee for totality. Neither mode smooths an exact reversal.
     """
     tp, raws = _solves(p, r, mode)
     x0, y0, xn, yn = float(tp.x[0]), float(tp.y[0]), float(tp.x[-1]), float(tp.y[-1])
@@ -753,10 +749,9 @@ def extract_pieces(p: Polyline, r: float) -> list[PathPiece]:
         end = Pose(Point2(q2x[k], q2y[k]), exit_heading)
         pieces.append(PathPiece(start, end, length, far[k], j))
         x, y, start = q2x[k], q2y[k], end
-    tail = math.hypot(xs[-1] - x, ys[-1] - y)
-    if tail > LENGTH_EPSILON:
+    if _line(x, y, xs[-1], ys[-1]):  # as assembly emits a tail line
         end = Pose(Point2(xs[-1], ys[-1]), start.heading)
-        pieces.append(PathPiece(start, end, tail, True, None))
+        pieces.append(PathPiece(start, end, math.hypot(xs[-1] - x, ys[-1] - y), True, None))
     return pieces
 
 

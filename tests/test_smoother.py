@@ -399,13 +399,20 @@ def test_overflowed_tangent_length_is_no_reversal(monkeypatch):
                 fn(Polyline.from_array(points), 1e306)
             assert str(exc.value) == (f"vertex {vertex}: l = inf > min edge 1 "
                                       "(tangent length overflows a float)")
-    for points, fits in ((overflow, [1.0]), (long_overflow, [1.0]),
-                         (overflow + [(1, 0.002)], [0.6666671, 0.3333334]),
-                         (overflow + [(0, 5)], [0.9995012, 0.0004992510])):
+    # finite tangent lengths clamp by the same rule: a unit edge between a
+    # right angle and a 60 degree turn splits 1 : tan(30 degrees)
+    t = math.tan(math.pi / 6)
+    for points, radius, fits in ((overflow, 1e306, [1.0]), (long_overflow, 1e306, [1.0]),
+                                 (overflow + [(1, 0.002)], 1e306, [0.6666671, 0.3333334]),
+                                 (overflow + [(0, 5)], 1e306, [0.9995012, 0.0004992510]),
+                                 ([(0, 0), (0.5, 0), (0.5, 0.5)], 1.0, [0.5]),
+                                 ([(0, 0), (1, 0), (1, 1), (0, 1)], 1.0, [0.5, 0.5]),
+                                 ([(-20, 0), (0, 0), (0, 1), (-10 * math.sqrt(3), 11)], 10.0,
+                                  [1 / (1 + t), t / (1 + t)])):
         paths = []
         for backend in (smoother._FLOATS, smoother._ARRAYS):
             monkeypatch.setattr(smoother, "_backend", lambda n, backend=backend: backend)
-            paths.append(smooth_polyline(Polyline.from_array(points), 1e306, mode="best-effort"))
+            paths.append(smooth_polyline(Polyline.from_array(points), radius, mode="best-effort"))
         assert paths[0] == paths[1]
         arcs = paths[0].data[paths[0].kind == ARC].tolist()
         assert validate(paths[0], min(arc[2] for arc in arcs)).ok
@@ -452,23 +459,39 @@ def _near_reversal(rng):
     return Polyline.from_array([b, a, c, [c[0] + rng.uniform(-5, 5), c[1] + rng.uniform(-5, 5)]])
 
 
+def _far_tight_polyline(rng):
+    """``_tight_polyline`` turned by a random angle and moved to coordinates
+    up to 1e7, where its middle edge holds l1 + l2 or fails by rounding."""
+    tight, s = _tight_polyline(rng, 1.0)
+    turn = rng.uniform(-math.pi, math.pi)
+    c, t = math.cos(turn), math.sin(turn)
+    dx, dy = rng.uniform(-1e7, 1e7), rng.uniform(-1e7, 1e7)
+    return Polyline.from_array([(c * x - t * y + dx, t * x + c * y + dy) for x, y in tight.xy.tolist()]), s
+
+
 @pytest.mark.parametrize("backend", ["_FLOATS", "_ARRAYS"])
 def test_strict_paths_validate_on_sharp_turns(monkeypatch, backend):
     """Every path strict smoothing returns passes validate at a tolerance of
     a few ulps of its largest coordinate: turns down to pi - 1e-6, where
-    v1.v2 + |v1||v2| cancels, and near-reversals, which must be refused."""
+    v1.v2 + |v1||v2| cancels, tight edges far from the origin, where the
+    tangent points of two arcs may lie a few ulps apart, and near-reversals,
+    which must be refused."""
     import numpy as np
 
     from dps import smoother
 
     monkeypatch.setattr(smoother, "_backend", lambda n: getattr(smoother, backend))
     rng = random.Random(2718)
-    for deficit in (1e-3, 1e-4, 1e-5, 1e-6):
-        for _ in range(250):
-            polyline = _sharp_turn(rng, deficit, 1.0)
-            tol = max(1e-9, 8 * np.spacing(np.abs(polyline.xy).max()))
-            report = validate(smooth_polyline(polyline, 1.0), 1.0, tol)
-            assert report.ok, (deficit, polyline.xy.tolist(), report.issues)
+    cases = [(_sharp_turn(rng, deficit, 1.0), 1.0) for deficit in (1e-3, 1e-4, 1e-5, 1e-6)
+             for _ in range(250)]
+    # about half of these are feasible, and some leave the two arcs' tangent
+    # points a few ulps apart: a line there would head by rounding noise
+    cases += filter(lambda case: feasibility_report(*case).feasible,
+                    (_far_tight_polyline(rng) for _ in range(3000)))
+    for polyline, r in cases:
+        tol = max(1e-9, 8 * np.spacing(np.abs(polyline.xy).max()))
+        report = validate(smooth_polyline(polyline, r), r, tol)
+        assert report.ok, (r, polyline.xy.tolist(), report.issues)
     for _ in range(500):
         polyline = _near_reversal(rng)
         with pytest.raises(FeasibilityError, match=r"^vertex 1: l = "):
