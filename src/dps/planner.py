@@ -151,11 +151,6 @@ def _inside(xs, ys, px: float, py: float, tol: float = 0.0) -> bool:
     return True
 
 
-def convex_hull(points: Iterable[Point2]) -> list[Point2]:
-    """Counter-clockwise convex hull: the monotone chains, kept by ``_keep``."""
-    return [Point2(x, y) for x, y in _keep(_hull(points))]
-
-
 def _hull(points: Iterable[Point2]) -> list[tuple[float, float]]:
     """The monotone chains of the points as one counter-clockwise (x, y) ring."""
     pts = sorted(set((p.x, p.y) for p in points))

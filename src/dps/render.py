@@ -3,7 +3,8 @@
 Arcs are emitted as native SVG ``A`` commands (no polyline approximation);
 a group transform flips the y-axis so geometry coordinates map directly to
 the usual math orientation. Paths are drawn from their columns, in a
-document ``_WIDTH`` pixels wide.
+document ``_WIDTH`` pixels wide that is one join of its pieces: the header
+lines, the path's commands block by block, and the closing tags.
 """
 
 from __future__ import annotations
@@ -26,28 +27,29 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _path_d(path: SmoothPath) -> str:
-    """The path as SVG commands from its start point, formatted by one
-    template per ``_BLOCK`` rows, so only a block's values are held at once.
+def _path_d(path: SmoothPath) -> list[str]:
+    """The path's SVG commands unjoined: ``M x y`` at its start point, then
+    one piece per ``_BLOCK`` rows, each command led by a space and the piece
+    formatted by one template, so only a block's values are held at once.
     An arc is an ``A`` command to its end point; a full circle, which
     degenerates in that command, is drawn as two halves."""
-    parts = ["M %.10g %.10g" % (path.start_point.x, path.start_point.y)]
+    pieces = ["M %.10g %.10g" % (path.start_point.x, path.start_point.y)]
     for lo in range(0, len(path.kind), _BLOCK):
         commands, values = [], []
         for kind, row in zip(path.kind[lo:lo + _BLOCK].tolist(), path.data[lo:lo + _BLOCK].tolist()):
             if kind == LINE:
-                commands.append("L %.10g %.10g")
+                commands.append(" L %.10g %.10g")
                 values += row[2:4]
                 continue
             cx, cy, radius, start, sweep = row
             halves = [(start, sweep)] if abs(sweep) < _FULL else [
                 (start, 0.5 * sweep), (start + 0.5 * sweep, 0.5 * sweep)]
             for a0, ds in halves:
-                commands.append("A %.10g %.10g 0 %d %d %.10g %.10g")
+                commands.append(" A %.10g %.10g 0 %d %d %.10g %.10g")
                 values += (radius, radius, abs(ds) > math.pi, ds > 0,
                            *arc_ends(cx, cy, radius, a0, ds)[2:])
-        parts.append(" ".join(commands) % tuple(values))
-    return " ".join(parts)
+        pieces.append("".join(commands) % tuple(values))
+    return pieces
 
 
 def render_svg(path: SmoothPath, scenario: Optional[Scenario] = None) -> str:
@@ -66,33 +68,25 @@ def render_svg(path: SmoothPath, scenario: Optional[Scenario] = None) -> str:
         boxes += (poly.box for poly in scenario.obstacles)
     lo_x, lo_y, hi_x, hi_y = zip(*boxes)
     xmin, ymin, xmax, ymax = min(lo_x), min(lo_y), max(hi_x), max(hi_y)
-    span = max(xmax - xmin, ymax - ymin, 1e-9)
-    pad = 0.05 * span
-    xmin -= pad
-    ymin -= pad
-    xmax += pad
-    ymax += pad
-    w = xmax - xmin
-    h = ymax - ymin
+    pad = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)
+    xmin, ymin, xmax, ymax = xmin - pad, ymin - pad, xmax + pad, ymax + pad
+    w, h = xmax - xmin, ymax - ymin
     if not (math.isfinite(w) and math.isfinite(h)):
         raise ValueError("path extent overflows a float")
     stroke = 0.004 * max(w, h)
     height = int(round(_WIDTH * h / w))
 
-    lines = [
+    pieces = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
         f'viewBox="{_fmt(xmin)} {_fmt(ymin)} {_fmt(w)} {_fmt(h)}">',
         # Flip y so the document shows the usual math orientation.
-        f'<g transform="matrix(1 0 0 -1 0 {_fmt(ymin + ymax)})">',
+        f'\n<g transform="matrix(1 0 0 -1 0 {_fmt(ymin + ymax)})">',
     ]
     if scenario is not None:
         for poly in scenario.obstacles:
             pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(poly.xs, poly.ys))
-            lines.append(f'<polygon points="{pts}" fill="#b0b0b0" stroke="none"/>')
-    lines.append(
-        f'<path d="{_path_d(path)}" fill="none" stroke="#d03030" '
-        f'stroke-width="{_fmt(stroke)}"/>'
-    )
-    lines.append("</g>")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            pieces.append(f'\n<polygon points="{pts}" fill="#b0b0b0" stroke="none"/>')
+    pieces.append('\n<path d="')
+    pieces += _path_d(path)
+    pieces.append(f'" fill="none" stroke="#d03030" stroke-width="{_fmt(stroke)}"/>\n</g>\n</svg>\n')
+    return "".join(pieces)

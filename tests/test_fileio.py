@@ -470,7 +470,7 @@ def _full_circle_path():
 
 
 def test_file_and_svg_match_segment_reference():
-    paths = [smooth_polyline(random_polyline(n, 1.0, seed=n), 1.0) for n in (2, 3, 50, 400)]
+    paths = [smooth_polyline(random_polyline(n, 1.0, seed=n), 1.0) for n in (2, 3, 50, 400, 1500)]
     for path in (*paths, _full_circle_path(), _edge_float_path()):
         buf = io.StringIO()
         save_path(path, buf, total_length=2.5)

@@ -24,7 +24,6 @@ from dps.planner import (
     _worst_offset,
     build_visibility_graph,
     clearance,
-    convex_hull,
     mitered_inflate,
     plan,
     require_clearance,
@@ -287,8 +286,8 @@ class TestConvexPolygon:
 
 
 def test_convex_hull_collinear_error():
-    with pytest.raises(ValueError):
-        convex_hull([P(0, 0), P(1, 1), P(2, 2)])
+    with pytest.raises(ValueError, match="^points are collinear; no polygon hull exists$"):
+        ConvexPolygon.from_points([P(0, 0), P(1, 1), P(2, 2)])
 
 
 def test_every_hull_is_a_polygon():
@@ -308,12 +307,11 @@ def test_every_hull_is_a_polygon():
             t, o = rng.uniform(-100.0, 100.0), rng.uniform(-eps, eps)
             pts.append(P(ox + t * ux - o * uy, oy + t * uy + o * ux))
         try:
-            hull = convex_hull(pts)
+            hull = ConvexPolygon.from_points(pts)
         except ValueError as err:
             assert str(err) == "points are collinear; no polygon hull exists"
             continue
-        assert ConvexPolygon(hull).vertices == tuple(hull)
-        assert ConvexPolygon.from_points(pts) == ConvexPolygon(hull)
+        assert ConvexPolygon(hull.vertices) == hull
         hulls += 1
     assert hulls > 10000
 
@@ -372,8 +370,9 @@ def test_vertex_rule_walk_matches_dropping_one_per_round(points, data):
         else:
             assert planner._keep(list(ring)) == expected
     if (expected := drop_one_per_round(hull)) is not None:
-        assert convex_hull(points) == [P(x, y) for x, y in expected]
-        assert ConvexPolygon.from_points(points) == ConvexPolygon(convex_hull(points))
+        polygon = ConvexPolygon.from_points(points)
+        assert list(polygon.vertices) == [P(x, y) for x, y in expected]
+        assert ConvexPolygon(polygon.vertices) == polygon
 
 
 def test_vertex_rule_tests_vertex_0_again_when_the_last_vertex_goes():

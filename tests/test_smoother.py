@@ -3,6 +3,7 @@ import random
 import re
 from functools import partial
 
+import numpy as np
 import pytest
 
 from dps.geom import (
@@ -766,6 +767,52 @@ def test_smoothing_scaling_covariance(rng):
         path_s = smooth_polyline(scaled, s * 1.0)
         assert path_length(path_s) == pytest.approx(s * path_length(path), rel=1e-9)
         assert len(path.segments) == len(path_s.segments)
+
+
+def _smooth_or_report(polyline, r, mode):
+    try:
+        return smooth_polyline(polyline, r, mode)
+    except FeasibilityError as err:
+        return err.report
+
+
+def test_scaling_by_a_power_of_two_and_reversal():
+    """Scaling the coordinates and r by 2^k scales every line row and each
+    arc's centre and radius by exactly 2^k and keeps its angles, in both
+    modes and on both backends (the walks straddle _ARRAY_MIN_VERTICES), and
+    a strict refusal carries the same report; reversing a polyline mirrors
+    its report, and its path, strict where it is feasible and best-effort,
+    keeps its arc radii and its length."""
+    rng = random.Random(7)
+    for _ in range(300):
+        xy = [(0.0, 0.0)]
+        for _ in range(rng.randint(2, 119)):
+            step, heading = rng.uniform(0.3, 4.0), rng.uniform(-math.pi, math.pi)
+            xy.append((xy[-1][0] + step * math.cos(heading), xy[-1][1] + step * math.sin(heading)))
+        xy, r = np.array(xy), rng.uniform(0.2, 2.0)
+        polyline = Polyline.from_array(xy)
+        for mode in ("strict", "best-effort"):
+            base = _smooth_or_report(polyline, r, mode)
+            for k in (-10, -3, 3, 10):
+                s = 2.0**k
+                scaled = _smooth_or_report(Polyline.from_array(xy * s), r * s, mode)
+                if isinstance(base, FeasibilityReport):
+                    assert scaled == base
+                    continue
+                assert np.array_equal(scaled.kind, base.kind)
+                factor = np.where(base.kind[:, None] == ARC, [s, s, s, 1.0, 1.0], s)
+                assert np.array_equal(scaled.data, base.data * factor)
+                assert scaled.start_point == P(s * base.start_point.x, s * base.start_point.y)
+                assert scaled.end_point == P(s * base.end_point.x, s * base.end_point.y)
+        report = feasibility_report(polyline, r)
+        backward = Polyline.from_array(xy[::-1])
+        mirrored = feasibility_report(backward, r)
+        assert mirrored.local_ok == report.local_ok[::-1]
+        assert mirrored.global_ok == report.global_ok[::-1]
+        for mode in ("strict", "best-effort") if report.feasible else ("best-effort",):
+            forward, reverse = smooth_polyline(polyline, r, mode), smooth_polyline(backward, r, mode)
+            assert sorted(forward.data[forward.kind == ARC, 2]) == sorted(reverse.data[reverse.kind == ARC, 2])
+            assert path_length(reverse) == pytest.approx(path_length(forward), rel=1e-14, abs=0.0)
 
 
 def test_validate_fault_injection():
