@@ -4,7 +4,8 @@ Arcs are emitted as native SVG ``A`` commands (no polyline approximation);
 a group transform flips the y-axis so geometry coordinates map directly to
 the usual math orientation. Paths are drawn from their columns, in a
 document ``_WIDTH`` pixels wide that is one join of its pieces: the header
-lines, the path's commands block by block, and the closing tags.
+lines, the path's commands block by block, and the closing tags. A block of
+``_BLOCK`` rows is filled in by one ``%`` from its columns.
 """
 
 from __future__ import annotations
@@ -15,40 +16,45 @@ from typing import Optional
 import numpy as np
 
 from .fileio import _BLOCK
-from .geom import TWO_PI, arc_ends
+from .geom import TWO_PI
 from .planner import Scenario
-from .smoother import ARC, LINE, SmoothPath
+from .smoother import ARC, SmoothPath
 
 _FULL = TWO_PI - 1e-9
 _WIDTH = 800
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+_fmt = "{:.10g}".format
+# A line's command, and an arc's by its large-arc and sweep flags, to be given its radius twice.
+_LINE = " L %.10g %.10g"
+_ARCS = tuple(f" A %s %s 0 {large} {sweep} %%.10g %%.10g" for large in (0, 1) for sweep in (0, 1))
 
 
 def _path_d(path: SmoothPath) -> list[str]:
     """The path's SVG commands unjoined: ``M x y`` at its start point, then
-    one piece per ``_BLOCK`` rows, each command led by a space and the piece
-    formatted by one template, so only a block's values are held at once.
-    An arc is an ``A`` command to its end point; a full circle, which
-    degenerates in that command, is drawn as two halves."""
+    one piece per ``_BLOCK`` rows, each command led by a space; a full
+    circle, which degenerates in an ``A`` command, is first split in halves.
+    A line ends at its ``b``, an arc where ``arc_ends`` puts its end."""
+    kind, data = path.kind, path.data
+    full = (kind == ARC) & (np.abs(data[:, 4]) >= _FULL)
+    if full.any():
+        kind, data = np.repeat(kind, full + 1), np.repeat(data, full + 1, axis=0)
+        first = np.flatnonzero(full) + np.arange(np.count_nonzero(full))
+        data[first, 4] = data[first + 1, 4] = 0.5 * data[first, 4]
+        data[first + 1, 3] += data[first, 4]
     pieces = ["M %.10g %.10g" % (path.start_point.x, path.start_point.y)]
-    for lo in range(0, len(path.kind), _BLOCK):
-        commands, values = [], []
-        for kind, row in zip(path.kind[lo:lo + _BLOCK].tolist(), path.data[lo:lo + _BLOCK].tolist()):
-            if kind == LINE:
-                commands.append(" L %.10g %.10g")
-                values += row[2:4]
-                continue
-            cx, cy, radius, start, sweep = row
-            halves = [(start, sweep)] if abs(sweep) < _FULL else [
-                (start, 0.5 * sweep), (start + 0.5 * sweep, 0.5 * sweep)]
-            for a0, ds in halves:
-                commands.append(" A %.10g %.10g 0 %d %d %.10g %.10g")
-                values += (radius, radius, abs(ds) > math.pi, ds > 0,
-                           *arc_ends(cx, cy, radius, a0, ds)[2:])
-        pieces.append("".join(commands) % tuple(values))
+    for lo in range(0, len(kind), _BLOCK):
+        rows, arc = data[lo:lo + _BLOCK], kind[lo:lo + _BLOCK] == ARC
+        cx, cy, radius, start, sweep = rows[arc].T
+        angle = (start + sweep).tolist()
+        ends = rows[:, 2:4].copy()
+        ends[arc, 0] = cx + radius * np.array(list(map(math.cos, angle)))
+        ends[arc, 1] = cy + radius * np.array(list(map(math.sin, angle)))
+        unique, index = np.unique(radius, return_inverse=True)  # a path's arcs share few radii
+        keys, key = np.unique(4 * index + 2 * (np.abs(sweep) > math.pi) + (sweep > 0), return_inverse=True)
+        radii = list(map(_fmt, unique.tolist()))
+        commands = [_LINE] + [_ARCS[k % 4] % (2 * (radii[k // 4],)) for k in keys.tolist()]
+        command = np.zeros(len(rows), np.intp)
+        command[arc] = 1 + key
+        pieces.append("".join(map(commands.__getitem__, command.tolist())) % tuple(ends.ravel().tolist()))
     return pieces
 
 
@@ -56,12 +62,10 @@ def render_svg(path: SmoothPath, scenario: Optional[Scenario] = None) -> str:
     """An SVG document of the path, drawn over the scenario's bounds and
     obstacles when one is given; refuses an extent that overflows a float."""
     # a line spans its two end points, an arc its circle's square
-    arc = path.kind == ARC
-    x0, y0, x1, y1, _ = path.data.T
-    boxes = [(np.where(arc, x0 - x1, np.minimum(x0, x1)).min().item(),
-              np.where(arc, y0 - x1, np.minimum(y0, y1)).min().item(),
-              np.where(arc, x0 + x1, np.maximum(x0, x1)).max().item(),
-              np.where(arc, y0 + x1, np.maximum(y0, y1)).max().item())]
+    arc, radius = (path.kind == ARC)[:, None], path.data[:, 2:3]
+    a, b = path.data[:, :2], path.data[:, 2:4]
+    boxes = [(*np.where(arc, a - radius, np.minimum(a, b)).min(axis=0).tolist(),
+              *np.where(arc, a + radius, np.maximum(a, b)).max(axis=0).tolist())]
     if scenario is not None:
         b = scenario.bounds
         boxes.append((b.xmin, b.ymin, b.xmax, b.ymax))

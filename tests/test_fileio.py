@@ -3,6 +3,7 @@ import json
 import math
 import re
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dps.geom import LENGTH_EPSILON, ArcSegment, Heading, LineSegment, Point2, a
 from dps.fileio import _BLOCK, load_path, load_polyline, load_scenario, save_path
 from dps.randgen import random_polyline
 from dps.render import render_svg
-from dps.smoother import SmoothPath, smooth_polyline
+from dps.smoother import Polyline, SmoothPath, smooth_polyline
 
 P = Point2
 
@@ -71,6 +72,124 @@ def test_load_polyline_skips_a_byte_order_mark(tmp_path):
         src = tmp_path / "in.csv"
         src.write_bytes(BOM + text.encode())
         assert load_polyline(str(src)).points == (P(0, 0), P(4, 0), P(4, 4))
+
+
+def test_load_polyline_skips_a_byte_order_mark_in_a_stream():
+    for text in ("\ufeff0,0\n4,0\n4,4\n", "\ufeffx,y\n0,0\n4,0\n4,4\n"):
+        assert load_polyline(io.StringIO(text)).points == (P(0, 0), P(4, 0), P(4, 4))
+    # only at the start of line 1
+    with pytest.raises(ValueError, match=f"^line 2: cannot parse {re.escape(repr(chr(0xFEFF) + '4,0'))}$"):
+        load_polyline(io.StringIO("0,0\n\ufeff4,0\n4,4\n"))
+
+
+def _reference_polyline(text):
+    """load_polyline's rules applied one line at a time, each field read by
+    float(): the polyline's coordinate bytes, or the error's type and text."""
+    def number(field):
+        try:
+            return float(field)
+        except ValueError:
+            return None
+
+    values = []
+    try:
+        for lineno, line in enumerate(io.StringIO(text), start=1):
+            line = line.removeprefix("\ufeff") if lineno == 1 else line
+            fields = line.split(",")
+            if len(fields) != 2:
+                if line.strip():
+                    raise ValueError(f"line {lineno}: expected 'x,y', got {line.strip()!r}")
+                continue
+            x, y = map(number, fields)
+            if x is None or y is None or "_" in line:
+                if lineno == 1 and x is None and y is None:
+                    continue
+                raise ValueError(f"line {lineno}: cannot parse {line.strip()!r}")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"line {lineno}: non-finite coordinates ({x}, {y})")
+            values += x, y
+        return Polyline.from_array(np.array(values).reshape(-1, 2)).xy.tobytes()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _polyline_outcome(text):
+    try:
+        return load_polyline(io.StringIO(text)).xy.tobytes()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+# Records that the block parse must leave to the per-line reader, or read as
+# float() does: integer tokens, overflow and underflow, spellings JSON
+# refuses, whitespace JSON does not know, and malformed records. The other
+# field is a float token, so that only the odd one can turn a block away.
+_ODD_RECORDS = (
+    "-0,1.5", "1.5,-0", "0,0.5", "9007199254740993,1.5", "1e400,1.5", "1.5,-1e400", "1e-400,1.5",
+    "-1e-400,1.5", "1.5e-400,-0.0", "nan,1.5", "inf,1.5", "1.5,-Infinity", "+1,2.5", "1.,2.5",
+    ".5,2.5", "1_0,2.5", "1.5,2_0.5", "0x10,2.5", " 1.5 , -2e3 ", "\t3.5,4.5\t\r", "\xa05.5,6.5",
+    "\x0b7.5,8.5", "1.5,2.5,3.5", "1.5,2.5,", ",", "1.5", '"1.5","2.5"', "[1.5,2.5]", "1.5,abc", "",
+)
+
+
+@pytest.mark.parametrize("record", _ODD_RECORDS)
+def test_load_polyline_matches_float_reference(record):
+    rows = [f"{p.x!r},{p.y!r}" for p in random_polyline(3 * _BLOCK, 1.0, seed=11).points]
+    for header in ("x,y\n", ""):
+        # the record is line 1 (read alone) or the first line of the first
+        # block, the line after it, or a line of the second block
+        for at in (0, 1, _BLOCK + 300):
+            text = header + "\n".join(rows[:at] + [record] + rows[at:]) + "\n"
+            assert _polyline_outcome(text) == _reference_polyline(text)
+
+
+def test_load_polyline_matches_float_reference_on_layouts():
+    rows = [f"{p.x!r},{p.y!r}" for p in random_polyline(3 * _BLOCK, 1.0, seed=12).points]
+    texts = [
+        "x,y\n0,0\n4,0\n4,4\n", "0,0\n4,0\n4,4\n", "0,0\n4,0\n4,4",
+        "\ufeffx,y\n0,0\n4,0\n", "\ufeff0,0\n4,0\n", "", "\n", "x,y\n", "x,y\n0,0\n",
+        "x,y\r\n" + "\r\n".join(rows) + "\r\n",
+        # blank lines: the last line of a block (line _BLOCK + 1) and the
+        # first of the next, and at the end
+        "x,y\n" + "\n".join(rows[:_BLOCK] + [""] + rows[_BLOCK:2 * _BLOCK] + [" "] + rows[2 * _BLOCK:]) + "\n\n",
+        "\n".join(rows[:_BLOCK] + [""] + rows[_BLOCK:]) + "\n",
+        # a bad line after the first block
+        "x,y\n" + "\n".join(rows[:2000] + ["1,2,3"] + rows[2000:]) + "\n",
+        # a line short of a comma beside one with a comma too many
+        "x,y\n" + "\n".join(rows[:5] + ["1.5", "2.5,3.5,4.5"] + rows[5:]) + "\n",
+        "\n".join(rows[:5] + ["2.5,3.5,4.5", "1.5"] + rows[5:]) + "\n",
+        # a repeated point, which the polyline refuses
+        "\n".join(rows[:1500] + rows[1499:]) + "\n",
+    ]
+    for text in texts:
+        assert _polyline_outcome(text) == _reference_polyline(text)
+
+
+def _decimal(sign, digits, point, exponent):
+    """A decimal number with a nonzero leading digit and a point after
+    ``point`` digits, as JSON spells a float, and an exponent if one is
+    given."""
+    return f"{sign}{digits[:point]}.{digits[point:] or '0'}" + ("" if exponent is None else f"e{exponent}")
+
+
+_SIGNS = st.sampled_from(("", "-"))
+_DIGITS = st.tuples(st.text("123456789", min_size=1, max_size=1), st.text("0123456789", max_size=24)).map("".join)
+_DECIMALS = st.builds(_decimal, _SIGNS, _DIGITS, st.integers(1, 25), st.one_of(st.none(), st.integers(-330, 330)))
+# JSON integers up to 25 digits, "0" and "-0" among them
+_INTEGERS = st.tuples(_SIGNS, st.one_of(st.just("0"), _DIGITS)).map("".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(*2 * [st.one_of(_DECIMALS, _INTEGERS)]), min_size=2, max_size=4))
+def test_load_polyline_reads_numbers_as_float_does(pairs):
+    lines = [f"{x},{y}\n" for x, y in pairs]
+    text = "x,y\n" + "".join(lines)
+    assert _polyline_outcome(text) == _reference_polyline(text)
+    # orjson, not the per-line reader, parsed them wherever float() gives
+    # finite values and no token is -0, which orjson reads as the integer 0
+    tokens = [v for pair in pairs for v in pair]
+    expected = all(math.isfinite(float(v)) for v in tokens) and "-0" not in tokens
+    assert fileio._read_block(lines, array("d")) == expected
 
 
 def test_load_scenario_skips_a_byte_order_mark(tmp_path):
@@ -469,9 +588,30 @@ def _full_circle_path():
     return SmoothPath((circle, line, back), arc_endpoint(circle, False)[0], arc_endpoint(back, True)[0])
 
 
+def _render_edge_path():
+    """Arcs at the SVG writer's edges: sweeps of exactly +-pi (a half circle
+    with the large-arc flag clear) and one ulp past, sweeps on both sides of
+    where a circle counts as full, signed zero sweeps and start angles, and
+    full circles at rows 1,023 and 1,024, whose halves straddle a block
+    boundary."""
+    pi_up = math.nextafter(math.pi, 4)
+    full = 2 * math.pi - 1e-9
+    sweeps = [math.pi, -math.pi, pi_up, -pi_up, full, -math.nextafter(full, 0), -2 * math.pi, 0.25, 0.0, -0.0]
+    segments = []
+    for i in range(_BLOCK + 40):
+        circle = i in (_BLOCK - 1, _BLOCK)
+        sweep = (2 * math.pi if i % 2 else -2 * math.pi) if circle else sweeps[i % len(sweeps)]
+        start = -0.0 if i % 3 == 0 else -math.pi / 3
+        if i % 7 == 6 and not circle:
+            segments.append(LineSegment(P(i, -0.0), P(i + 0.5, 1.0)))
+        else:
+            segments.append(ArcSegment(P(i * 0.5, -0.0), 0.25 + (i % 7), Heading(start), sweep))
+    return SmoothPath(segments, arc_endpoint(segments[0], False)[0], P(0.0, 0.0))
+
+
 def test_file_and_svg_match_segment_reference():
     paths = [smooth_polyline(random_polyline(n, 1.0, seed=n), 1.0) for n in (2, 3, 50, 400, 1500)]
-    for path in (*paths, _full_circle_path(), _edge_float_path()):
+    for path in (*paths, _full_circle_path(), _edge_float_path(), _render_edge_path()):
         buf = io.StringIO()
         save_path(path, buf, total_length=2.5)
         assert buf.getvalue() == _reference_file(path, total_length=2.5)

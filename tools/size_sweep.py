@@ -11,6 +11,9 @@ baseline after each stage and, from one more untimed call per stage made
 after all of those, the stage's peak allocation under ``tracemalloc``
 (``traced_peak_<stage>_mib``). VmHWM only rises, so it cannot see a stage
 whose transient stays below an earlier stage's peak; the traced peak can.
+It also prints the sha256 of the path JSON file (``path_sha256``) and of
+the SVG text (``svg_sha256``), so that the bytes of the text stages can be
+compared between checkouts.
 ``--crossover`` instead times smoothing plus a report per backend of the
 tangent pass at small sizes.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import resource
@@ -97,7 +101,15 @@ def measure(csv: str, n: int) -> dict:
     if (loaded.kind.tobytes(), loaded.data.tobytes(), meta["total_length"]) != (
             path.kind.tobytes(), path.data.tobytes(), length):
         raise SystemExit(f"n = {n}: save_path -> load_path did not round-trip bit-exactly")
-    out["svg_bytes"] = len(timed("render_svg", lambda: render.render_svg(loaded)))
+    svg = timed("render_svg", lambda: render.render_svg(loaded))
+    out["svg_bytes"] = len(svg)
+    out["svg_sha256"] = hashlib.sha256(svg.encode()).hexdigest()
+    del svg
+    with open(path_json, "rb") as fh:
+        digest = hashlib.sha256()
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    out["path_sha256"] = digest.hexdigest()
     # Traced last, so that tracemalloc's own memory raises no VmHWM above.
     for stage, call in stages:
         gc.collect()
