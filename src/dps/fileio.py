@@ -1,21 +1,29 @@
 """Text file formats: polyline CSV, scenario JSON, and path JSON.
 
 Floats are written as their shortest round-trip digits in ``repr``'s
-notation, so every file round-trips to bit-identical doubles and path files
-keep the bytes that earlier versions wrote. Path JSON is written, and both
-line-based formats are read, ``_BLOCK`` lines at a time, each block read as
-one JSON list by orjson. A CSV block with a line that is not two JSON
-numbers (not ``-0``) and one comma is read by ``float()`` line by line,
-naming the line it refuses. A path JSON file holds ``{"segments": [``, one
-segment record per line, ``]`` and one line per metadata key (through
-``json``: an infinite clearance reads ``Infinity``). Any other layout, and a
-block that orjson refuses or reads an integer from (``-0`` too), loads whole
-through ``json.load``, which names an error as if read whole.
+notation, block by block, so every file round-trips back to bit-identical
+doubles and path files keep the bytes that earlier versions wrote.
+
+A polyline CSV is read straight into the ``Polyline`` coordinate array, line
+1 and then each ``_BLOCK`` lines parsed as one JSON list by orjson; a block
+with a line other than two JSON numbers and one comma, or with a ``-0``
+(which orjson reads as the integer 0), is read again by ``float()`` line by
+line, so a record that does not parse or has a non-finite coordinate is
+named by its line. A path JSON file holds ``{"segments": [``, one segment
+record per line, ``]`` and one line per metadata key. Metadata goes through
+``json`` (an infinite clearance reads ``Infinity``). Paths are written from
+and read into ``SmoothPath`` columns, ``_BLOCK`` records at a time both
+ways: the reader parses each block of record lines with orjson, so it holds
+one block's records besides the columns. Any other layout of the document,
+and a block that orjson refuses or reads an integer from (``-0`` included),
+loads whole through ``json.load``, which also raises every error, so a bad
+file is named as if it had been read whole.
 
 The JSON readers take every number as a float (``parse_int=float``: ``-0``
 reads as -0.0, an integer beyond the float range as inf) and refuse strings
 and booleans. The path reader checks all types in one pass, reads ``null``
-as nan and names the first segment that ``smoother.first_bad_row`` refuses.
+as nan and names the first segment that ``smoother.first_bad_row`` refuses,
+such as one with a non-finite value.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from array import array
 from itertools import chain, islice, repeat
 from typing import Optional, TextIO, Union
@@ -36,32 +45,40 @@ from .smoother import ARC, LINE, Polyline, SmoothPath, first_bad_row
 
 def load_polyline(source: Union[str, os.PathLike, TextIO]) -> Polyline:
     """Read a polyline from CSV with one ``x,y`` record per line, straight
-    into the polyline's coordinate array as C doubles.
+    into the polyline's coordinate array.
 
     A first line neither of whose fields parses as a number (e.g. ``x,y``)
     is a header and skipped; a byte order mark before it and blank lines are
-    ignored. Line 1, then each ``_BLOCK`` lines, is read by ``_read_block`` or
-    else line by line, which names a refused record (non-finite too) by line."""
+    ignored. A refused record, including a non-finite coordinate, is named
+    by its line number. Line 1, and then each ``_BLOCK`` lines, is parsed by
+    ``_read_block`` when it can be, else line by line. The coordinates are
+    collected as C doubles, which the polyline copies once.
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8-sig") as fh:
             return load_polyline(fh)
     lines, values = iter(source), array("d")
+    append = values.append
     block, first = [next(lines, "").removeprefix("\ufeff")], 1
     while block:
-        for lineno, line in enumerate([] if _read_block(block, values) else block, first):
+        for lineno, line in enumerate([] if _read_block(block, values) else block, start=first):
             parts = line.split(",")
             if len(parts) != 2:
                 if not line.strip():
                     continue
                 raise ValueError(f"line {lineno}: expected 'x,y', got {line.strip()!r}")
-            x, y = map(_float, parts)
-            if x is None or y is None or "_" in line:  # float() takes 1_0; no CSV writer emits it
-                if lineno == 1 and x is None and y is None:  # optional header
+            try:
+                if "_" in line:  # float() takes digit-group underscores, which no CSV writer emits
+                    raise ValueError(line)
+                x, y = float(parts[0]), float(parts[1])
+            except ValueError:
+                if lineno == 1 and not any(map(_parses, parts)):  # optional header
                     continue
-                raise ValueError(f"line {lineno}: cannot parse {line.strip()!r}")
+                raise ValueError(f"line {lineno}: cannot parse {line.strip()!r}") from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"line {lineno}: non-finite coordinates ({x}, {y})")
-            values.extend((x, y))
+            append(x)
+            append(y)
         first += len(block)
         block = list(islice(lines, _BLOCK))
     return Polyline.from_array(np.frombuffer(values).reshape(-1, 2))
@@ -69,8 +86,9 @@ def load_polyline(source: Union[str, os.PathLike, TextIO]) -> Polyline:
 
 def _read_block(lines: list[str], values: array) -> bool:
     """Append a block's records, read as one JSON list by orjson, and return
-    True, unless a line holds other than one comma or a value is other than
-    a float or an integer, or is ``-0``, which orjson reads as 0."""
+    True; or append nothing and return False if a line holds other than one
+    comma, or a value is other than a float or an integer, or is a ``-0``
+    token, which orjson reads as the integer 0."""
     import orjson  # here, as in save_path
 
     try:
@@ -79,18 +97,18 @@ def _read_block(lines: list[str], values: array) -> bool:
         return False
     types = set(map(type, row))
     if set(map(str.count, lines, repeat(","))) != {1} or not types <= {float, int} or (
-            int in types and 0 in row and "-0" in text):
+            int in types and re.search(r"-0(?![.\deE])(?<![eE]-0)", text)):
         return False
     values.fromlist(row)  # an integer converts as float() converts its digits
     return True
 
 
-def _float(text: str) -> Optional[float]:
-    """``float(text)``, or None where it refuses the text."""
+def _parses(text: str) -> bool:
     try:
-        return float(text)
+        float(text)
     except ValueError:
-        return None
+        return False
+    return True
 
 
 def _number(value) -> float:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Point-coincidence threshold in meters: well below map resolution, well
 # above double-precision noise at meter scale.
 LENGTH_EPSILON = 1e-9
@@ -119,10 +121,18 @@ class ArcSegment:
 def arc_ends(cx: float, cy: float, radius: float, start: float, sweep: float) -> tuple:
     """Start and end point (sx, sy, ex, ey) of an arc row (cx, cy, radius,
     start_angle, sweep); the one formula for an arc's end points, which
-    ``arc_endpoint`` reads too."""
+    ``arc_endpoint`` reads too and ``arc_end_columns`` maps over columns."""
     a, b = start + 0.0, start + sweep  # -0.0 becomes 0.0, as start + sweep does
     return (cx + radius * math.cos(a), cy + radius * math.sin(a),
             cx + radius * math.cos(b), cy + radius * math.sin(b))
+
+
+def arc_end_columns(cx, cy, radius, start, sweep) -> tuple[np.ndarray, np.ndarray]:
+    """``arc_ends``' end points (ex, ey) of arc rows given as numpy columns,
+    with the same bits: cos and sin are ``math``'s, not numpy's SIMD ones."""
+    b = (start + sweep).tolist()
+    return (cx + radius * np.fromiter(map(math.cos, b), float, len(b)),
+            cy + radius * np.fromiter(map(math.sin, b), float, len(b)))
 
 
 def arc_endpoint(arc: ArcSegment, at_end: bool) -> tuple[Point2, Heading]:

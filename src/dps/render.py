@@ -16,23 +16,26 @@ from typing import Optional
 import numpy as np
 
 from .fileio import _BLOCK
-from .geom import TWO_PI
+from .geom import TWO_PI, arc_end_columns
 from .planner import Scenario
 from .smoother import ARC, SmoothPath
 
 _FULL = TWO_PI - 1e-9
 _WIDTH = 800
-_fmt = "{:.10g}".format
-# A line's command, and an arc's by its large-arc and sweep flags, to be given its radius twice.
-_LINE = " L %.10g %.10g"
-_ARCS = tuple(f" A %s %s 0 {large} {sweep} %%.10g %%.10g" for large in (0, 1) for sweep in (0, 1))
+# A line's command, then an arc's by 1 + 2 * large-arc flag + sweep flag.
+_COMMANDS = (" L %.10g %.10g", *(f" A %.10g %.10g 0 {large} {sweep} %.10g %.10g"
+                                  for large in (0, 1) for sweep in (0, 1)))
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.10g}"
 
 
 def _path_d(path: SmoothPath) -> list[str]:
     """The path's SVG commands unjoined: ``M x y`` at its start point, then
     one piece per ``_BLOCK`` rows, each command led by a space; a full
     circle, which degenerates in an ``A`` command, is first split in halves.
-    A line ends at its ``b``, an arc where ``arc_ends`` puts its end."""
+    A line ends at its ``b``, an arc where ``arc_end_columns`` puts its end."""
     kind, data = path.kind, path.data
     full = (kind == ARC) & (np.abs(data[:, 4]) >= _FULL)
     if full.any():
@@ -43,18 +46,13 @@ def _path_d(path: SmoothPath) -> list[str]:
     pieces = ["M %.10g %.10g" % (path.start_point.x, path.start_point.y)]
     for lo in range(0, len(kind), _BLOCK):
         rows, arc = data[lo:lo + _BLOCK], kind[lo:lo + _BLOCK] == ARC
-        cx, cy, radius, start, sweep = rows[arc].T
-        angle = (start + sweep).tolist()
-        ends = rows[:, 2:4].copy()
-        ends[arc, 0] = cx + radius * np.array(list(map(math.cos, angle)))
-        ends[arc, 1] = cy + radius * np.array(list(map(math.sin, angle)))
-        unique, index = np.unique(radius, return_inverse=True)  # a path's arcs share few radii
-        keys, key = np.unique(4 * index + 2 * (np.abs(sweep) > math.pi) + (sweep > 0), return_inverse=True)
-        radii = list(map(_fmt, unique.tolist()))
-        commands = [_LINE] + [_ARCS[k % 4] % (2 * (radii[k // 4],)) for k in keys.tolist()]
-        command = np.zeros(len(rows), np.intp)
-        command[arc] = 1 + key
-        pieces.append("".join(map(commands.__getitem__, command.tolist())) % tuple(ends.ravel().tolist()))
+        sweep = rows[:, 4]
+        command = np.where(arc, 1 + 2 * (np.abs(sweep) > math.pi) + (sweep > 0), 0)
+        # a line's values are its b, an arc's its radius twice and end point
+        values, used = rows[:, [2, 3, 2, 3]], arc[:, None] | (np.arange(4) < 2)
+        values[arc, 1] = rows[arc, 2]
+        values[arc, 2], values[arc, 3] = arc_end_columns(*rows[arc].T)
+        pieces.append("".join(map(_COMMANDS.__getitem__, command.tolist())) % tuple(values[used].tolist()))
     return pieces
 
 
@@ -62,10 +60,12 @@ def render_svg(path: SmoothPath, scenario: Optional[Scenario] = None) -> str:
     """An SVG document of the path, drawn over the scenario's bounds and
     obstacles when one is given; refuses an extent that overflows a float."""
     # a line spans its two end points, an arc its circle's square
-    arc, radius = (path.kind == ARC)[:, None], path.data[:, 2:3]
-    a, b = path.data[:, :2], path.data[:, 2:4]
-    boxes = [(*np.where(arc, a - radius, np.minimum(a, b)).min(axis=0).tolist(),
-              *np.where(arc, a + radius, np.maximum(a, b)).max(axis=0).tolist())]
+    arc = path.kind == ARC
+    x0, y0, x1, y1, _ = path.data.T
+    boxes = [(np.where(arc, x0 - x1, np.minimum(x0, x1)).min().item(),
+              np.where(arc, y0 - x1, np.minimum(y0, y1)).min().item(),
+              np.where(arc, x0 + x1, np.maximum(x0, x1)).max().item(),
+              np.where(arc, y0 + x1, np.maximum(y0, y1)).max().item())]
     if scenario is not None:
         b = scenario.bounds
         boxes.append((b.xmin, b.ymin, b.xmax, b.ymax))

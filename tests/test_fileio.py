@@ -192,6 +192,16 @@ def test_load_polyline_reads_numbers_as_float_does(pairs):
     assert fileio._read_block(lines, array("d")) == expected
 
 
+def test_read_block_turns_away_only_a_minus_zero_token():
+    # an integer 0 beside a "-0." spelling, or an exponent of -0, is no -0 token
+    for lines in (["0,-0.25\n", "1,2\n"], ["0,1e-0\n"], ["-0.0,0\n"], ["-0e1,0"]):
+        assert fileio._read_block(lines, array("d"))
+        text = "".join(lines)
+        assert _polyline_outcome(text) == _reference_polyline(text)
+    for lines in (["0,-0\n"], ["1.5,2\n", "-0,1\n"], ["1, -0 "], ["1,-0"]):
+        assert not fileio._read_block(lines, array("d"))
+
+
 def test_load_scenario_skips_a_byte_order_mark(tmp_path):
     doc = {"bounds": [0, 0, 20, 20], "robot_radius": 0.2, "turning_radius": 0.5,
            "start": [1, 1], "goal": [19, 19], "obstacles": [[[8, 8], [12, 8], [12, 12], [8, 12]]]}

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +12,9 @@ from dps.geom import (
     LineSegment,
     Point2,
     Pose,
+    arc_end_columns,
     arc_endpoint,
+    arc_ends,
     dist,
     interior_angle,
     normalize_angle,
@@ -119,6 +122,16 @@ def test_arc_endpoint_tangent_perpendicular(rng):
             tvec = (math.cos(tang.theta), math.sin(tang.theta))
             assert abs(radial[0] * tvec[0] + radial[1] * tvec[1]) <= 1e-12
             assert math.hypot(*tvec) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_arc_end_columns_match_arc_ends_bit_for_bit(rng):
+    rows = [(rng.uniform(-1e6, 1e6), rng.choice((-0.0, 0.0, rng.uniform(-10, 10))), rng.uniform(1e-3, 5.0),
+             rng.choice((-0.0, 0.0, math.pi, -math.pi, rng.uniform(-math.pi, math.pi))),
+             rng.choice((-0.0, math.pi, -math.pi, math.nextafter(math.pi, 4), rng.uniform(-2 * math.pi, 2 * math.pi))))
+            for _ in range(3000)]
+    ex, ey = arc_end_columns(*np.array(rows).T)
+    # the same bits, signed zeros included
+    assert np.column_stack((ex, ey)).tobytes() == np.array([arc_ends(*row)[2:] for row in rows]).tobytes()
 
 
 def test_arc_length_examples():
