@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Point-coincidence threshold in meters: well below map resolution, well
 # above double-precision noise at meter scale.
 LENGTH_EPSILON = 1e-9
@@ -127,12 +125,11 @@ def arc_ends(cx: float, cy: float, radius: float, start: float, sweep: float) ->
             cx + radius * math.cos(b), cy + radius * math.sin(b))
 
 
-def arc_end_columns(cx, cy, radius, start, sweep) -> tuple[np.ndarray, np.ndarray]:
+def arc_end_columns(cx, cy, radius, start, sweep) -> tuple:
     """``arc_ends``' end points (ex, ey) of arc rows given as numpy columns,
     with the same bits: cos and sin are ``math``'s, not numpy's SIMD ones."""
     b = (start + sweep).tolist()
-    return (cx + radius * np.fromiter(map(math.cos, b), float, len(b)),
-            cy + radius * np.fromiter(map(math.sin, b), float, len(b)))
+    return cx + radius * list(map(math.cos, b)), cy + radius * list(map(math.sin, b))
 
 
 def arc_endpoint(arc: ArcSegment, at_end: bool) -> tuple[Point2, Heading]:
