@@ -19,7 +19,8 @@ Smoothing, the per-vertex, per-edge and 4r far predicates, ``vertex_solutions``,
 it, so they accept and refuse the same inputs, also on the boundary
 |p_j p_k| = l_j + l_k; the three-point sub-problem is ``vertex_solutions`` on
 a three-point polyline. A feasible polyline smooths to the pass's own path
-in both modes; best-effort clamps only a polyline with a failing edge.
+in both modes. Best-effort clamps only a polyline with a failing edge: that
+edge caps the radius of both its ends at edge / (t0 + t1), t = tan(turn / 2).
 Neither mode smooths an exact reversal, since no G1 arc turns back on
 itself, nor a vertex whose tangent length overflows a float.
 
@@ -581,38 +582,32 @@ def feasibility_report(p: Polyline, r: float) -> FeasibilityReport:
     return report
 
 
-def _parts(edge, l0, l1, n0, d0, n1, d1, holds, m=_FLOATS):
-    """The lengths of an edge that its two tangent lengths may take: their
-    own where the edge holds both, else the edge split in the ratio of the
-    two ends' tan(turn / 2) = n / d, in which r cancels, so an overflowed end
-    splits as a finite one does; an end with l = 0 takes none."""
-    w0 = m.where(l0 == 0.0, 0.0, n0 * d1)  # t0 : t1 = n0 d1 : n1 d0
-    w1 = m.where(l1 == 0.0, 0.0, n1 * d0)
-    w = m.where(holds, 1.0, w0 + w1)
-    return m.where(holds, l0, edge * (w0 / w)), m.where(holds, l1, edge * (w1 / w))
+def _cap(edge, l0, l1, n0, d0, n1, d1, holds, m=_FLOATS):
+    """The radius a failing edge lets both its ends keep, edge / (t0 + t1) with
+    t = tan(turn / 2) = n / d (0 at an end with l = 0): r cancels, so an
+    overflowed end caps as a finite one does. inf where the edge holds."""
+    t0 = m.where(l0 == 0.0, 0.0, n0 / d0)
+    t1 = m.where(l1 == 0.0, 0.0, n1 / d1)
+    return m.where(holds, math.inf, edge / (t0 + t1 + holds))  # + holds: t0 + t1 may be 0 there
 
 
-def _clamped_radius(l, part0, part1, num, den, r, m=_FLOATS):
-    """Radius whose tangent length is the smaller part its edges allow, that
-    part over tan(turn / 2) = num / den (a vertex whose parts hold l, such as
-    a pass-through vertex, keeps r); 0 where that radius vanishes and the arc
-    is dropped."""
-    fit = m.min(part0, part1)
-    clamped = fit < l
-    r_eff = fit * den / m.where(clamped, num, 1.0)
-    return m.where(clamped, m.where(r_eff <= LENGTH_EPSILON, 0.0, r_eff), r)
+def _clamped_radius(cap0, cap1, r, m=_FLOATS):
+    """The smaller of a vertex's two caps where it is below r, else r; 0
+    where that radius vanishes and the arc is dropped."""
+    cap = m.min(cap0, cap1)
+    return m.where(cap < r, m.where(cap <= LENGTH_EPSILON, 0.0, cap), r)
 
 
 def _clamp(tp: _Pass, num, den) -> list:
-    """Best-effort solves: a tangent length that its edges cannot hold is cut
-    to what they can (a contested edge is split in the ratio of its two ends'
-    tan(turn / 2)) and the arc radius shrinks with it to keep tangency."""
+    """Best-effort solves: each vertex is solved again at the smaller of its two
+    edges' caps where that is below r, so each edge holds its tangent lengths."""
     m, x, y, edges, ux, uy, ls, holds, raws = tp
-    ns, ds = m.cat([0.0], num, [0.0]), m.cat([1.0], den, [1.0])  # the endpoints take no part
-    part0, part1 = m.map_n(2, _parts, edges, ls[:-1], ls[1:], ns[:-1], ds[:-1], ns[1:], ds[1:], holds)
-    radius = m.map(_clamped_radius, ls[1:-1], part1[:-1], part0[1:], num, den, raws[9])
-    return m.map_n(_RAW_FIELDS, _solve_raw, x[1:-1], y[1:-1], ux[:-1], uy[:-1], ux[1:], uy[1:],
-                   radius)
+    ns, ds = m.cat([0.0], num, [0.0]), m.cat([1.0], den, [1.0])  # the endpoints have t = 0
+    with m.quiet():  # near a reversal t and the re-solve may overflow; a t of inf caps at 0
+        caps = m.map(_cap, edges, ls[:-1], ls[1:], ns[:-1], ds[:-1], ns[1:], ds[1:], holds)
+        radius = m.map(_clamped_radius, caps[:-1], caps[1:], raws[9])
+        return m.map_n(_RAW_FIELDS, _solve_raw, x[1:-1], y[1:-1], ux[:-1], uy[:-1], ux[1:],
+                       uy[1:], radius)
 
 
 def _solves(p: Polyline, r: float, mode: str) -> tuple[_Pass, list]:
@@ -652,10 +647,10 @@ def smooth_polyline(p: Polyline, r: float, mode: str = "strict") -> SmoothPath:
 
     The default "strict" mode refuses infeasible input with a
     FeasibilityError carrying the per-vertex/per-edge report; "best-effort"
-    instead splits each edge that cannot hold its two tangent lengths in the
-    ratio of its ends' tan(turn / 2), shrinks the arc radius of a vertex
-    whose tangent length overruns its part to fit, and so trades the
-    curvature guarantee for totality. Neither mode smooths an exact reversal.
+    instead gives each vertex the smaller of its edges' radius caps, where an
+    edge that cannot hold its two tangent lengths caps both its ends at
+    edge / (t0 + t1), t = tan(turn / 2), and so trades the curvature
+    guarantee for totality. Neither mode smooths an exact reversal.
     """
     tp, raws = _solves(p, r, mode)
     x0, y0, xn, yn = float(tp.x[0]), float(tp.y[0]), float(tp.x[-1]), float(tp.y[-1])

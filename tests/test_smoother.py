@@ -431,6 +431,85 @@ def test_overflowed_tangent_length_is_no_reversal(monkeypatch):
         smooth_polyline(Polyline.from_array(overflow + [(5, 0.001), (1, 0.001)]), 1e306, mode="best-effort")
 
 
+def _best_effort_radii(points, r):
+    """Arc radii of the best-effort path, in travel order."""
+    path = smooth_polyline(Polyline.from_array(points), r, mode="best-effort")
+    return path.data[path.kind == ARC, 2].tolist()
+
+
+def _caps(points, r):
+    """edge / (t0 + t1) per edge, t = tan(turn / 2) from the tangent pass (0
+    at an endpoint), whether or not the edge holds."""
+    from dps import smoother
+
+    tp = smoother._tangent_pass(Polyline.from_array(points), r)
+    t = [0.0] + [num / den for num, den in map(smoother._half_turn, tp.raws[7], tp.raws[8])] + [0.0]
+    return [edge / (t0 + t1) for edge, t0, t1 in zip(tp.edges, t, t[1:])]
+
+
+def test_failing_edge_caps_both_its_ends_alike(monkeypatch):
+    # A right angle and a 30 degree turn share a unit edge that cannot hold
+    # their tangent lengths at r = 10; the outer edges hold. Both ends take
+    # the one radius edge / (t0 + t1), bit for bit, on both backends.
+    from dps import smoother
+
+    points = [(-20, 0), (0, 0), (0, 1), (-10, 1 + 10 * math.sqrt(3))]
+    assert check_global_existence(Polyline.from_array(points), 10.0).global_violations == [1]
+    cap = _caps(points, 10.0)[1]
+    for backend in (smoother._FLOATS, smoother._ARRAYS):
+        monkeypatch.setattr(smoother, "_backend", lambda n, backend=backend: backend)
+        assert _best_effort_radii(points, 10.0) == [cap, cap]
+
+
+def test_vertex_between_two_failing_edges_takes_the_smaller_cap(monkeypatch):
+    # Edges 1 and 2 both fail at r = 10; vertex 2 lies between them, and
+    # vertices 1 and 3 each have one failing edge.
+    from dps import smoother
+
+    points = [(-20, 0), (0, 0), (0, 1), (1.5, 1), (1.5, 21)]
+    assert check_global_existence(Polyline.from_array(points), 10.0).global_violations == [1, 2]
+    caps = _caps(points, 10.0)
+    assert caps[1] != caps[2]
+    for backend in (smoother._FLOATS, smoother._ARRAYS):
+        monkeypatch.setattr(smoother, "_backend", lambda n, backend=backend: backend)
+        assert _best_effort_radii(points, 10.0) == [caps[1], min(caps[1], caps[2]), caps[2]]
+
+
+def test_best_effort_near_a_reversal_is_quiet_on_both_backends(monkeypatch):
+    # Vertex 1 turns back within a subnormal of a reversal, so its
+    # tan(turn / 2) overflows to inf and caps both its edges at 0. Warnings
+    # are errors here, and the array backend warned of the overflow.
+    from dps import smoother
+
+    paths = []
+    for backend in (smoother._FLOATS, smoother._ARRAYS):
+        monkeypatch.setattr(smoother, "_backend", lambda n, backend=backend: backend)
+        paths.append(smooth_polyline(Polyline.from_array([(0, 0), (1, 0), (0, 1e-320), (3, 3)]), 1.0,
+                                     mode="best-effort"))
+    assert paths[0] == paths[1]
+
+
+def test_best_effort_radii_are_kept_under_reversal(monkeypatch):
+    # Random walks that fail an edge: reversing one gives each vertex the
+    # same radius, bit for bit, so the arcs come out in reverse order.
+    from dps import smoother
+
+    rng = random.Random(11)
+    for backend in (smoother._FLOATS, smoother._ARRAYS):
+        monkeypatch.setattr(smoother, "_backend", lambda n, backend=backend: backend)
+        failing = 0
+        while failing < 40:
+            xy = [(0.0, 0.0)]
+            for _ in range(rng.randint(2, 60)):
+                step, heading = rng.uniform(0.3, 4.0), rng.uniform(-math.pi, math.pi)
+                xy.append((xy[-1][0] + step * math.cos(heading), xy[-1][1] + step * math.sin(heading)))
+            r = rng.uniform(0.2, 2.0)
+            if check_global_existence(Polyline.from_array(xy), r).feasible:
+                continue
+            failing += 1
+            assert _best_effort_radii(xy[::-1], r) == _best_effort_radii(xy, r)[::-1]
+
+
 def _sharp_turn(rng, deficit, r):
     """Four points at coordinates up to 1e7 whose vertex 1 turns by
     pi - deficit, on edges long enough for strict smoothing."""
