@@ -5,10 +5,10 @@ notation, block by block, so every file round-trips back to bit-identical
 doubles and path files keep the bytes that earlier versions wrote.
 
 A polyline CSV is read straight into the ``Polyline`` coordinate array, line
-1 and then each ``_BLOCK`` lines parsed as one JSON list by orjson; a block
-with a line other than two JSON numbers and one comma, or with a ``-0``
-(which orjson reads as the integer 0), is read again by ``float()`` line by
-line, so a record that does not parse or has a non-finite coordinate is
+1 and then each ``_BLOCK`` lines parsed as one JSON list by orjson (a ``-0``
+token, which orjson reads as the integer 0, as ``-0.0``); a block with a line
+other than two JSON numbers and one comma is read again by ``float()``, line
+by line, so a record that does not parse or has a non-finite coordinate is
 named by its line. A path JSON file holds ``{"segments": [``, one segment
 record per line, ``]`` and one line per metadata key. Metadata goes through
 ``json`` (an infinite clearance reads ``Infinity``). Paths are written from
@@ -85,10 +85,10 @@ def load_polyline(source: Union[str, os.PathLike, TextIO]) -> Polyline:
 
 
 def _read_block(lines: list[str], values: array) -> bool:
-    """Append a block's records, read as one JSON list by orjson, and return
-    True; or append nothing and return False if a line holds other than one
-    comma, or a value is other than a float or an integer, or is a ``-0``
-    token, which orjson reads as the integer 0."""
+    """Append a block's records, read as one JSON list by orjson (again with
+    ``-0.0`` for each ``-0`` token, which it reads as the integer 0), and
+    return True; or append nothing and return False if a line holds other
+    than one comma, or a value is other than a float or an integer."""
     import orjson  # here, as in save_path
 
     try:
@@ -96,9 +96,10 @@ def _read_block(lines: list[str], values: array) -> bool:
     except ValueError:  # orjson's JSONDecodeError included: 1e400, +1, 1., nan
         return False
     types = set(map(type, row))
-    if set(map(str.count, lines, repeat(","))) != {1} or not types <= {float, int} or (
-            int in types and re.search(r"-0(?![.\deE])(?<![eE]-0)", text)):
+    if set(map(str.count, lines, repeat(","))) != {1} or not types <= {float, int}:
         return False
+    if int in types and _MINUS_ZERO.search(text):
+        row = orjson.loads(_MINUS_ZERO.sub("-0.0", text))
     values.fromlist(row)  # an integer converts as float() converts its digits
     return True
 
@@ -180,6 +181,7 @@ _BLOCK = 1024
 # The first line of save_path's layout, and the whitespace JSON allows.
 _HEADER = '{"segments": [\n'
 _SPACE = " \t\n\r"
+_MINUS_ZERO = re.compile(r"-0(?![.\deE])(?<![eE]-0)")  # the token -0, not -0.5, -0e1 or 1e-0
 
 
 # The types json.load(..., parse_int=float) gives JSON numbers; null reads as

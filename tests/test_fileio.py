@@ -186,20 +186,31 @@ def test_load_polyline_reads_numbers_as_float_does(pairs):
     text = "x,y\n" + "".join(lines)
     assert _polyline_outcome(text) == _reference_polyline(text)
     # orjson, not the per-line reader, parsed them wherever float() gives
-    # finite values and no token is -0, which orjson reads as the integer 0
+    # finite values, a -0 token too (orjson reads it as the integer 0, so the
+    # block is parsed again with -0.0 for it)
     tokens = [v for pair in pairs for v in pair]
-    expected = all(math.isfinite(float(v)) for v in tokens) and "-0" not in tokens
-    assert fileio._read_block(lines, array("d")) == expected
+    expected = all(math.isfinite(float(v)) for v in tokens)
+    values = array("d")
+    assert fileio._read_block(lines, values) == expected
+    if expected and "-0" in tokens:  # each value keeps the sign bit float() gives it
+        assert [math.copysign(1.0, v) for v in values] == [math.copysign(1.0, float(v)) for v in tokens]
 
 
-def test_read_block_turns_away_only_a_minus_zero_token():
+def test_read_block_reads_a_minus_zero_token_with_its_sign():
     # an integer 0 beside a "-0." spelling, or an exponent of -0, is no -0 token
     for lines in (["0,-0.25\n", "1,2\n"], ["0,1e-0\n"], ["-0.0,0\n"], ["-0e1,0"]):
         assert fileio._read_block(lines, array("d"))
         text = "".join(lines)
         assert _polyline_outcome(text) == _reference_polyline(text)
-    for lines in (["0,-0\n"], ["1.5,2\n", "-0,1\n"], ["1, -0 "], ["1,-0"]):
-        assert not fileio._read_block(lines, array("d"))
+    # a -0 token is read again as -0.0: the same bits as float(), sign bit included
+    for lines in (["0,-0\n"], ["1.5,2\n", "-0,1\n"], ["1, -0 "], ["1,-0"], ["-0,-0\n", "-0,0.5\n"]):
+        values = array("d")
+        assert fileio._read_block(lines, values)
+        reference = [float(field) for line in lines for field in line.split(",")]
+        assert values.tobytes() == array("d", reference).tobytes()
+        assert [math.copysign(1.0, v) for v in values] == [math.copysign(1.0, v) for v in reference]
+        text = "".join(lines)
+        assert _polyline_outcome(text) == _reference_polyline(text)
 
 
 def test_load_scenario_skips_a_byte_order_mark(tmp_path):
