@@ -34,7 +34,6 @@ from plan_digest import _seeds
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 PER_KIND = 200  # random_polyline inputs, and as many random walks, per seed
-PARTS = ("report", "strict", "best_effort", "vertex_solutions", "extract_pieces", "refusals")
 
 
 def _inputs(seeds):
@@ -90,7 +89,7 @@ def digest(seeds) -> dict:
         "vertex_solutions": lambda p, r: _solutions(smoother.vertex_solutions(p, r)),
         "extract_pieces": lambda p, r: _pieces(smoother.extract_pieces(p, r)),
     }
-    shas = {name: hashlib.sha256() for name in PARTS}
+    shas = {name: hashlib.sha256() for name in (*calls, "refusals")}
     polylines = feasible = 0
     for index, (polyline, r) in enumerate(_inputs(seeds)):
         polylines += 1
