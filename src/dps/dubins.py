@@ -5,26 +5,31 @@ imports only ``geom``, none of the smoothing code it checks.
 The word formulas follow the Dubins-set formulation in scaled coordinates
 (unit turning radius; Shkel & Lumelsky, "Classification of the Dubins set",
 RAS 2001). LSL, LSR and RLR are written out; RSR, RSL and LRL are the same
-formulas on the problem reflected across the line of travel (``_mirrored``),
-bit-equal to their own formulas except where an ``atan2`` argument is an
-exact zero, whose sign the reflection cannot flip. The formulas run on a
-backend of math functions: ``_SCALAR`` on Python floats for one pose pair
-(``solve_word``, ``dubins_shortest``, ``classify_j_type``), ``_ARRAY`` on
-numpy arrays for the multipoint DP, which evaluates the pair costs of many
-consecutive pairs as one (pairs, S, S) block of at most ``_BLOCK_ELEMENTS``
-elements; heading sets of unequal size are padded to S by repeating their
-last heading, which changes no minimum; with one heading per point the DP is
-a running sum, added in pair order. Beyond a scaled distance d = |pq|/r of 4
-(the long-path case of Shkel & Lumelsky) no CCC word is optimal, so
-``dubins_shortest`` and each ``_pair_costs`` block whose pairs all have d > 4
-skip RLR and LRL; ``solve_word`` evaluates any word it is asked for.
+formulas on the problem reflected across the line of travel, bit-equal to
+their own formulas except where an ``atan2`` argument is an exact zero, whose
+sign the reflection cannot flip. A pose pair is solved by ``_solve``, one
+routine on Python floats that computes the sines and cosines once, evaluates
+the words inline in ``WORD_ORDER`` and folds them as it goes, about 4 µs per
+``dubins_shortest`` (the mean over the verify benchmark's seed-0 pieces on a
+shared 2-vCPU Linux VM; ``python3 tools/verify_digest.py --stages`` reprints
+it). ``solve_word``, ``dubins_shortest`` and ``classify_j_type`` read it, and
+so does the multipoint DP with one heading per point, which is then a running
+sum of the pairs' least totals, added in pair order. With heading grids the
+DP runs the formulas on numpy arrays (``_WORDS``), evaluating the pair costs
+of many consecutive pairs as one (pairs, S, S) block of at most
+``_BLOCK_ELEMENTS`` elements; heading sets of unequal size are padded to S by
+repeating their last heading, which changes no minimum. Beyond a scaled
+distance d = |pq|/r of 4 (the long-path case of Shkel & Lumelsky) no CCC word
+is optimal, so a solve skips RLR and LRL there, and so does each
+``_pair_costs`` block whose pairs all have d > 4; ``solve_word`` evaluates
+any word it is asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
+from math import acos, atan2, cos, sin, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,85 +57,6 @@ class DubinsWord:
     total: float
 
 
-# The two backends the word formulas run on: Python floats for one pose
-# pair, numpy arrays for blocks of heading pairs.
-_SCALAR = SimpleNamespace(
-    sin=math.sin, cos=math.cos, atan2=math.atan2, sqrt=math.sqrt, acos=math.acos, abs=abs,
-    where=lambda cond, a, b: a if cond else b, clip=lambda x, lo, hi: min(max(x, lo), hi),
-)
-_ARRAY = SimpleNamespace(
-    sin=np.sin, cos=np.cos, atan2=np.arctan2, sqrt=np.sqrt, acos=np.arccos, abs=np.abs,
-    where=np.where, clip=np.clip,
-)
-
-
-def _mod2pi(x):
-    """``x`` folded into [0, 2pi) on floats or arrays; a full circle folds to 0."""
-    y = x % TWO_PI
-    return y * (y < _FOLD_LIMIT)
-
-
-def _word_args(m, alpha, beta, d):
-    """Arguments of the word formulas for the scaled parameters (alpha, beta, d)."""
-    sa, ca, sb, cb = m.sin(alpha), m.cos(alpha), m.sin(beta), m.cos(beta)
-    return alpha, beta, d, sa, ca, sb, cb, ca * cb + sa * sb
-
-
-def _lsl(m, alpha, beta, d, sa, ca, sb, cb, cab):
-    tmp0 = d + sa - sb
-    psq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sa - sb)
-    # psq == 0 means coincident turn circles: the maneuver is a single left
-    # arc, and the tmp1 split degenerates to atan2(0, 0). Handle it exactly
-    # (these are precisely the tangent-to-tangent arc pieces).
-    boundary = 1e-12 * (4.0 + d * d)
-    degenerate = psq <= boundary
-    ok = psq >= -boundary
-    tmp1 = m.atan2(cb - ca, tmp0)
-    t = m.where(degenerate, 0.0, _mod2pi(tmp1 - alpha))
-    p = m.where(degenerate, 0.0, m.sqrt(m.where(psq > 0.0, psq, 0.0)))
-    q = _mod2pi(m.where(degenerate, beta - alpha, beta - tmp1))
-    return t, p, q, ok
-
-
-def _lsr(m, alpha, beta, d, sa, ca, sb, cb, cab):
-    psq = -2.0 + d * d + 2.0 * cab + 2.0 * d * (sa + sb)
-    ok = psq >= 0.0
-    p = m.sqrt(m.where(ok, psq, 0.0))
-    tmp = m.atan2(-ca - cb, d + sa + sb) - m.atan2(-2.0, p)
-    t = _mod2pi(tmp - alpha)
-    q = _mod2pi(tmp - beta)
-    return t, p, q, ok
-
-
-def _rlr(m, alpha, beta, d, sa, ca, sb, cb, cab):
-    tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
-    ok = m.abs(tmp) <= 1.0
-    p = _mod2pi(TWO_PI - m.acos(m.clip(tmp, -1.0, 1.0)))
-    t = _mod2pi(alpha - m.atan2(ca - cb, d - sa + sb) + 0.5 * p)
-    q = _mod2pi(alpha - beta - t + p)
-    return t, p, q, ok
-
-
-def _mirrored(alpha, beta, d, sa, ca, sb, cb, cab):
-    """Word arguments of the problem reflected across the line of travel."""
-    return -alpha, -beta, d, -sa, ca, -sb, cb, cab
-
-
-# Each word of WORD_ORDER, in that order, as (formula, whether it reads the
-# mirrored arguments): the reflection turns LSL, LSR and RLR into RSR, RSL
-# and LRL.
-_WORDS = {
-    "LSL": (_lsl, False),
-    "RSR": (_lsl, True),
-    "LSR": (_lsr, False),
-    "RSL": (_lsr, True),
-    "RLR": (_rlr, False),
-    "LRL": (_rlr, True),
-}
-# The CSC words of _WORDS, in WORD_ORDER: the only candidates when d > 4.
-_LONG_PATH_WORDS = {word: _WORDS[word] for word in WORD_ORDER if word in CSC_WORDS}
-
-
 def _bearing(p: Point2, q: Point2, r: float) -> tuple[float, float]:
     """Direction of q seen from p and their distance in units of r."""
     dx = q.x - p.x
@@ -138,23 +64,129 @@ def _bearing(p: Point2, q: Point2, r: float) -> tuple[float, float]:
     return math.atan2(dy, dx), math.hypot(dx, dy) / r
 
 
-def _scaled_problem(start: Pose, goal: Pose, r: float) -> tuple:
-    """Reduce a pose pair to the arguments of the word formulas."""
-    theta, d = _bearing(start.position, goal.position, r)
-    alpha = (start.heading.theta - theta) % TWO_PI
-    beta = (goal.heading.theta - theta) % TWO_PI
-    return _word_args(_SCALAR, alpha, beta, d)
+def _scaled_problem(p: Point2, heading_p: float, q: Point2, heading_q: float, r: float) -> tuple:
+    """Reduce a pose pair to the scaled problem (alpha, beta, d): both
+    headings measured from the bearing of q seen from p, and |pq| / r, with
+    ``_bearing``'s operations written inline."""
+    dx = q.x - p.x
+    dy = q.y - p.y
+    theta = math.atan2(dy, dx)
+    return (heading_p - theta) % TWO_PI, (heading_q - theta) % TWO_PI, math.hypot(dx, dy) / r
+
+
+def _solve(alpha: float, beta: float, d: float, r: float, only: Optional[str] = None) -> tuple:
+    """Shortest word of the scaled problem as (word, t, p, q, total, least).
+
+    ``word`` is the winner by the tie rule (a later word must be shorter by
+    1e-12 after scaling by r), t, p and q its scaled segment lengths and
+    ``total`` its length; ``least`` is the exact least length of all words
+    evaluated. RLR and LRL are evaluated only where d <= 4, unless ``only``
+    names the one word to fold; ``word`` is None when no word folded.
+    """
+    sa, ca, sb, cb = sin(alpha), cos(alpha), sin(beta), cos(beta)
+    cab2 = 2.0 * (ca * cb + sa * sb)
+    dd = d * d
+    u = 2.0 * d * (sa - sb)
+    word = None
+    t = p = q = total = least = math.inf
+    # LSL, then RSR. psq is the squared distance of the two turn circles; at
+    # 0 within rounding they coincide and the word is a single arc.
+    base = 2.0 + dd - cab2
+    boundary = 1e-12 * (4.0 + dd)
+    psq = base + u
+    if psq >= -boundary and (only is None or only == "LSL"):
+        if psq <= boundary:
+            wt, wp, wq = 0.0, 0.0, (beta - alpha) % TWO_PI
+        else:
+            tmp1 = atan2(cb - ca, d + sa - sb)
+            wt, wp, wq = (tmp1 - alpha) % TWO_PI, sqrt(psq), (beta - tmp1) % TWO_PI
+            wt *= wt < _FOLD_LIMIT
+        wq *= wq < _FOLD_LIMIT
+        total = least = (wt + wp + wq) * r
+        word, t, p, q = "LSL", wt, wp, wq
+    psq = base - u
+    if psq >= -boundary and (only is None or only == "RSR"):
+        if psq <= boundary:
+            wt, wp, wq = 0.0, 0.0, (alpha - beta) % TWO_PI
+        else:
+            tmp1 = atan2(cb - ca, d - sa + sb)
+            wt, wp, wq = (tmp1 + alpha) % TWO_PI, sqrt(psq), (-beta - tmp1) % TWO_PI
+            wt *= wt < _FOLD_LIMIT
+        wq *= wq < _FOLD_LIMIT
+        wtotal = (wt + wp + wq) * r
+        if wtotal < least:
+            least = wtotal
+        if word is None or wtotal < total - _TIE_EPSILON:
+            word, t, p, q, total = "RSR", wt, wp, wq, wtotal
+    # LSR, then RSL.
+    base = -2.0 + dd + cab2
+    s = 2.0 * d * (sa + sb)
+    psq = base + s
+    if psq >= 0.0 and (only is None or only == "LSR"):
+        wp = sqrt(psq)
+        tmp = atan2(-ca - cb, d + sa + sb) - atan2(-2.0, wp)
+        wt, wq = (tmp - alpha) % TWO_PI, (tmp - beta) % TWO_PI
+        wt *= wt < _FOLD_LIMIT
+        wq *= wq < _FOLD_LIMIT
+        wtotal = (wt + wp + wq) * r
+        if wtotal < least:
+            least = wtotal
+        if word is None or wtotal < total - _TIE_EPSILON:
+            word, t, p, q, total = "LSR", wt, wp, wq, wtotal
+    psq = base - s
+    if psq >= 0.0 and (only is None or only == "RSL"):
+        wp = sqrt(psq)
+        tmp = atan2(-ca - cb, d - sa - sb) - atan2(-2.0, wp)
+        wt, wq = (tmp + alpha) % TWO_PI, (tmp + beta) % TWO_PI
+        wt *= wt < _FOLD_LIMIT
+        wq *= wq < _FOLD_LIMIT
+        wtotal = (wt + wp + wq) * r
+        if wtotal < least:
+            least = wtotal
+        if word is None or wtotal < total - _TIE_EPSILON:
+            word, t, p, q, total = "RSL", wt, wp, wq, wtotal
+    if d > 4.0 and only is None:
+        return word, t, p, q, total, least
+    # RLR, then LRL: tmp is the cosine of the middle arc's supplement.
+    base = 6.0 - dd + cab2
+    tmp = (base + u) / 8.0
+    if abs(tmp) <= 1.0 and (only is None or only == "RLR"):
+        wp = (TWO_PI - acos(tmp)) % TWO_PI
+        wp *= wp < _FOLD_LIMIT
+        wt = (alpha - atan2(ca - cb, d - sa + sb) + 0.5 * wp) % TWO_PI
+        wt *= wt < _FOLD_LIMIT
+        wq = (alpha - beta - wt + wp) % TWO_PI
+        wq *= wq < _FOLD_LIMIT
+        wtotal = (wt + wp + wq) * r
+        if wtotal < least:
+            least = wtotal
+        if word is None or wtotal < total - _TIE_EPSILON:
+            word, t, p, q, total = "RLR", wt, wp, wq, wtotal
+    tmp = (base - u) / 8.0
+    if abs(tmp) <= 1.0 and (only is None or only == "LRL"):
+        wp = (TWO_PI - acos(tmp)) % TWO_PI
+        wp *= wp < _FOLD_LIMIT
+        wt = (-alpha - atan2(ca - cb, d + sa - sb) + 0.5 * wp) % TWO_PI
+        wt *= wt < _FOLD_LIMIT
+        wq = (beta - alpha - wt + wp) % TWO_PI
+        wq *= wq < _FOLD_LIMIT
+        wtotal = (wt + wp + wq) * r
+        if wtotal < least:
+            least = wtotal
+        if word is None or wtotal < total - _TIE_EPSILON:
+            word, t, p, q, total = "LRL", wt, wp, wq, wtotal
+    return word, t, p, q, total, least
 
 
 def solve_word(word: str, start: Pose, goal: Pose, r: float) -> Optional[DubinsWord]:
     """Evaluate one maneuver class; None when it has no real solution."""
     check_turn_radius(r)
-    if word not in _WORDS:
+    if word not in WORD_ORDER:
         raise ValueError(f"unknown Dubins word {word!r}; expected one of {', '.join(WORD_ORDER)}")
-    formula, mirror = _WORDS[word]
-    problem = _scaled_problem(start, goal, r)
-    t, p, q, ok = formula(_SCALAR, *(_mirrored(*problem) if mirror else problem))
-    if not ok:
+    problem = _scaled_problem(start.position, start.heading.theta,
+                              goal.position, goal.heading.theta, r)
+    found, t, p, q, _, _ = _solve(*problem, r, only=word)
+    if found is None:
         return None
     lengths = (t * r, p * r, q * r)
     return DubinsWord(word, lengths, sum(lengths))
@@ -168,19 +200,10 @@ def dubins_shortest(start: Pose, goal: Pose, r: float) -> DubinsWord:
     tests stay deterministic.
     """
     check_turn_radius(r)
-    problem = _scaled_problem(start, goal, r)
-    problems = (problem, _mirrored(*problem))  # indexed by the mirror flag
-    words = _LONG_PATH_WORDS if problem[2] > 4.0 else _WORDS
-    best = None
-    for word, (formula, mirror) in words.items():  # in WORD_ORDER
-        t, p, q, ok = formula(_SCALAR, *problems[mirror])
-        if not ok:
-            continue
-        total = (t + p + q) * r
-        if best is None or total < best[-1] - _TIE_EPSILON:
-            best = (word, t, p, q, total)
-    assert best is not None  # LSL/RSR always admit a solution
-    word, t, p, q, total = best
+    problem = _scaled_problem(start.position, start.heading.theta,
+                              goal.position, goal.heading.theta, r)
+    word, t, p, q, total, _ = _solve(*problem, r)
+    assert word is not None  # LSL/RSR always admit a solution
     return DubinsWord(word, (t * r, p * r, q * r), total)
 
 
@@ -194,18 +217,85 @@ def classify_j_type(start: Pose, goal: Pose, r: float) -> tuple[bool, DubinsWord
     return word.word in CSC_WORDS and word.lengths[0] <= 1e-9, word
 
 
+def _mod2pi(x):
+    """``x`` folded into [0, 2pi) elementwise; a full circle folds to 0."""
+    y = x % TWO_PI
+    return y * (y < _FOLD_LIMIT)
+
+
+def _word_args(alpha, beta, d):
+    """Arguments of the array word formulas for the scaled parameters."""
+    sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
+    return alpha, beta, d, sa, ca, sb, cb, ca * cb + sa * sb
+
+
+def _lsl(alpha, beta, d, sa, ca, sb, cb, cab):
+    tmp0 = d + sa - sb
+    psq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sa - sb)
+    # psq == 0 means coincident turn circles: the maneuver is a single left
+    # arc, and the tmp1 split degenerates to atan2(0, 0). Handle it exactly
+    # (these are precisely the tangent-to-tangent arc pieces).
+    boundary = 1e-12 * (4.0 + d * d)
+    degenerate = psq <= boundary
+    ok = psq >= -boundary
+    tmp1 = np.arctan2(cb - ca, tmp0)
+    t = np.where(degenerate, 0.0, _mod2pi(tmp1 - alpha))
+    p = np.where(degenerate, 0.0, np.sqrt(np.where(psq > 0.0, psq, 0.0)))
+    q = _mod2pi(np.where(degenerate, beta - alpha, beta - tmp1))
+    return t, p, q, ok
+
+
+def _lsr(alpha, beta, d, sa, ca, sb, cb, cab):
+    psq = -2.0 + d * d + 2.0 * cab + 2.0 * d * (sa + sb)
+    ok = psq >= 0.0
+    p = np.sqrt(np.where(ok, psq, 0.0))
+    tmp = np.arctan2(-ca - cb, d + sa + sb) - np.arctan2(-2.0, p)
+    t = _mod2pi(tmp - alpha)
+    q = _mod2pi(tmp - beta)
+    return t, p, q, ok
+
+
+def _rlr(alpha, beta, d, sa, ca, sb, cb, cab):
+    tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
+    ok = np.abs(tmp) <= 1.0
+    p = _mod2pi(TWO_PI - np.arccos(np.clip(tmp, -1.0, 1.0)))
+    t = _mod2pi(alpha - np.arctan2(ca - cb, d - sa + sb) + 0.5 * p)
+    q = _mod2pi(alpha - beta - t + p)
+    return t, p, q, ok
+
+
+def _mirrored(alpha, beta, d, sa, ca, sb, cb, cab):
+    """Word arguments of the problem reflected across the line of travel."""
+    return -alpha, -beta, d, -sa, ca, -sb, cb, cab
+
+
+# The array formula of each word of WORD_ORDER, in that order, with whether
+# it reads the mirrored arguments: the reflection turns LSL, LSR and RLR into
+# RSR, RSL and LRL.
+_WORDS = {
+    "LSL": (_lsl, False),
+    "RSR": (_lsl, True),
+    "LSR": (_lsr, False),
+    "RSL": (_lsr, True),
+    "RLR": (_rlr, False),
+    "LRL": (_rlr, True),
+}
+# The CSC words of _WORDS, in WORD_ORDER: the only candidates when d > 4.
+_LONG_PATH_WORDS = {word: _WORDS[word] for word in WORD_ORDER if word in CSC_WORDS}
+
+
 def _pair_costs(points: Sequence[Point2], sets: np.ndarray, r: float) -> np.ndarray:
     """(pairs, S, S) shortest Dubins lengths from (points[k], sets[k, i]) to
     (points[k + 1], sets[k + 1, j]) for every consecutive pair."""
     theta, d = map(np.array, zip(*(_bearing(p, q, r) for p, q in zip(points, points[1:]))))
     alpha = np.mod(sets[:-1] - theta[:, None], TWO_PI)[:, :, None]
     beta = np.mod(sets[1:] - theta[:, None], TWO_PI)[:, None, :]
-    args = _word_args(_ARRAY, alpha, beta, d[:, None, None])
+    args = _word_args(alpha, beta, d[:, None, None])
     problems = (args, _mirrored(*args))  # indexed by the mirror flag
     words = _LONG_PATH_WORDS if (d > 4.0).all() else _WORDS
     best = None
     for formula, mirror in words.values():
-        t, pl, ql, ok = formula(_ARRAY, *problems[mirror])
+        t, pl, ql, ok = formula(*problems[mirror])
         total = np.where(ok, t + pl + ql, np.inf)
         best = total if best is None else np.minimum(best, total)
     return best * r
@@ -221,8 +311,9 @@ def multipoint_bruteforce(
     sampled heading grid, by dynamic programming over per-point headings.
 
     With ``headings`` given, the per-point candidate sets replace the
-    uniform grid (e.g. singleton sets pin the headings). Refining the grid
-    by doubling ``samples_per_angle`` never increases the result.
+    uniform grid (e.g. singleton sets pin the headings); a non-finite
+    heading is refused with the point it belongs to. Refining the grid by
+    doubling ``samples_per_angle`` never increases the result.
     """
     check_turn_radius(r)
     pts = list(points)
@@ -239,20 +330,25 @@ def multipoint_bruteforce(
         sizes = list(map(len, headings))
         if not min(sizes):
             raise ValueError("heading sets must be non-empty")
+        for k, h in enumerate(headings):
+            if not all(map(math.isfinite, h)):
+                raise ValueError(f"point {k} has a non-finite heading in {list(map(float, h))}")
+        width = max(sizes)
+        if width == 1:  # one heading per point: a running sum, in pair order
+            cost = 0.0
+            pinned = [float(h) for h, in headings]
+            for p, q, a, b in zip(pts, pts[1:], pinned, pinned[1:]):
+                cost += _solve(*_scaled_problem(p, a, q, b, r), r)[-1]
+            return cost
         # Repeating a set's last heading adds duplicate rows and columns,
         # which cannot change any minimum of the DP.
-        width = max(sizes)
         sets = np.array([[*h, *[h[-1]] * (width - k)] for h, k in zip(headings, sizes)], dtype=float)
     size = sets.shape[1]
     per_block = max(1, _BLOCK_ELEMENTS // (size * size))
     cost_to = np.zeros(size)
     for lo in range(0, len(pts) - 1, per_block):
         hi = min(lo + per_block, len(pts) - 1)
-        costs = _pair_costs(pts[lo:hi + 1], sets[lo:hi + 1], r)
-        if size == 1:  # one heading per point: a sequential running sum
-            cost_to = np.add.accumulate(np.append(cost_to, costs))[-1:]
-            continue
-        for cost in costs:
+        for cost in _pair_costs(pts[lo:hi + 1], sets[lo:hi + 1], r):
             cost_to = (cost_to[:, None] + cost).min(axis=0)
     return float(np.min(cost_to))
 

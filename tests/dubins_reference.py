@@ -5,15 +5,17 @@ test references.
 evaluated in blocks: one ``pair_cost`` matrix per consecutive pair, each from
 the numpy backend of the word formulas. ``word_totals`` and
 ``reference_shortest`` read the 1x1 cost of one pose pair through the same
-backend, so tests can hold the math backend of ``solve_word`` and
+backend, so tests can hold the scalar solver of ``solve_word`` and
 ``dubins_shortest`` against it.
 
 ``SIX_WORDS`` holds one written-out formula per word, RSR, RSL and LRL
 included, as the solver had them before those three became mirror images of
-LSL, LSR and RLR. It has the shape of ``dubins._WORDS`` (no word mirrored),
-so the per-pair DP and ``scalar_shortest`` run on either table. The formulas
-take the backends ``SCALAR`` and ``ARRAY``, which add ``mod2pi`` to the
-solver's backends. Neither reference skips the CCC words beyond d = 4.
+LSL, LSR and RLR. ``SOLVER_WORDS`` is ``dubins._WORDS``, the solver's array
+formulas, in the same shape, so the per-pair DP runs on either table. The
+formulas take one of two backends of math functions, ``SCALAR`` on Python
+floats and ``ARRAY`` on numpy arrays, each with its own ``where``, ``clip``
+and ``mod2pi``; ``scalar_shortest`` and ``scalar_running_sum`` run a table on
+``SCALAR``. No reference skips the CCC words beyond d = 4.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dps.dubins import (_ARRAY, _FULL_CIRCLE_SNAP, _SCALAR, _TIE_EPSILON, _WORDS, WORD_ORDER, DubinsWord,
-                        _mirrored, _scaled_problem)
+from dps.dubins import (_FULL_CIRCLE_SNAP, _TIE_EPSILON, _WORDS, WORD_ORDER, DubinsWord, _mirrored,
+                        _scaled_problem)
 from dps.geom import TWO_PI, Point2, Pose, check_turn_radius
 
 
@@ -39,8 +41,21 @@ def _mod2pi_array(x):
     return np.where(y >= TWO_PI - _FULL_CIRCLE_SNAP, 0.0, y)
 
 
-SCALAR = SimpleNamespace(**vars(_SCALAR), mod2pi=_mod2pi_scalar)
-ARRAY = SimpleNamespace(**vars(_ARRAY), mod2pi=_mod2pi_array)
+SCALAR = SimpleNamespace(
+    sin=math.sin, cos=math.cos, atan2=math.atan2, sqrt=math.sqrt, acos=math.acos, abs=abs,
+    where=lambda cond, a, b: a if cond else b, clip=lambda x, lo, hi: min(max(x, lo), hi),
+    mod2pi=_mod2pi_scalar,
+)
+ARRAY = SimpleNamespace(
+    sin=np.sin, cos=np.cos, atan2=np.arctan2, sqrt=np.sqrt, acos=np.arccos, abs=np.abs,
+    where=np.where, clip=np.clip, mod2pi=_mod2pi_array,
+)
+
+
+def word_args(m, alpha, beta, d):
+    """Arguments of the word formulas for the scaled problem (alpha, beta, d)."""
+    sa, ca, sb, cb = m.sin(alpha), m.cos(alpha), m.sin(beta), m.cos(beta)
+    return alpha, beta, d, sa, ca, sb, cb, ca * cb + sa * sb
 
 
 def _lsl(m, alpha, beta, d, sa, ca, sb, cb, cab):
@@ -120,7 +135,14 @@ SIX_WORDS = {
 }
 
 
-def _word_matrices(p: Point2, q: Point2, h1: np.ndarray, h2: np.ndarray, r: float, words=_WORDS):
+# The solver's array formulas take no backend argument; the per-pair DP
+# passes ARRAY to every formula.
+SOLVER_WORDS = {word: (lambda m, *args, formula=formula: formula(*args), mirror)
+                for word, (formula, mirror) in _WORDS.items()}
+
+
+def _word_matrices(p: Point2, q: Point2, h1: np.ndarray, h2: np.ndarray, r: float,
+                   words=SOLVER_WORDS):
     """Per word, the matrix of lengths from (p, h1[i]) to (q, h2[j]) in
     scaled units, inf where the word has no solution."""
     dx = q.x - p.x
@@ -129,9 +151,7 @@ def _word_matrices(p: Point2, q: Point2, h1: np.ndarray, h2: np.ndarray, r: floa
     d = math.hypot(dx, dy) / r
     alpha = np.mod(h1 - theta, TWO_PI)[:, None]
     beta = np.mod(h2 - theta, TWO_PI)[None, :]
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    args = (alpha, beta, d, sa, ca, sb, cb, ca * cb + sa * sb)
+    args = word_args(ARRAY, alpha, beta, d)
     totals = {}
     for word in WORD_ORDER:
         formula, mirror = words[word]
@@ -141,7 +161,7 @@ def _word_matrices(p: Point2, q: Point2, h1: np.ndarray, h2: np.ndarray, r: floa
 
 
 def pair_cost(p: Point2, q: Point2, h1: np.ndarray, h2: np.ndarray, r: float,
-              words=_WORDS) -> np.ndarray:
+              words=SOLVER_WORDS) -> np.ndarray:
     """Matrix of shortest Dubins lengths from (p, h1[i]) to (q, h2[j])."""
     best = None
     for total in _word_matrices(p, q, h1, h2, r, words).values():
@@ -154,7 +174,7 @@ def multipoint_per_pair(
     r: float,
     samples_per_angle: int,
     headings: Optional[Sequence[Sequence[float]]] = None,
-    words=_WORDS,
+    words=SOLVER_WORDS,
 ) -> float:
     """The multipoint DP with one ``pair_cost`` call per consecutive pair,
     on the word table ``words``."""
@@ -203,16 +223,37 @@ def reference_shortest(start: Pose, goal: Pose, r: float) -> tuple[str, float]:
     return best
 
 
+def _scalar_words(problem, words):
+    """(word, t, p, q) of every word of ``words`` with a solution, in
+    WORD_ORDER, on the scalar backend."""
+    args = word_args(SCALAR, *problem)
+    for word in WORD_ORDER:
+        formula, mirror = words[word]
+        t, p, q, ok = formula(SCALAR, *(_mirrored(*args) if mirror else args))
+        if ok:
+            yield word, t, p, q
+
+
 def scalar_shortest(start: Pose, goal: Pose, r: float, words=SIX_WORDS) -> DubinsWord:
     """Shortest of all six words of the table ``words`` on the scalar backend,
     from the solver's scaled problem and with its tie rule."""
-    problem = _scaled_problem(start, goal, r)
+    problem = _scaled_problem(start.position, start.heading.theta, goal.position, goal.heading.theta, r)
     best = None
-    for word in WORD_ORDER:
-        formula, mirror = words[word]
-        t, p, q, ok = formula(SCALAR, *(_mirrored(*problem) if mirror else problem))
+    for word, t, p, q in _scalar_words(problem, words):
         total = (t + p + q) * r
-        if ok and (best is None or total < best.total - _TIE_EPSILON):
+        if best is None or total < best.total - _TIE_EPSILON:
             best = DubinsWord(word, (t * r, p * r, q * r), total)
     assert best is not None
     return best
+
+
+def scalar_running_sum(points: Sequence[Point2], headings: Sequence[float], r: float,
+                       words=SIX_WORDS) -> float:
+    """The multipoint DP pinned at one heading per point: the sum, in pair
+    order, of each pair's least total over all six words of ``words`` on the
+    scalar backend."""
+    cost = 0.0
+    for p, q, a, b in zip(points, points[1:], headings, headings[1:]):
+        problem = _scaled_problem(p, a, q, b, r)
+        cost += min(t + pl + ql for _, t, pl, ql in _scalar_words(problem, words)) * r
+    return cost

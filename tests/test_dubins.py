@@ -22,7 +22,8 @@ from dps.smoother import extract_pieces, path_length, polyline_length, smooth_po
 
 from conftest import make_triplet, solve_triplet
 from dubins_reference import (ARRAY, SCALAR, SIX_WORDS, multipoint_per_pair, pair_cost,
-                              reference_shortest, scalar_shortest, word_totals)
+                              reference_shortest, scalar_running_sum, scalar_shortest, word_args,
+                              word_totals)
 from dubins_search import dubins_search
 
 P = Point2
@@ -322,45 +323,72 @@ def test_math_backend_matches_per_pair_reference(rng):
 
 
 def _scaled_problems(rng, n):
-    """n seeded random scaled problems, with d = 0 and U-turns among them,
-    then the boundary families of ``_degenerate_pairs`` reduced by the solver."""
+    """n seeded random scaled problems (alpha, beta, d), with d = 0 and
+    U-turns among them, then the boundary families of ``_degenerate_pairs``
+    reduced by the solver."""
     problems = []
     for i in range(n):
         alpha = rng.uniform(0.0, 2 * math.pi)
         beta = (alpha + math.pi) % (2 * math.pi) if i % 10 == 0 else rng.uniform(0.0, 2 * math.pi)
         d = (0.0, rng.uniform(0.0, 4.5), rng.expovariate(0.2))[i % 3]
-        problems.append(dubins._word_args(dubins._SCALAR, alpha, beta, d))
+        problems.append((alpha, beta, d))
     for _, start, goal, r in _degenerate_pairs(rng):
-        problems.append(dubins._scaled_problem(start, goal, r))
+        problems.append(dubins._scaled_problem(start.position, start.heading.theta,
+                                               goal.position, goal.heading.theta, r))
     return problems
 
 
+def _at_zero(word, ca, cb):
+    """Whether RSR's atan2 argument ca - cb (RSL's ca + cb) is an exact zero."""
+    return {"RSR": ca == cb, "RSL": ca == -cb}.get(word, False)
+
+
 def test_mirrored_words_bit_equal_to_six_formulas(rng):
-    # RSR, RSL and LRL run as LSL, LSR and RLR on the reflected problem. The
+    # RSR, RSL and LRL run as LSL, LSR and RLR on the reflected problem, in
+    # the scalar routine _solve and in the array formulas of _WORDS. The
     # reflection negates alpha, beta and the sines exactly, and it negates
     # RSR's atan2 argument ca - cb (RSL's ca + cb) everywhere but at zero:
     # x - x is +0.0 in either order, so there atan2 may give pi for -pi and t
     # or q come out of the fold an ulp apart. Those points need the same ok
     # and values within 1e-12; every other value must be bit-equal.
     problems = _scaled_problems(rng, 100_000)
-    columns = tuple(np.array(column) for column in zip(*problems))
+    scalar_args = [word_args(SCALAR, *problem) for problem in problems]
+    for word in WORD_ORDER:
+        reference = SIX_WORDS[word][0]
+        zero = [_at_zero(word, args[4], args[6]) for args in scalar_args]
+        assert sum(zero) <= 0.05 * len(problems)
+        for problem, args, at_zero in zip(problems, scalar_args, zero):
+            found, *got = dubins._solve(*problem, 1.0, only=word)[:4]
+            expected = reference(SCALAR, *args)
+            assert (found == word) == expected[3], word
+            if found is None:
+                continue
+            if at_zero:
+                assert all(abs(x - y) <= 1e-12 for x, y in zip(got, expected[:3])), word
+            else:
+                assert struct.pack("<3d", *got) == struct.pack("<3d", *expected[:3]), word
+    # The fold itself: the tie-rule winner and the least total of all six
+    # words, wherever no word sits at such a zero.
+    for problem, args in zip(problems, scalar_args):
+        if any(_at_zero(word, args[4], args[6]) for word in ("RSR", "RSL")):
+            continue
+        word, t, p, q, total, least = dubins._solve(*problem, 1.0)
+        words = [(name, *reference(SCALAR, *args)) for name, (reference, _) in SIX_WORDS.items()]
+        totals = [(name, tr + pr + qr) for name, tr, pr, qr, ok in words if ok]
+        winner = totals[0]
+        for name, value in totals[1:]:
+            if value < winner[1] - dubins._TIE_EPSILON:
+                winner = (name, value)
+        assert (word, total) == winner
+        assert least == min(value for _, value in totals)
+    # The array formulas, on the same problems as columns.
+    columns = dubins._word_args(*map(np.array, zip(*problems)))
     ca, cb = columns[4], columns[6]
-    zeros = {"RSR": ca == cb, "RSL": ca == -cb}
     for word in WORD_ORDER:
         formula, mirror = dubins._WORDS[word]
-        reference = SIX_WORDS[word][0]
-        zero = zeros.get(word, np.zeros(len(problems), dtype=bool))
-        assert zero.sum() <= 0.05 * len(problems)
-        for args, at_zero in zip(problems, zero.tolist()):
-            got = formula(dubins._SCALAR, *(dubins._mirrored(*args) if mirror else args))
-            expected = reference(SCALAR, *args)
-            if at_zero:
-                assert got[3] == expected[3], word
-                assert all(abs(x - y) <= 1e-12 for x, y in zip(got[:3], expected[:3])), word
-            else:
-                assert struct.pack("<3d?", *got) == struct.pack("<3d?", *expected), word
-        got = formula(dubins._ARRAY, *(dubins._mirrored(*columns) if mirror else columns))
-        expected = reference(ARRAY, *columns)
+        zero = _at_zero(word, ca, cb) if word in ("RSR", "RSL") else np.zeros(len(problems), bool)
+        got = formula(*(dubins._mirrored(*columns) if mirror else columns))
+        expected = SIX_WORDS[word][0](ARRAY, *columns)
         assert got[3].tobytes() == expected[3].tobytes(), word
         for x, y in zip(got[:3], expected[:3]):
             assert x[~zero].tobytes() == y[~zero].tobytes(), word
@@ -447,14 +475,27 @@ def test_long_path_case_evaluates_no_ccc_formula(monkeypatch):
     def refuse(*args):
         raise AssertionError("CCC formula evaluated")
 
+    # The scalar routine calls acos only in RLR and LRL, and with these
+    # headings RLR has a solution at d = 4 (its tmp is about -0.996), so acos
+    # runs whenever the CCC words are evaluated.
+    monkeypatch.setattr(dubins, "acos", refuse)
     monkeypatch.setitem(dubins._WORDS, "RLR", (refuse, False))
     monkeypatch.setitem(dubins._WORDS, "LRL", (refuse, True))
     above = math.nextafter(4.0, math.inf)
+    h0, h1 = math.pi / 2 - 0.1, math.pi / 2 + 0.2
     sets = np.zeros((3, 360))
-    dubins_shortest(pose(0, 0, 1.0), pose(above, 0, 2.0), 1.0)
+    dubins_shortest(pose(0, 0, h0), pose(above, 0, h1), 1.0)
+    multipoint_bruteforce([P(0, 0), P(above, 0), P(0, 0)], 1.0, 4, headings=[[h0], [h1], [h0]])
     dubins._pair_costs([P(0, 0), P(above, 0), P(0, 0)], sets, 1.0)
     with pytest.raises(AssertionError, match="CCC formula evaluated"):
-        dubins_shortest(pose(0, 0, 1.0), pose(4.0, 0, 2.0), 1.0)
+        dubins_shortest(pose(0, 0, h0), pose(4.0, 0, h1), 1.0)
+    # A singleton DP evaluates them for each pair at d <= 4 on its own.
+    with pytest.raises(AssertionError, match="CCC formula evaluated"):
+        multipoint_bruteforce([P(0, 0), P(above, 0), P(above, 4.0)], 1.0, 4,
+                              headings=[[h0], [h1], [h0]])
+    # solve_word evaluates any word it is asked for.
+    with pytest.raises(AssertionError, match="CCC formula evaluated"):
+        solve_word("RLR", pose(0, 0, h0), pose(above, 0, h1), 1.0)
     # One pair at d = 4 makes the whole block evaluate all six words.
     with pytest.raises(AssertionError, match="CCC formula evaluated"):
         dubins._pair_costs([P(0, 0), P(above, 0), P(above, 4.0)], sets, 1.0)
@@ -480,15 +521,37 @@ def test_blocks_near_four_bit_equal_to_six_formulas(d):
 
 @pytest.mark.parametrize("n, block_elements", [(2, 1 << 16), (1000, 1 << 16), (1000, 64)])
 def test_multipoint_singletons_bit_equal_to_per_pair_reference(n, block_elements, monkeypatch):
-    # Pinned headings make the DP a running sum; with 64-element blocks it
-    # carries the sum across 16 blocks. Points 0.1 to 12 apart put pairs on
-    # both sides of d = 4 in every block.
+    # Pinned headings make the DP a running sum of the scalar routine's least
+    # totals, which no block size changes. It starts with pairs at d = 4 and
+    # d = 4 + 1 ulp along the x-axis, so d is exact, with headings near the
+    # normal of the line of travel; then points 0.1 to 12 apart put pairs on
+    # both sides of d = 4.
     monkeypatch.setattr(dubins, "_BLOCK_ELEMENTS", block_elements)
     rng = random.Random(n)
-    points = [P(0.0, 0.0)]
-    for _ in range(n - 1):
+    h0, h1 = math.pi / 2 - 0.1, math.pi / 2 + 0.2
+    points = [P(0.0, 0.0), P(4.0, 0.0), P(0.0, 0.0), P(math.nextafter(4.0, math.inf), 0.0)][:n]
+    headings = [[h0], [h1], [h0], [h1]][:n]
+    while len(points) < n:
         step, turn = rng.uniform(0.1, 12.0), rng.uniform(-math.pi, math.pi)
         points.append(P(points[-1].x + step * math.cos(turn), points[-1].y + step * math.sin(turn)))
-    headings = [[rng.uniform(-math.pi, math.pi)] for _ in range(n)]
-    expected = multipoint_per_pair(points, 1.0, 4, headings=headings, words=SIX_WORDS)
+        headings.append([rng.uniform(-math.pi, math.pi)])
+    expected = scalar_running_sum(points, [h for h, in headings], 1.0, words=SIX_WORDS)
     assert multipoint_bruteforce(points, 1.0, 4, headings=headings) == expected
+
+
+@pytest.mark.parametrize("headings", [
+    [[0.0], [math.nan], [1.0]],
+    [[0.0], [1.0], [math.inf]],
+    [[0.0, 1.0], [2.0, math.nan, 3.0], [1.0]],
+    [[0.0, 1.0], [2.0, 3.0], [-math.inf]],
+], ids=["nan singleton", "inf singleton", "nan in a grid set", "-inf beside a grid"])
+def test_multipoint_refuses_a_non_finite_heading(headings, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pair solved")
+
+    monkeypatch.setattr(dubins, "_solve", refuse)
+    monkeypatch.setattr(dubins, "_pair_costs", refuse)
+    k = next(i for i, h in enumerate(headings) if not all(map(math.isfinite, h)))
+    with pytest.raises(ValueError, match=rf"^point {k} has a non-finite heading in \[") as refused:
+        multipoint_bruteforce([P(0, 0), P(3, 0), P(3, 3)], 1.0, 4, headings=headings)
+    assert str(headings[k]) in str(refused.value)
