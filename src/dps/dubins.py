@@ -147,12 +147,12 @@ def _solve(alpha: float, beta: float, d: float, r: float, only: Optional[str] = 
             word, t, p, q, total = "RSL", wt, wp, wq, wtotal
     if d > 4.0 and only is None:
         return word, t, p, q, total, least
-    # RLR, then LRL: tmp is the cosine of the middle arc's supplement.
+    # RLR, then LRL: tmp is the cosine of the middle arc's supplement. On
+    # doubles acos is 0 or at least 1.49e-8, so p needs no full-circle fold.
     base = 6.0 - dd + cab2
     tmp = (base + u) / 8.0
     if abs(tmp) <= 1.0 and (only is None or only == "RLR"):
         wp = (TWO_PI - acos(tmp)) % TWO_PI
-        wp *= wp < _FOLD_LIMIT
         wt = (alpha - atan2(ca - cb, d - sa + sb) + 0.5 * wp) % TWO_PI
         wt *= wt < _FOLD_LIMIT
         wq = (alpha - beta - wt + wp) % TWO_PI
@@ -165,7 +165,6 @@ def _solve(alpha: float, beta: float, d: float, r: float, only: Optional[str] = 
     tmp = (base - u) / 8.0
     if abs(tmp) <= 1.0 and (only is None or only == "LRL"):
         wp = (TWO_PI - acos(tmp)) % TWO_PI
-        wp *= wp < _FOLD_LIMIT
         wt = (-alpha - atan2(ca - cb, d + sa - sb) + 0.5 * wp) % TWO_PI
         wt *= wt < _FOLD_LIMIT
         wq = (beta - alpha - wt + wp) % TWO_PI

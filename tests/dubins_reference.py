@@ -10,12 +10,14 @@ backend, so tests can hold the scalar solver of ``solve_word`` and
 
 ``SIX_WORDS`` holds one written-out formula per word, RSR, RSL and LRL
 included, as the solver had them before those three became mirror images of
-LSL, LSR and RLR. ``SOLVER_WORDS`` is ``dubins._WORDS``, the solver's array
-formulas, in the same shape, so the per-pair DP runs on either table. The
+LSL, LSR and RLR; ``MIRRORED_WORDS`` reads those three as the solver does,
+from the same formulas. ``SOLVER_WORDS`` is ``dubins._WORDS``, the solver's
+array formulas, in the same shape, so the per-pair DP runs on any table. The
 formulas take one of two backends of math functions, ``SCALAR`` on Python
 floats and ``ARRAY`` on numpy arrays, each with its own ``where``, ``clip``
-and ``mod2pi``; ``scalar_shortest`` and ``scalar_running_sum`` run a table on
-``SCALAR``. No reference skips the CCC words beyond d = 4.
+and ``mod2pi``; ``scalar_fold``, ``scalar_shortest`` and
+``scalar_running_sum`` run a table on ``SCALAR``. No reference skips the CCC
+words beyond d = 4.
 """
 
 from __future__ import annotations
@@ -133,6 +135,16 @@ SIX_WORDS = {
     "RLR": (_rlr, False),
     "LRL": (_lrl, False),
 }
+# The solver's reading of the six words: RSR, RSL and LRL as the formulas of
+# LSL, LSR and RLR on the reflected problem.
+MIRRORED_WORDS = {
+    "LSL": (_lsl, False),
+    "RSR": (_lsl, True),
+    "LSR": (_lsr, False),
+    "RSL": (_lsr, True),
+    "RLR": (_rlr, False),
+    "LRL": (_rlr, True),
+}
 
 
 # The solver's array formulas take no backend argument; the per-pair DP
@@ -234,17 +246,29 @@ def _scalar_words(problem, words):
             yield word, t, p, q
 
 
+def scalar_fold(problem, r: float, words=SIX_WORDS) -> tuple:
+    """(word, t, p, q, total, least) over all six words of the table ``words``
+    on the scalar backend for the scaled problem (alpha, beta, d): the winner
+    by the solver's tie rule, its scaled lengths and its total, then the
+    least total."""
+    best = None
+    least = math.inf
+    for word, t, p, q in _scalar_words(problem, words):
+        total = (t + p + q) * r
+        least = min(least, total)
+        if best is None or total < best[4] - _TIE_EPSILON:
+            best = (word, t, p, q, total)
+    assert best is not None
+    return (*best, least)
+
+
 def scalar_shortest(start: Pose, goal: Pose, r: float, words=SIX_WORDS) -> DubinsWord:
     """Shortest of all six words of the table ``words`` on the scalar backend,
     from the solver's scaled problem and with its tie rule."""
-    problem = _scaled_problem(start.position, start.heading.theta, goal.position, goal.heading.theta, r)
-    best = None
-    for word, t, p, q in _scalar_words(problem, words):
-        total = (t + p + q) * r
-        if best is None or total < best.total - _TIE_EPSILON:
-            best = DubinsWord(word, (t * r, p * r, q * r), total)
-    assert best is not None
-    return best
+    problem = _scaled_problem(start.position, start.heading.theta,
+                              goal.position, goal.heading.theta, r)
+    word, t, p, q, total, _ = scalar_fold(problem, r, words)
+    return DubinsWord(word, (t * r, p * r, q * r), total)
 
 
 def scalar_running_sum(points: Sequence[Point2], headings: Sequence[float], r: float,
@@ -254,6 +278,5 @@ def scalar_running_sum(points: Sequence[Point2], headings: Sequence[float], r: f
     scalar backend."""
     cost = 0.0
     for p, q, a, b in zip(points, points[1:], headings, headings[1:]):
-        problem = _scaled_problem(p, a, q, b, r)
-        cost += min(t + pl + ql for _, t, pl, ql in _scalar_words(problem, words)) * r
+        cost += scalar_fold(_scaled_problem(p, a, q, b, r), r, words)[-1]
     return cost

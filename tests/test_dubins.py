@@ -21,9 +21,9 @@ from dps.randgen import random_polyline
 from dps.smoother import extract_pieces, path_length, polyline_length, smooth_polyline, vertex_solutions
 
 from conftest import make_triplet, solve_triplet
-from dubins_reference import (ARRAY, SCALAR, SIX_WORDS, multipoint_per_pair, pair_cost,
-                              reference_shortest, scalar_running_sum, scalar_shortest, word_args,
-                              word_totals)
+from dubins_reference import (ARRAY, MIRRORED_WORDS, SCALAR, SIX_WORDS, multipoint_per_pair,
+                              pair_cost, reference_shortest, scalar_fold, scalar_running_sum,
+                              scalar_shortest, word_args, word_totals)
 from dubins_search import dubins_search
 
 P = Point2
@@ -324,14 +324,18 @@ def test_math_backend_matches_per_pair_reference(rng):
 
 def _scaled_problems(rng, n):
     """n seeded random scaled problems (alpha, beta, d), with d = 0 and
-    U-turns among them, then the boundary families of ``_degenerate_pairs``
-    reduced by the solver."""
+    U-turns among them; n // 50 nearly straight ones, headings within 1e-12
+    of the line of travel, where LSL and RSR tie within 1e-12; then the
+    boundary families of ``_degenerate_pairs`` reduced by the solver."""
     problems = []
     for i in range(n):
         alpha = rng.uniform(0.0, 2 * math.pi)
         beta = (alpha + math.pi) % (2 * math.pi) if i % 10 == 0 else rng.uniform(0.0, 2 * math.pi)
         d = (0.0, rng.uniform(0.0, 4.5), rng.expovariate(0.2))[i % 3]
         problems.append((alpha, beta, d))
+    for _ in range(n // 50):
+        alpha, beta = (rng.uniform(-1e-12, 1e-12) % (2 * math.pi) for _ in range(2))
+        problems.append((alpha, beta, rng.uniform(0.1, 10.0)))
     for _, start, goal, r in _degenerate_pairs(rng):
         problems.append(dubins._scaled_problem(start.position, start.heading.theta,
                                                goal.position, goal.heading.theta, r))
@@ -367,20 +371,14 @@ def test_mirrored_words_bit_equal_to_six_formulas(rng):
                 assert all(abs(x - y) <= 1e-12 for x, y in zip(got, expected[:3])), word
             else:
                 assert struct.pack("<3d", *got) == struct.pack("<3d", *expected[:3]), word
-    # The fold itself: the tie-rule winner and the least total of all six
-    # words, wherever no word sits at such a zero.
-    for problem, args in zip(problems, scalar_args):
-        if any(_at_zero(word, args[4], args[6]) for word in ("RSR", "RSL")):
-            continue
-        word, t, p, q, total, least = dubins._solve(*problem, 1.0)
-        words = [(name, *reference(SCALAR, *args)) for name, (reference, _) in SIX_WORDS.items()]
-        totals = [(name, tr + pr + qr) for name, tr, pr, qr, ok in words if ok]
-        winner = totals[0]
-        for name, value in totals[1:]:
-            if value < winner[1] - dubins._TIE_EPSILON:
-                winner = (name, value)
-        assert (word, total) == winner
-        assert least == min(value for _, value in totals)
+    # The fold itself, on the solver's reading of the six words, where the
+    # zeros are the same: the tie-rule winner with its lengths and total, and
+    # the least total, at a few radii, since the tie rule reads scaled totals.
+    for i, problem in enumerate(problems):
+        r = (1.0, 0.3, 7.0)[i % 3]
+        got, expected = dubins._solve(*problem, r), scalar_fold(problem, r, MIRRORED_WORDS)
+        assert got[0] == expected[0]
+        assert struct.pack("<5d", *got[1:]) == struct.pack("<5d", *expected[1:])
     # The array formulas, on the same problems as columns.
     columns = dubins._word_args(*map(np.array, zip(*problems)))
     ca, cb = columns[4], columns[6]
@@ -544,7 +542,7 @@ def test_multipoint_singletons_bit_equal_to_per_pair_reference(n, block_elements
     [[0.0], [1.0], [math.inf]],
     [[0.0, 1.0], [2.0, math.nan, 3.0], [1.0]],
     [[0.0, 1.0], [2.0, 3.0], [-math.inf]],
-], ids=["nan singleton", "inf singleton", "nan in a grid set", "-inf beside a grid"])
+], ids=["nan-singleton", "inf-singleton", "nan-in-a-grid-set", "-inf-beside-a-grid"])
 def test_multipoint_refuses_a_non_finite_heading(headings, monkeypatch):
     def refuse(*args):
         raise AssertionError("pair solved")

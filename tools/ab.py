@@ -13,9 +13,9 @@ which side runs first alternates from pair to pair, the other revision first
 in pair 0. The worktree is removed when the tool finishes.
 
 The JSON file holds both revisions (this checkout's HEAD, with a flag for
-uncommitted changes), the Python, numpy and orjson versions, the CPU count,
-every pair's end-to-end metrics and op counts, and per metric both sides'
-medians and quartiles (inclusive method). Each metric that ``BENCHMARK.json``
+changes to ``src`` that HEAD does not hold), the Python, numpy and orjson
+versions, the CPU count, every pair's end-to-end metrics and op counts, and
+per metric both sides' medians and quartiles (inclusive method). Each metric that ``BENCHMARK.json``
 lists gets a verdict, the change read against the other revision ("parent"):
 
 - ``gain``: the change is better in at least 90 % of at least 10 pairs, and
@@ -55,10 +55,11 @@ def _git(*args: str, cwd: Path = ROOT) -> str:
 
 
 def _versions() -> dict:
-    code = ("import json, platform, numpy, orjson; print(json.dumps({'python': "
-            "platform.python_version(), 'numpy': numpy.__version__, 'orjson': orjson.__version__}))")
-    return json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                     text=True, check=True).stdout)
+    import numpy
+    import orjson
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "orjson": orjson.__version__}
 
 
 def _run(tree: Path, args, seed: int) -> dict:
@@ -156,8 +157,8 @@ def main(argv=None) -> int:
         "workload": args.workload, "seeds": [p["seed"] for p in pairs], "seconds": args.seconds,
         "smoke": args.smoke,
         "revisions": {"parent": against, "change": _git("rev-parse", "HEAD"),
-                      "change_has_uncommitted_changes": bool(_git("status", "--porcelain",
-                                                                  "--untracked-files=no"))},
+                      "change_src_differs_from_head": bool(_git("status", "--porcelain",
+                                                                "--", "src"))},
         "machine": {**_versions(), "cpu_count": os.cpu_count(), "system": platform.platform()},
         "all_answers_correct": all(p[side]["correct"] for p in pairs for side in SIDES),
         "pairs": pairs,
