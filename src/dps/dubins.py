@@ -81,7 +81,9 @@ def _solve(alpha: float, beta: float, d: float, r: float, only: Optional[str] = 
     1e-12 after scaling by r), t, p and q its scaled segment lengths and
     ``total`` its length; ``least`` is the exact least length of all words
     evaluated. RLR and LRL are evaluated only where d <= 4, unless ``only``
-    names the one word to fold; ``word`` is None when no word folded.
+    names the one word to fold; ``word`` is None when no word folded. RSR,
+    RSL and LRL are LSL, LSR and RLR on the reflected problem, written with
+    the same floating-point operations.
     """
     sa, ca, sb, cb = sin(alpha), cos(alpha), sin(beta), cos(beta)
     cab2 = 2.0 * (ca * cb + sa * sb)
@@ -147,8 +149,8 @@ def _solve(alpha: float, beta: float, d: float, r: float, only: Optional[str] = 
             word, t, p, q, total = "RSL", wt, wp, wq, wtotal
     if d > 4.0 and only is None:
         return word, t, p, q, total, least
-    # RLR, then LRL: tmp is the cosine of the middle arc's supplement. On
-    # doubles acos is 0 or at least 1.49e-8, so p needs no full-circle fold.
+    # RLR, then LRL: tmp is the cosine of the middle arc p = 2pi - acos(tmp).
+    # On doubles acos is 0 or at least 1.49e-8, so p needs no full-circle fold.
     base = 6.0 - dd + cab2
     tmp = (base + u) / 8.0
     if abs(tmp) <= 1.0 and (only is None or only == "RLR"):

@@ -13,7 +13,7 @@ which side runs first alternates from pair to pair, the other revision first
 in pair 0. The worktree is removed when the tool finishes.
 
 The JSON file holds both revisions (this checkout's HEAD, with a flag for
-changes to ``src`` that HEAD does not hold), the Python, numpy and orjson
+changes to ``src`` that HEAD did not hold when the runs began), the Python, numpy and orjson
 versions, the CPU count, every pair's end-to-end metrics and op counts, and
 per metric both sides' medians and quartiles (inclusive method). Each metric that ``BENCHMARK.json``
 lists gets a verdict, the change read against the other revision ("parent"):
@@ -128,6 +128,8 @@ def main(argv=None) -> int:
     out = Path(args.out or f"BENCH_ab_{args.workload}.json")
     rules = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     against = _git("rev-parse", "--verify", f"{args.against}^{{commit}}")
+    revisions = {"parent": against, "change": _git("rev-parse", "HEAD"),
+                 "change_src_differs_from_head": bool(_git("status", "--porcelain", "--", "src"))}
     workdir = Path(tempfile.mkdtemp(prefix="dps-ab-"))
     other = workdir / "tree"
     _git("worktree", "add", "--detach", str(other), against)
@@ -156,9 +158,7 @@ def main(argv=None) -> int:
         "command": "python3 tools/ab.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         "workload": args.workload, "seeds": [p["seed"] for p in pairs], "seconds": args.seconds,
         "smoke": args.smoke,
-        "revisions": {"parent": against, "change": _git("rev-parse", "HEAD"),
-                      "change_src_differs_from_head": bool(_git("status", "--porcelain",
-                                                                "--", "src"))},
+        "revisions": revisions,
         "machine": {**_versions(), "cpu_count": os.cpu_count(), "system": platform.platform()},
         "all_answers_correct": all(p[side]["correct"] for p in pairs for side in SIDES),
         "pairs": pairs,
