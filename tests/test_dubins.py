@@ -483,7 +483,8 @@ def test_long_path_case_evaluates_no_ccc_formula(monkeypatch):
     h0, h1 = math.pi / 2 - 0.1, math.pi / 2 + 0.2
     sets = np.zeros((3, 360))
     dubins_shortest(pose(0, 0, h0), pose(above, 0, h1), 1.0)
-    multipoint_bruteforce([P(0, 0), P(above, 0), P(0, 0)], 1.0, 4, headings=[[h0], [h1], [h0]])
+    multipoint_bruteforce([P(0, 0), P(above, 0), P(0, 0)], 1.0, 4,
+                          headings=[[h0], [h1], [h0]])
     dubins._pair_costs([P(0, 0), P(above, 0), P(0, 0)], sets, 1.0)
     with pytest.raises(AssertionError, match="CCC formula evaluated"):
         dubins_shortest(pose(0, 0, h0), pose(4.0, 0, h1), 1.0)

@@ -13,10 +13,11 @@ which side runs first alternates from pair to pair, the other revision first
 in pair 0. The worktree is removed when the tool finishes.
 
 The JSON file holds both revisions (this checkout's HEAD, with a flag for
-changes to ``src`` that HEAD did not hold when the runs began), the Python, numpy and orjson
-versions, the CPU count, every pair's end-to-end metrics and op counts, and
-per metric both sides' medians and quartiles (inclusive method). Each metric that ``BENCHMARK.json``
-lists gets a verdict, the change read against the other revision ("parent"):
+changes to ``src`` that HEAD did not hold when the runs began), the Python,
+numpy and orjson versions, the CPU count, every pair's end-to-end metrics
+and op counts, and per metric both sides' medians and quartiles (inclusive
+method). Each metric that ``BENCHMARK.json`` lists gets a verdict, the
+change read against the other revision ("parent"):
 
 - ``gain``: the change is better in at least 90 % of at least 10 pairs, and
   its median beats the parent's by more than the parent's quartile spread;
