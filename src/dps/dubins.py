@@ -5,16 +5,17 @@ imports only ``geom``, none of the smoothing code it checks.
 The word formulas follow the Dubins-set formulation in scaled coordinates
 (unit turning radius; Shkel & Lumelsky, "Classification of the Dubins set",
 RAS 2001). LSL, LSR and RLR are written out; RSR, RSL and LRL are the same
-formulas on the problem reflected across the line of travel, bit-equal to
-their own formulas except where an ``atan2`` argument is an exact zero, whose
-sign the reflection cannot flip. A pose pair is solved by ``_solve``, one
-routine on Python floats that computes the sines and cosines once, evaluates
-the words inline in ``WORD_ORDER`` and folds them as it goes, about 4 µs per
-``dubins_shortest`` (the mean over the verify benchmark's seed-0 pieces on a
-shared 2-vCPU Linux VM; ``python3 tools/verify_digest.py --stages`` reprints
-it). ``solve_word``, ``dubins_shortest`` and ``classify_j_type`` read it, and
-so does the multipoint DP with one heading per point, which is then a running
-sum of the pairs' least totals, added in pair order. With heading grids the
+formulas on the problem reflected across the line of travel (``_mirrored``),
+bit-equal to their own formulas except where an ``atan2`` argument is an
+exact zero, whose sign the reflection cannot flip. A pose pair is solved by
+``_solve``, one routine on Python floats that computes the sines and cosines
+once, evaluates the words inline in ``WORD_ORDER`` and folds them as it goes:
+4.7 µs per ``dubins_shortest`` against 8.6 µs for the per-word dispatch it
+replaced (medians of 16 interleaved rounds in one process over the verify
+benchmark's seed-0 pieces, on a shared 2-vCPU Linux VM). ``solve_word``,
+``dubins_shortest`` and ``classify_j_type`` read it, and so does the
+multipoint DP with one heading per point, which is then a running sum of the
+pairs' least totals, added in pair order. With heading grids the
 DP runs the formulas on numpy arrays (``_WORDS``), evaluating the pair costs
 of many consecutive pairs as one (pairs, S, S) block of at most
 ``_BLOCK_ELEMENTS`` elements; heading sets of unequal size are padded to S by
@@ -55,6 +56,73 @@ class DubinsWord:
     word: str
     lengths: tuple[float, float, float]
     total: float
+
+
+def _mod2pi(x):
+    """``x`` folded into [0, 2pi) elementwise; a full circle folds to 0."""
+    y = x % TWO_PI
+    return y * (y < _FOLD_LIMIT)
+
+
+def _word_args(alpha, beta, d):
+    """Arguments of the array word formulas for the scaled parameters."""
+    sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
+    return alpha, beta, d, sa, ca, sb, cb, ca * cb + sa * sb
+
+
+def _lsl(alpha, beta, d, sa, ca, sb, cb, cab):
+    tmp0 = d + sa - sb
+    psq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sa - sb)
+    # psq == 0 means coincident turn circles: the maneuver is a single left
+    # arc, and the tmp1 split degenerates to atan2(0, 0). Handle it exactly
+    # (these are precisely the tangent-to-tangent arc pieces).
+    boundary = 1e-12 * (4.0 + d * d)
+    degenerate = psq <= boundary
+    ok = psq >= -boundary
+    tmp1 = np.arctan2(cb - ca, tmp0)
+    t = np.where(degenerate, 0.0, _mod2pi(tmp1 - alpha))
+    p = np.where(degenerate, 0.0, np.sqrt(np.where(psq > 0.0, psq, 0.0)))
+    q = _mod2pi(np.where(degenerate, beta - alpha, beta - tmp1))
+    return t, p, q, ok
+
+
+def _lsr(alpha, beta, d, sa, ca, sb, cb, cab):
+    psq = -2.0 + d * d + 2.0 * cab + 2.0 * d * (sa + sb)
+    ok = psq >= 0.0
+    p = np.sqrt(np.where(ok, psq, 0.0))
+    tmp = np.arctan2(-ca - cb, d + sa + sb) - np.arctan2(-2.0, p)
+    t = _mod2pi(tmp - alpha)
+    q = _mod2pi(tmp - beta)
+    return t, p, q, ok
+
+
+def _rlr(alpha, beta, d, sa, ca, sb, cb, cab):
+    tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
+    ok = np.abs(tmp) <= 1.0
+    p = _mod2pi(TWO_PI - np.arccos(np.clip(tmp, -1.0, 1.0)))
+    t = _mod2pi(alpha - np.arctan2(ca - cb, d - sa + sb) + 0.5 * p)
+    q = _mod2pi(alpha - beta - t + p)
+    return t, p, q, ok
+
+
+def _mirrored(alpha, beta, d, sa, ca, sb, cb, cab):
+    """Word arguments of the problem reflected across the line of travel."""
+    return -alpha, -beta, d, -sa, ca, -sb, cb, cab
+
+
+# The array formula of each word of WORD_ORDER, in that order, with whether
+# it reads the mirrored arguments: the reflection turns LSL, LSR and RLR into
+# RSR, RSL and LRL.
+_WORDS = {
+    "LSL": (_lsl, False),
+    "RSR": (_lsl, True),
+    "LSR": (_lsr, False),
+    "RSL": (_lsr, True),
+    "RLR": (_rlr, False),
+    "LRL": (_rlr, True),
+}
+# The CSC words of _WORDS, in WORD_ORDER: the only candidates when d > 4.
+_LONG_PATH_WORDS = {word: _WORDS[word] for word in WORD_ORDER if word in CSC_WORDS}
 
 
 def _bearing(p: Point2, q: Point2, r: float) -> tuple[float, float]:
@@ -216,73 +284,6 @@ def classify_j_type(start: Pose, goal: Pose, r: float) -> tuple[bool, DubinsWord
     """
     word = dubins_shortest(start, goal, r)
     return word.word in CSC_WORDS and word.lengths[0] <= 1e-9, word
-
-
-def _mod2pi(x):
-    """``x`` folded into [0, 2pi) elementwise; a full circle folds to 0."""
-    y = x % TWO_PI
-    return y * (y < _FOLD_LIMIT)
-
-
-def _word_args(alpha, beta, d):
-    """Arguments of the array word formulas for the scaled parameters."""
-    sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
-    return alpha, beta, d, sa, ca, sb, cb, ca * cb + sa * sb
-
-
-def _lsl(alpha, beta, d, sa, ca, sb, cb, cab):
-    tmp0 = d + sa - sb
-    psq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sa - sb)
-    # psq == 0 means coincident turn circles: the maneuver is a single left
-    # arc, and the tmp1 split degenerates to atan2(0, 0). Handle it exactly
-    # (these are precisely the tangent-to-tangent arc pieces).
-    boundary = 1e-12 * (4.0 + d * d)
-    degenerate = psq <= boundary
-    ok = psq >= -boundary
-    tmp1 = np.arctan2(cb - ca, tmp0)
-    t = np.where(degenerate, 0.0, _mod2pi(tmp1 - alpha))
-    p = np.where(degenerate, 0.0, np.sqrt(np.where(psq > 0.0, psq, 0.0)))
-    q = _mod2pi(np.where(degenerate, beta - alpha, beta - tmp1))
-    return t, p, q, ok
-
-
-def _lsr(alpha, beta, d, sa, ca, sb, cb, cab):
-    psq = -2.0 + d * d + 2.0 * cab + 2.0 * d * (sa + sb)
-    ok = psq >= 0.0
-    p = np.sqrt(np.where(ok, psq, 0.0))
-    tmp = np.arctan2(-ca - cb, d + sa + sb) - np.arctan2(-2.0, p)
-    t = _mod2pi(tmp - alpha)
-    q = _mod2pi(tmp - beta)
-    return t, p, q, ok
-
-
-def _rlr(alpha, beta, d, sa, ca, sb, cb, cab):
-    tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
-    ok = np.abs(tmp) <= 1.0
-    p = _mod2pi(TWO_PI - np.arccos(np.clip(tmp, -1.0, 1.0)))
-    t = _mod2pi(alpha - np.arctan2(ca - cb, d - sa + sb) + 0.5 * p)
-    q = _mod2pi(alpha - beta - t + p)
-    return t, p, q, ok
-
-
-def _mirrored(alpha, beta, d, sa, ca, sb, cb, cab):
-    """Word arguments of the problem reflected across the line of travel."""
-    return -alpha, -beta, d, -sa, ca, -sb, cb, cab
-
-
-# The array formula of each word of WORD_ORDER, in that order, with whether
-# it reads the mirrored arguments: the reflection turns LSL, LSR and RLR into
-# RSR, RSL and LRL.
-_WORDS = {
-    "LSL": (_lsl, False),
-    "RSR": (_lsl, True),
-    "LSR": (_lsr, False),
-    "RSL": (_lsr, True),
-    "RLR": (_rlr, False),
-    "LRL": (_rlr, True),
-}
-# The CSC words of _WORDS, in WORD_ORDER: the only candidates when d > 4.
-_LONG_PATH_WORDS = {word: _WORDS[word] for word in WORD_ORDER if word in CSC_WORDS}
 
 
 def _pair_costs(points: Sequence[Point2], sets: np.ndarray, r: float) -> np.ndarray:
