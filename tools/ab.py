@@ -37,6 +37,7 @@ import math
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -131,6 +132,8 @@ def main(argv=None) -> int:
     against = _git("rev-parse", "--verify", f"{args.against}^{{commit}}")
     revisions = {"parent": against, "change": _git("rev-parse", "HEAD"),
                  "change_src_differs_from_head": bool(_git("status", "--porcelain", "--", "src"))}
+    # SIGTERM raises SystemExit here, so the worktree is removed below.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     workdir = Path(tempfile.mkdtemp(prefix="dps-ab-"))
     other = workdir / "tree"
     _git("worktree", "add", "--detach", str(other), against)
